@@ -50,8 +50,6 @@ def independent_indices(vectors: list[dict]) -> list[int]:
             continue
         if basis and solve_combination(basis, vec) is not None:
             continue
-        if not basis and not vec:
-            continue
         basis.append(vec)
         out.append(idx)
     return out

@@ -350,7 +350,7 @@ class CarrierModel:
 
     def random_element(self, slot: SlotKey, max_degree: int, seed: int) -> ModelElement:
         """Seeded slot-homogeneous element (divergence free where required)."""
-        from .contraction import contraction_K
+        from .contraction import divergence_free_part
 
         if slot == ("c",):
             import random as _random
@@ -360,8 +360,7 @@ class CarrierModel:
         j = self.slot_xi_degree(slot)
         raw = random_poly(self.d, max_degree, xi_degree_filter=j, seed=seed)
         if slot[0] == "pv":
-            # project onto ker Delta: id - K Delta
-            raw = raw - contraction_K(pvcalc.divergence(raw))
+            raw = divergence_free_part(raw)
         return self.element({slot: raw})
 
 

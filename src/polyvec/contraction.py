@@ -53,6 +53,11 @@ def contraction_K(mu: SuperPoly) -> SuperPoly:
     return out
 
 
+def divergence_free_part(p: SuperPoly) -> SuperPoly:
+    """The projection id - K Delta onto divergence-free polyvectors."""
+    return p - contraction_K(pvcalc.divergence(p))
+
+
 @dataclass(frozen=True)
 class HomotopyDatum:
     """Operators (H, p, iota) between a field complex and its carrier."""
@@ -108,10 +113,7 @@ def build_datum(d: int, variant: Variant) -> HomotopyDatum:
                 _, i, j = key
                 if i != 0:
                     continue
-                if j == 0:
-                    value = poly
-                else:
-                    value = poly - contraction_K(pvcalc.divergence(poly))
+                value = poly if j == 0 else divergence_free_part(poly)
                 if not value.is_zero():
                     parts[("pv", j)] = parts.get(("pv", j), SuperPoly.zero(d)) + value
             else:
@@ -141,27 +143,6 @@ def build_datum(d: int, variant: Variant) -> HomotopyDatum:
             top = SuperPoly.monomial(d, (0,) * d, tuple(range(1, d + 1)), v.scalar)
             out = out + DescendantField.single(d, variant, ("p", d - k - 1), top)
         return out
-
-    # The mbcov datum never touches the potential branches above.
-    if variant.kind == "mbcov":
-        def project_mbcov(psi: DescendantField) -> ModelElement:
-            parts: dict = {}
-            for key, poly in psi.parts.items():
-                _, i, j = key
-                if i != 0:
-                    continue
-                value = poly if j == 0 else poly - contraction_K(pvcalc.divergence(poly))
-                if not value.is_zero():
-                    parts[("pv", j)] = parts.get(("pv", j), SuperPoly.zero(d)) + value
-            return ModelElement(d, variant, parts)
-
-        def include_mbcov(v: ModelElement) -> DescendantField:
-            out = zero()
-            for slot, poly in v.parts.items():
-                out = out + DescendantField.single(d, variant, ("f", 0, slot[1]), poly)
-            return out
-
-        return HomotopyDatum(d, variant, carrier, homotopy, project_mbcov, include_mbcov)
 
     return HomotopyDatum(d, variant, carrier, homotopy, project, include)
 
@@ -231,57 +212,40 @@ def verify_datum(datum: HomotopyDatum, sample_budget: int = 50, seed: int = 0,
     per_key = max(1, sample_budget // max(1, len(keys)))
     label = variant.label
 
-    for slot in slots:
-        ok = True
-        witness = None
+    def p_iota(slot):
         for t in range(per_slot):
             v = datum.carrier.random_element(slot, max_degree, seed=hash((seed, slot, t)) % (2**32))
             got = datum.project(datum.include(v))
             if got != v:
-                ok = False
-                witness = {"slot": list(slot), "element": _el_str(v), "projected": _el_str(got)}
-                break
-        report.add(f"datum.{label}.d{d}.p_iota.{_slot_id(slot)}", ok,
-                   **({"witness": witness} if witness else {}))
+                yield {"slot": list(slot), "element": _el_str(v), "projected": _el_str(got)}
 
-    for key in keys:
-        ok = True
-        witness = None
+    for slot in slots:
+        report.check(f"datum.{label}.d{d}.p_iota.{_key_id(slot)}", p_iota(slot))
+
+    def homotopy(key):
         for t in range(per_key):
             psi = random_field(d, variant, key, max_degree, seed=hash((seed, key, t)) % (2**32))
             lhs = psi - datum.include(datum.project(psi))
             rhs = datum.differential(datum.homotopy(psi)) + datum.homotopy(datum.differential(psi))
             if lhs != rhs:
-                ok = False
-                witness = {"summand": list(key), "field": psi.to_dict()}
-                break
-        report.add(f"datum.{label}.d{d}.homotopy.{_key_id(key)}", ok,
-                   **({"witness": witness} if witness else {}))
+                yield {"summand": list(key), "field": psi.to_dict()}
+
+    for key in keys:
+        report.check(f"datum.{label}.d{d}.homotopy.{_key_id(key)}", homotopy(key))
 
     # side conditions, informational only
     for name, check in (
         ("H_squared", lambda psi: datum.homotopy(datum.homotopy(psi)).is_zero()),
         ("p_H", lambda psi: datum.project(datum.homotopy(psi)).is_zero()),
     ):
-        ok = True
-        for key in keys:
-            psi = random_field(d, variant, key, max_degree, seed=hash((seed, name, key)) % (2**32))
-            if not check(psi):
-                ok = False
-                break
+        ok = all(check(random_field(d, variant, key, max_degree, seed=hash((seed, name, key)) % (2**32)))
+                 for key in keys)
         report.add(f"datum.{label}.d{d}.side.{name}", ok, required=False)
-    ok = True
-    for slot in slots:
-        v = datum.carrier.random_element(slot, max_degree, seed=hash((seed, "Hi", slot)) % (2**32))
-        if not datum.homotopy(datum.include(v)).is_zero():
-            ok = False
-            break
+    ok = all(datum.homotopy(datum.include(v)).is_zero()
+             for v in (datum.carrier.random_element(slot, max_degree, seed=hash((seed, "Hi", slot)) % (2**32))
+                       for slot in slots))
     report.add(f"datum.{label}.d{d}.side.H_iota", ok, required=False)
     return report
-
-
-def _slot_id(slot) -> str:
-    return "_".join(str(s) for s in slot)
 
 
 def _key_id(key) -> str:

@@ -35,7 +35,7 @@ from .complexes import (
     t_power_of,
 )
 from .contraction import HomotopyDatum, contraction_K, normalize_homotopy
-from .superpoly import SuperPoly
+from .superpoly import SuperPoly, koszul_sign
 
 
 class LInftyStructure:
@@ -63,13 +63,9 @@ class LInftyStructure:
 
 
 def koszul_reorder_sign(order, parities) -> int:
-    """Sign for reordering x_0..x_{n-1} into the given index order."""
-    sign = 1
-    for a in range(len(order)):
-        for b in range(a + 1, len(order)):
-            if order[a] > order[b] and (parities[order[a]] & parities[order[b]] & 1):
-                sign = -sign
-    return sign
+    """Sign for reordering x_0..x_{n-1} into the given index order: the
+    sign of sorting the odd inputs, as only they anticommute."""
+    return koszul_sign([i for i in order if parities[i] & 1])
 
 
 def jacobi_defect(structure: LInftyStructure, n: int, inputs) -> Any:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .superpoly import Monomial, SuperPoly
+from .superpoly import Monomial, SuperPoly, koszul_sign
 
 
 def divergence(p: SuperPoly) -> SuperPoly:
@@ -28,14 +28,12 @@ def schouten(mu: SuperPoly, nu: SuperPoly) -> SuperPoly:
     """Schouten bracket [mu, nu] = (-1)^(|mu|-1) (Delta(mu nu) - (Delta mu) nu - (-1)^|mu| mu Delta nu).
 
     |mu| is the xi-degree; non-homogeneous first arguments are handled by
-    bilinear extension over xi-homogeneous components.
+    bilinear extension over xi-homogeneous components.  Each component is
+    the symmetric bracket times the decalage sign (-1)^(|mu|-1).
     """
     out = SuperPoly.zero(mu.d)
     for k, comp in mu.xi_components().items():
-        sign_outer = -1 if (k - 1) & 1 else 1
-        sign_inner = -1 if k & 1 else 1
-        raw = divergence(comp * nu) - divergence(comp) * nu - (comp * divergence(nu)).scale(sign_inner)
-        out = out + raw.scale(sign_outer)
+        out = out + symmetric_bracket(comp, nu).scale(-1 if (k - 1) & 1 else 1)
     return out
 
 
@@ -61,16 +59,6 @@ def _complement(d: int, odd: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(i for i in range(1, d + 1) if i not in odd)
 
 
-def _perm_sign(seq) -> int:
-    inv = 0
-    items = list(seq)
-    for a in range(len(items)):
-        for b in range(a + 1, len(items)):
-            if items[a] > items[b]:
-                inv += 1
-    return -1 if inv & 1 else 1
-
-
 def vee_omega(mu: SuperPoly) -> SuperPoly:
     """Contract with Omega: PV^k -> Omega^{d-k}, xi_S -> sign(S, S^c) dx_{S^c}.
 
@@ -79,7 +67,7 @@ def vee_omega(mu: SuperPoly) -> SuperPoly:
     out: dict[Monomial, Fraction] = {}
     for m, c in mu._terms.items():
         comp = _complement(mu.d, m.odd)
-        sign = _perm_sign(m.odd + comp)
+        sign = koszul_sign(m.odd + comp)
         mono = Monomial(m.exps, comp)
         out[mono] = out.get(mono, Fraction(0)) + sign * c
     return SuperPoly(mu.d, out)
@@ -90,7 +78,7 @@ def vee_omega_inv(w: SuperPoly) -> SuperPoly:
     out: dict[Monomial, Fraction] = {}
     for m, c in w._terms.items():
         comp = _complement(w.d, m.odd)
-        sign = _perm_sign(comp + m.odd)
+        sign = koszul_sign(comp + m.odd)
         mono = Monomial(m.exps, comp)
         out[mono] = out.get(mono, Fraction(0)) + sign * c
     return SuperPoly(w.d, out)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Iterator
 
 
 @dataclass
@@ -28,6 +29,24 @@ class Report:
 
     def add(self, check_id: str, passed: bool, required: bool = True, **details):
         self.records.append(CheckRecord(check_id, bool(passed), required, details))
+
+    def check(self, check_id: str, failures: Iterator[dict]):
+        """Record a required check family from its failing cases.
+
+        failures yields one witness dict per failing case; the first one
+        fails the check and the family is not resumed.  A family that
+        counts its cases returns the counts (e.g. {"pairs": n}); they are
+        recorded when no case failed, and the check then passes only if
+        every count is positive, since a family that checked nothing
+        proves nothing.
+        """
+        try:
+            witness = next(failures)
+        except StopIteration as done:
+            counts = done.value or {}
+            self.add(check_id, all(counts.values()), **counts)
+        else:
+            self.add(check_id, False, witness=witness)
 
     def extend(self, other: "Report"):
         self.records.extend(other.records)

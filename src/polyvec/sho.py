@@ -29,6 +29,7 @@ from fractions import Fraction
 
 from . import conventions, pvcalc
 from ._linalg import independent_indices, solve_combination
+from .contraction import divergence_free_part
 from .reporting import Report
 from .superpoly import SuperPoly, monomial_basis, random_poly
 
@@ -203,6 +204,13 @@ def membership(f: SuperPoly) -> str:
     return "SHO"
 
 
+def levi_civita(i: int, j: int, k: int) -> int:
+    """The sign of (i, j, k) as a permutation of (1, 2, 3), or 0."""
+    if {i, j, k} != {1, 2, 3}:
+        return 0
+    return 1 if (i, j, k) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)) else -1
+
+
 def principal_degrees(f: SuperPoly) -> set[int]:
     return set(f.homogeneous_components("principal"))
 
@@ -333,14 +341,18 @@ def random_sho_generator(max_degree: int, seed: int, d: int = 3,
     The output is xi-homogeneous (the divergence-free projection
     preserves xi-degree), hence parity-homogeneous.
     """
-    from .contraction import contraction_K
-
     import random as _random
 
     if xi_degree is None:
         xi_degree = _random.Random(seed ^ 0x5EED).randrange(0, d + 1)
     raw = random_poly(d, max_degree, xi_degree_filter=xi_degree, seed=seed, n_terms=5)
-    ker = raw - contraction_K(pvcalc.divergence(raw))
+    return _sho_part(raw)
+
+
+def _sho_part(p: SuperPoly) -> SuperPoly:
+    """The divergence-free part of p with its constant term and top monomial carved off."""
+    d = p.d
+    ker = divergence_free_part(p)
     ker = ker - SuperPoly.const(d, ker.constant_term())
     top = ker.top_constant()
     if top:
@@ -357,25 +369,26 @@ def cocycle_check(pairing, trials: int = 50, seed: int = 0, max_degree: int = 4,
     c(a,[b,x]) - c([a,b],x) - (-1)^{|a||b|} c(b,[a,x]) = 0 with
     Lie parities |f| + 1.
     """
+
+    def failures():
+        for t in range(trials):
+            a, b, x = [random_sho_generator(max_degree, seed=hash((seed, t, i)) % (2**32))
+                       for i in range(3)]
+            if a.is_zero() or b.is_zero():
+                continue
+            pa = (a.parity() + 1) & 1
+            pb = (b.parity() + 1) & 1
+            sign = -1 if pa & pb else 1
+            defect = (
+                pairing(a, pvcalc.schouten(b, x))
+                - pairing(pvcalc.schouten(a, b), x)
+                - sign * pairing(b, pvcalc.schouten(a, x))
+            )
+            if defect != 0:
+                yield {"a": str(a), "b": str(b), "x": str(x), "defect": str(defect)}
+
     report = Report()
-    bad = None
-    for t in range(trials):
-        a, b, x = [random_sho_generator(max_degree, seed=hash((seed, t, i)) % (2**32))
-                   for i in range(3)]
-        if a.is_zero() or b.is_zero():
-            continue
-        pa = (a.parity() + 1) & 1
-        pb = (b.parity() + 1) & 1
-        sign = -1 if pa & pb else 1
-        defect = (
-            pairing(a, pvcalc.schouten(b, x))
-            - pairing(pvcalc.schouten(a, b), x)
-            - sign * pairing(b, pvcalc.schouten(a, x))
-        )
-        if defect != 0:
-            bad = {"a": str(a), "b": str(b), "x": str(x), "defect": str(defect)}
-            break
-    report.add(f"{label}.identity", bad is None, **({"witness": bad} if bad else {}))
+    report.check(f"{label}.identity", failures())
     return report
 
 
@@ -384,17 +397,10 @@ def cocycle_check(pairing, trials: int = 50, seed: int = 0, max_degree: int = 4,
 
 def sho_basis(d: int, max_principal_degree: int):
     """A basis of SHO(d|d) generators through a principal-degree cap."""
-    from .contraction import contraction_K
-
     cap = max_principal_degree + 2
     projected = []
     for m in monomial_basis(d, cap):
-        poly = SuperPoly(d, {m: Fraction(1)})
-        ker = poly - contraction_K(pvcalc.divergence(poly))
-        ker = ker - SuperPoly.const(d, ker.constant_term())
-        top = ker.top_constant()
-        if top:
-            ker = ker - SuperPoly.monomial(d, (0,) * d, tuple(range(1, d + 1)), top)
+        ker = _sho_part(SuperPoly(d, {m: Fraction(1)}))
         if not ker.is_zero() and ker.total_degree() <= cap:
             projected.append(ker)
     vectors = [p._terms for p in projected]

@@ -23,21 +23,18 @@ from fractions import Fraction
 from itertools import permutations
 
 from . import conventions, pvcalc
+from ._linalg import solve_combination
 from .contraction import contraction_K
 from .reporting import Report
 from .sho import (
     ExtElement,
     ext_bracket_d3,
     ext_element,
+    levi_civita,
     random_sho_generator,
+    sho_basis,
 )
 from .superpoly import SuperPoly
-
-
-def _eps(i: int, j: int, k: int) -> int:
-    if {i, j, k} != {1, 2, 3}:
-        return 0
-    return 1 if (i, j, k) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)) else -1
 
 
 def _xitop(coeff=1) -> SuperPoly:
@@ -100,14 +97,14 @@ def act_f(v: ExtElement) -> ExtElement:
             # f(xi_i xi_j) = sign * eps_{ijk} x_k
             k = ({1, 2, 3} - {a, b}).pop()
             gen = gen + SuperPoly.x(3, k).scale(
-                conventions.F_TABLE_QUADRATIC * _eps(a, b, k) * coeff)
+                conventions.F_TABLE_QUADRATIC * levi_civita(a, b, k) * coeff)
         else:
             l = next(idx + 1 for idx, e in enumerate(mono.exps) if e)
             if l not in (a, b):
                 # f(x_i xi_j xi_k) = sign * (1/2) eps_{ijk} x_i^2
                 square = SuperPoly.x(3, l) * SuperPoly.x(3, l)
                 gen = gen + square.scale(
-                    Fraction(conventions.F_TABLE_CUBIC * _eps(l, a, b), 2) * coeff)
+                    Fraction(conventions.F_TABLE_CUBIC * levi_civita(l, a, b), 2) * coeff)
             else:
                 # diagonal terms pair up into x_i xi_i xi_j - x_k xi_k xi_j;
                 # divergence freeness makes the decomposition unique
@@ -118,7 +115,7 @@ def act_f(v: ExtElement) -> ExtElement:
                 t = sign_order * coeff  # coefficient of x_i xi_i xi_j in product order
                 value = SuperPoly.x(3, i) * SuperPoly.x(3, k)
                 gen = gen + value.scale(
-                    Fraction(conventions.F_TABLE_DIAGONAL * _eps(i, j, k) * t, 2))
+                    Fraction(conventions.F_TABLE_DIAGONAL * levi_civita(i, j, k) * t, 2))
     return ExtElement(gen, Fraction(0), v.c1)
 
 
@@ -144,7 +141,7 @@ def act(x: Sl2Element, v: ExtElement) -> ExtElement:
 # f(x_i xi_i xi_j - x_k xi_k xi_j) exactly.
 
 
-def extend_f(v: ExtElement, _cache=None) -> ExtElement | None:
+def extend_f(v: ExtElement) -> ExtElement | None:
     """Best-effort extension of f above principal degree 1.
 
     Components of degree n >= 2 are decomposed as sums of brackets of a
@@ -154,10 +151,6 @@ def extend_f(v: ExtElement, _cache=None) -> ExtElement | None:
     Different decompositions are not checked against each other.
     """
     _require_d3(v)
-    from . import pvcalc as _pv
-    from ._linalg import solve_combination
-    from .sho import sho_basis
-
     by_degree = v.gen.homogeneous_components("principal")
     total = act_f(ExtElement(SuperPoly.zero(3), v.c1, v.c2))
     for deg, comp in by_degree.items():
@@ -169,7 +162,7 @@ def extend_f(v: ExtElement, _cache=None) -> ExtElement | None:
         lowers = [g for g in sho_basis(3, deg - 1)
                   if set(g.homogeneous_components("principal")) == {deg - 1}]
         pairs = [(u, w) for u in ones for w in lowers]
-        columns = [_pv.schouten(u, w)._terms for u, w in pairs]
+        columns = [pvcalc.schouten(u, w)._terms for u, w in pairs]
         coeffs = solve_combination(columns, comp._terms)
         if coeffs is None:
             return None
@@ -190,54 +183,54 @@ def sl2_relations_check(truncation: int = 3, trials: int = 40, seed: int = 0) ->
     report = Report()
 
     # h and e are derivations at every sampled principal degree
-    for name, action in (("h", act_h), ("e", act_e)):
-        bad = None
+    def derivation(name, action):
         for t in range(trials):
             a = ext_element(random_sho_generator(truncation + 2, seed=hash((seed, name, t, 0)) % 2**32))
             b = ext_element(random_sho_generator(truncation + 2, seed=hash((seed, name, t, 1)) % 2**32))
             lhs = action(ext_bracket_d3(a, b))
             rhs = ext_bracket_d3(action(a), b) + ext_bracket_d3(a, action(b))
             if lhs != rhs:
-                bad = {"a": str(a), "b": str(b)}
-                break
-        report.add(f"sl2.derivation.{name}", bad is None, **({"witness": bad} if bad else {}))
+                yield {"a": str(a), "b": str(b)}
+
+    for name, action in (("h", act_h), ("e", act_e)):
+        report.check(f"sl2.derivation.{name}", derivation(name, action))
 
     # f is a derivation on degree <= 1 pairs whose bracket stays in degree <= 1
-    bad = None
-    checked = 0
-    for t in range(8 * trials):
-        a = _random_low_degree(seed=hash((seed, "fa", t)) % 2**32)
-        b = _random_low_degree(seed=hash((seed, "fb", t)) % 2**32)
-        ab = ext_bracket_d3(a, b)
-        if any(deg > 1 for deg in ab.gen.homogeneous_components("principal")):
-            continue
-        checked += 1
-        lhs = act_f(ab)
-        rhs = ext_bracket_d3(act_f(a), b) + ext_bracket_d3(a, act_f(b))
-        if lhs != rhs:
-            bad = {"a": str(a), "b": str(b)}
-            break
-        if checked >= trials:
-            break
-    report.add("sl2.derivation.f", bad is None and checked > 0,
-               **({"witness": bad} if bad else {"pairs": checked}))
+    def derivation_f():
+        checked = 0
+        for t in range(8 * trials):
+            a = _random_low_degree(seed=hash((seed, "fa", t)) % 2**32)
+            b = _random_low_degree(seed=hash((seed, "fb", t)) % 2**32)
+            ab = ext_bracket_d3(a, b)
+            if any(deg > 1 for deg in ab.gen.homogeneous_components("principal")):
+                continue
+            checked += 1
+            lhs = act_f(ab)
+            rhs = ext_bracket_d3(act_f(a), b) + ext_bracket_d3(a, act_f(b))
+            if lhs != rhs:
+                yield {"a": str(a), "b": str(b)}
+            if checked >= trials:
+                break
+        return {"pairs": checked}
+
+    report.check("sl2.derivation.f", derivation_f())
 
     # operator relations
-    for name, lhs_fn, rhs_fn, domain in (
-        ("h_e", lambda v: _comm(act_h, act_e, v), lambda v: act_e(v).scale(2), 4),
-        ("h_f", lambda v: _comm(act_h, act_f, v), lambda v: act_f(v).scale(-2), 1),
-        ("e_f", lambda v: _comm(act_e, act_f, v), act_h, 0),
-    ):
-        bad = None
+    def relation(name, lhs_fn, rhs_fn, domain):
         for t in range(trials):
             deg = hash((seed, name, t)) % (domain + 2) - 1  # principal degree in [-1, domain]
             v = _random_principal(deg, seed=hash((seed, name, t, "v")) % 2**32)
             if v.gen.is_zero():
                 continue
             if lhs_fn(v) != rhs_fn(v):
-                bad = {"element": str(v), "degree": deg}
-                break
-        report.add(f"sl2.relation.{name}", bad is None, **({"witness": bad} if bad else {}))
+                yield {"element": str(v), "degree": deg}
+
+    for name, lhs_fn, rhs_fn, domain in (
+        ("h_e", lambda v: _comm(act_h, act_e, v), lambda v: act_e(v).scale(2), 4),
+        ("h_f", lambda v: _comm(act_h, act_f, v), lambda v: act_f(v).scale(-2), 1),
+        ("e_f", lambda v: _comm(act_e, act_f, v), act_h, 0),
+    ):
+        report.check(f"sl2.relation.{name}", relation(name, lhs_fn, rhs_fn, domain))
     return report
 
 
@@ -272,8 +265,7 @@ def equivariance_check_cocycle(trials: int = 30, seed: int = 0) -> Report:
 
     # named cases: a = d/dx_i (generator xi_i), b = xi_k d/dx_j - xi_j d/dx_k
     # (generator -xi_j xi_k), u = d/dxi_i (generator -x_i)
-    for name, action in actions.items():
-        bad = None
+    def named(name, action):
         for i, j, k in permutations((1, 2, 3)):
             a = ext_element(SuperPoly.xi(3, i))
             b = ext_element(-(SuperPoly.xi(3, j) * SuperPoly.xi(3, k)))
@@ -283,17 +275,13 @@ def equivariance_check_cocycle(trials: int = 30, seed: int = 0) -> Report:
                 lhs = action(ext_bracket_d3(left, right))
                 rhs = ext_bracket_d3(action(left), right) + ext_bracket_d3(left, action(right))
                 if lhs != rhs:
-                    bad = {"x": name, "left": str(left), "right": str(right),
+                    yield {"x": name, "left": str(left), "right": str(right),
                            "lhs": str(lhs), "rhs": str(rhs)}
-                    break
-            if bad:
-                break
-        report.add(f"sl2.cocycle_equivariance.named.{name}", bad is None,
-                   **({"witness": bad} if bad else {}))
 
-    # seeded pairs
     for name, action in actions.items():
-        bad = None
+        report.check(f"sl2.cocycle_equivariance.named.{name}", named(name, action))
+
+    def seeded(name, action):
         for t in range(trials):
             a = _random_low_degree(seed=hash((seed, name, t, 0)) % 2**32)
             b = _random_low_degree(seed=hash((seed, name, t, 1)) % 2**32)
@@ -304,10 +292,10 @@ def equivariance_check_cocycle(trials: int = 30, seed: int = 0) -> Report:
             lhs = action(ext_bracket_d3(a, b))
             rhs = ext_bracket_d3(action(a), b) + ext_bracket_d3(a, action(b))
             if lhs != rhs:
-                bad = {"x": name, "a": str(a), "b": str(b)}
-                break
-        report.add(f"sl2.cocycle_equivariance.seeded.{name}", bad is None,
-                   **({"witness": bad} if bad else {}))
+                yield {"x": name, "a": str(a), "b": str(b)}
+
+    for name, action in actions.items():
+        report.check(f"sl2.cocycle_equivariance.seeded.{name}", seeded(name, action))
     return report
 
 
@@ -412,8 +400,7 @@ def equivariance_compare_theorem(truncation: int = 3, trials: int = 40, seed: in
         report.add(f"sl2.field_equivariance.named.{label}", lhs == rhs,
                    **({} if lhs == rhs else {"witness": {"x": name, "v": str(v)}}))
 
-    for name in ("e", "h", "f"):
-        bad = None
+    def seeded(name):
         tried = 0
         for t in range(4 * trials):
             deg = hash((seed, name, t)) % (truncation + 2) - 1
@@ -427,10 +414,11 @@ def equivariance_compare_theorem(truncation: int = 3, trials: int = 40, seed: in
             lhs = embed(actions[name](v))
             rhs = field_action(name, embed(v))
             if lhs != rhs:
-                bad = {"x": name, "v": str(v)}
-                break
+                yield {"x": name, "v": str(v)}
             if tried >= trials:
                 break
-        report.add(f"sl2.field_equivariance.seeded.{name}", bad is None and tried > 0,
-                   **({"witness": bad} if bad else {"elements": tried}))
+        return {"elements": tried}
+
+    for name in ("e", "h", "f"):
+        report.check(f"sl2.field_equivariance.seeded.{name}", seeded(name))
     return report

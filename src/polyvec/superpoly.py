@@ -41,6 +41,17 @@ class Monomial(NamedTuple):
         return (self.degree, self.exps, self.odd)
 
 
+def koszul_sign(seq) -> int:
+    """(-1)^(number of inversions of seq): the Koszul sign of sorting
+    a sequence of distinct odd factors."""
+    inv = 0
+    for i, a in enumerate(seq):
+        for b in seq[i + 1 :]:
+            if a > b:
+                inv += 1
+    return -1 if inv & 1 else 1
+
+
 def _merge_odd(a: tuple[int, ...], b: tuple[int, ...]):
     """Merge two ascending odd-index tuples.
 
@@ -53,14 +64,7 @@ def _merge_odd(a: tuple[int, ...], b: tuple[int, ...]):
         return 1, a
     if set(a) & set(b):
         return None
-    # count inversions: pairs (i in a, j in b) with i > j
-    inv = 0
-    for i in a:
-        for j in b:
-            if i > j:
-                inv += 1
-    merged = tuple(sorted(a + b))
-    return (-1 if inv & 1 else 1), merged
+    return koszul_sign(a + b), tuple(sorted(a + b))
 
 
 class SuperPoly:
