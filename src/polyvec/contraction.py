@@ -30,7 +30,7 @@ from .complexes import (
     summands,
 )
 from .reporting import Report
-from .superpoly import SuperPoly
+from .superpoly import SuperPoly, sample_seed
 
 
 def contraction_K(mu: SuperPoly) -> SuperPoly:
@@ -214,7 +214,7 @@ def verify_datum(datum: HomotopyDatum, sample_budget: int = 50, seed: int = 0,
 
     def p_iota(slot):
         for t in range(per_slot):
-            v = datum.carrier.random_element(slot, max_degree, seed=hash((seed, slot, t)) % (2**32))
+            v = datum.carrier.random_element(slot, max_degree, seed=sample_seed(seed, slot, t) % (2**32))
             got = datum.project(datum.include(v))
             if got != v:
                 yield {"slot": list(slot), "element": _el_str(v), "projected": _el_str(got)}
@@ -224,7 +224,7 @@ def verify_datum(datum: HomotopyDatum, sample_budget: int = 50, seed: int = 0,
 
     def homotopy(key):
         for t in range(per_key):
-            psi = random_field(d, variant, key, max_degree, seed=hash((seed, key, t)) % (2**32))
+            psi = random_field(d, variant, key, max_degree, seed=sample_seed(seed, key, t) % (2**32))
             lhs = psi - datum.include(datum.project(psi))
             rhs = datum.differential(datum.homotopy(psi)) + datum.homotopy(datum.differential(psi))
             if lhs != rhs:
@@ -238,11 +238,11 @@ def verify_datum(datum: HomotopyDatum, sample_budget: int = 50, seed: int = 0,
         ("H_squared", lambda psi: datum.homotopy(datum.homotopy(psi)).is_zero()),
         ("p_H", lambda psi: datum.project(datum.homotopy(psi)).is_zero()),
     ):
-        ok = all(check(random_field(d, variant, key, max_degree, seed=hash((seed, name, key)) % (2**32)))
+        ok = all(check(random_field(d, variant, key, max_degree, seed=sample_seed(seed, name, key) % (2**32)))
                  for key in keys)
         report.add(f"datum.{label}.d{d}.side.{name}", ok, required=False)
     ok = all(datum.homotopy(datum.include(v)).is_zero()
-             for v in (datum.carrier.random_element(slot, max_degree, seed=hash((seed, "Hi", slot)) % (2**32))
+             for v in (datum.carrier.random_element(slot, max_degree, seed=sample_seed(seed, "Hi", slot) % (2**32))
                        for slot in slots))
     report.add(f"datum.{label}.d{d}.side.H_iota", ok, required=False)
     return report

@@ -31,7 +31,7 @@ from . import conventions, pvcalc
 from ._linalg import independent_indices, solve_combination
 from .contraction import divergence_free_part
 from .reporting import Report
-from .superpoly import SuperPoly, monomial_basis, random_poly
+from .superpoly import SuperPoly, monomial_basis, random_poly, sample_seed
 
 
 @dataclass
@@ -372,7 +372,7 @@ def cocycle_check(pairing, trials: int = 50, seed: int = 0, max_degree: int = 4,
 
     def failures():
         for t in range(trials):
-            a, b, x = [random_sho_generator(max_degree, seed=hash((seed, t, i)) % (2**32))
+            a, b, x = [random_sho_generator(max_degree, seed=sample_seed(seed, t, i) % (2**32))
                        for i in range(3)]
             if a.is_zero() or b.is_zero():
                 continue

@@ -34,7 +34,7 @@ from .sho import (
     random_sho_generator,
     sho_basis,
 )
-from .superpoly import SuperPoly
+from .superpoly import SuperPoly, sample_seed
 
 
 def _xitop(coeff=1) -> SuperPoly:
@@ -185,8 +185,8 @@ def sl2_relations_check(truncation: int = 3, trials: int = 40, seed: int = 0) ->
     # h and e are derivations at every sampled principal degree
     def derivation(name, action):
         for t in range(trials):
-            a = ext_element(random_sho_generator(truncation + 2, seed=hash((seed, name, t, 0)) % 2**32))
-            b = ext_element(random_sho_generator(truncation + 2, seed=hash((seed, name, t, 1)) % 2**32))
+            a = ext_element(random_sho_generator(truncation + 2, seed=sample_seed(seed, name, t, 0) % 2**32))
+            b = ext_element(random_sho_generator(truncation + 2, seed=sample_seed(seed, name, t, 1) % 2**32))
             lhs = action(ext_bracket_d3(a, b))
             rhs = ext_bracket_d3(action(a), b) + ext_bracket_d3(a, action(b))
             if lhs != rhs:
@@ -199,8 +199,8 @@ def sl2_relations_check(truncation: int = 3, trials: int = 40, seed: int = 0) ->
     def derivation_f():
         checked = 0
         for t in range(8 * trials):
-            a = _random_low_degree(seed=hash((seed, "fa", t)) % 2**32)
-            b = _random_low_degree(seed=hash((seed, "fb", t)) % 2**32)
+            a = _random_low_degree(seed=sample_seed(seed, "fa", t) % 2**32)
+            b = _random_low_degree(seed=sample_seed(seed, "fb", t) % 2**32)
             ab = ext_bracket_d3(a, b)
             if any(deg > 1 for deg in ab.gen.homogeneous_components("principal")):
                 continue
@@ -218,8 +218,8 @@ def sl2_relations_check(truncation: int = 3, trials: int = 40, seed: int = 0) ->
     # operator relations
     def relation(name, lhs_fn, rhs_fn, domain):
         for t in range(trials):
-            deg = hash((seed, name, t)) % (domain + 2) - 1  # principal degree in [-1, domain]
-            v = _random_principal(deg, seed=hash((seed, name, t, "v")) % 2**32)
+            deg = sample_seed(seed, name, t) % (domain + 2) - 1  # principal degree in [-1, domain]
+            v = _random_principal(deg, seed=sample_seed(seed, name, t, "v") % 2**32)
             if v.gen.is_zero():
                 continue
             if lhs_fn(v) != rhs_fn(v):
@@ -283,8 +283,8 @@ def equivariance_check_cocycle(trials: int = 30, seed: int = 0) -> Report:
 
     def seeded(name, action):
         for t in range(trials):
-            a = _random_low_degree(seed=hash((seed, name, t, 0)) % 2**32)
-            b = _random_low_degree(seed=hash((seed, name, t, 1)) % 2**32)
+            a = _random_low_degree(seed=sample_seed(seed, name, t, 0) % 2**32)
+            b = _random_low_degree(seed=sample_seed(seed, name, t, 1) % 2**32)
             if name == "f":
                 ab = ext_bracket_d3(a, b)
                 if any(deg > 1 for deg in ab.gen.homogeneous_components("principal")):
@@ -403,11 +403,11 @@ def equivariance_compare_theorem(truncation: int = 3, trials: int = 40, seed: in
     def seeded(name):
         tried = 0
         for t in range(4 * trials):
-            deg = hash((seed, name, t)) % (truncation + 2) - 1
-            v = _random_principal(deg, seed=hash((seed, name, t, 7)) % 2**32)
+            deg = sample_seed(seed, name, t) % (truncation + 2) - 1
+            v = _random_principal(deg, seed=sample_seed(seed, name, t, 7) % 2**32)
             v = v + ExtElement(SuperPoly.zero(3),
-                               Fraction(hash((seed, t, 1)) % 5 - 2),
-                               Fraction(hash((seed, t, 2)) % 5 - 2))
+                               Fraction(sample_seed(seed, t, 1) % 5 - 2),
+                               Fraction(sample_seed(seed, t, 2) % 5 - 2))
             if name == "f" and any(dd > 1 for dd in v.gen.homogeneous_components("principal")):
                 continue
             tried += 1

@@ -34,7 +34,7 @@ from .sho import (
     vf_bracket,
 )
 from .sl2 import equivariance_check_cocycle, equivariance_compare_theorem, sl2_relations_check
-from .superpoly import SuperPoly, monomial_basis, random_poly
+from .superpoly import SuperPoly, monomial_basis, random_poly, sample_seed
 
 
 @dataclass
@@ -235,8 +235,8 @@ def suite_transfer(cfg: CampaignConfig) -> Report:
         for s1 in slots:
             for s2 in slots:
                 for t in range(per):
-                    a = carrier.random_element(s1, cfg.max_degree, seed=cfg.seed + hash((s1, s2, t, 0)) % 10**6)
-                    b = carrier.random_element(s2, cfg.max_degree, seed=cfg.seed + hash((s1, s2, t, 1)) % 10**6)
+                    a = carrier.random_element(s1, cfg.max_degree, seed=cfg.seed + sample_seed(s1, s2, t, 0) % 10**6)
+                    b = carrier.random_element(s2, cfg.max_degree, seed=cfg.seed + sample_seed(s1, s2, t, 1) % 10**6)
                     if transferred.brackets[2](a, b) != model.brackets[2](a, b):
                         yield {"slots": [list(s1), list(s2)]}
                     if not transferred.brackets[1](a).is_zero():
@@ -270,7 +270,7 @@ def suite_jacobi(cfg: CampaignConfig) -> Report:
 
     def jacobi(n):
         for t in range(max(1, cfg.trials // max(1, len(jacobi_range)))):
-            xs = [carrier.random_element(slots[hash((n, t, i)) % len(slots)],
+            xs = [carrier.random_element(slots[sample_seed(n, t, i) % len(slots)],
                                          cfg.max_degree,
                                          seed=cfg.seed + 997 * t + 31 * n + i)
                   for i in range(n)]
@@ -282,7 +282,7 @@ def suite_jacobi(cfg: CampaignConfig) -> Report:
 
     def centrality():
         for t in range(cfg.trials // 2):
-            xs = [carrier.random_element(slots[hash((t, i, 5)) % len(slots)],
+            xs = [carrier.random_element(slots[sample_seed(t, i, 5) % len(slots)],
                                          cfg.max_degree, seed=cfg.seed + 13 * t + i)
                   for i in range(top_arity)]
             out = structure.brackets[top_arity](*xs)

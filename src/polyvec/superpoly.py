@@ -17,6 +17,10 @@ import re
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
+# hashlib.blake2b is this class; importing hashlib also loads OpenSSL,
+# which adds about 3.5 MB of resident memory to every process
+from _blake2 import blake2b
+
 
 class Monomial(NamedTuple):
     """x^exps * xi_{odd[0]} ... xi_{odd[-1]}, odd indices ascending."""
@@ -385,6 +389,15 @@ def _exponents_up_to(d: int, budget: int) -> Iterator[tuple[int, ...]]:
     for e in range(budget + 1):
         for rest in _exponents_up_to(d - 1, budget - e):
             yield (e,) + rest
+
+
+def sample_seed(*parts) -> int:
+    """A sample seed derived from the repr of parts, equal in every process.
+
+    The builtin hash() salts str per process, so seeds derived from it
+    would draw different samples in each run of the same configuration.
+    """
+    return int.from_bytes(blake2b(repr(parts).encode(), digest_size=8).digest(), "big")
 
 
 def random_poly(d: int, max_total_degree: int, xi_degree_filter=None, seed: int = 0,

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ from polyvec.reporting import Report
 from polyvec import suites
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 DEFAULT_ARGS = ["--d", "3", "--variant", "mbcov", "--deg", "3", "--trials", "25", "--seed", "42"]
 
@@ -120,3 +124,26 @@ def test_env_var_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("POLYVEC_OUT", str(tmp_path / "envout"))
     assert main(["--d", "2", "--check", "contraction", "--trials", "10"]) == 0
     assert (tmp_path / "envout" / "report.jsonl").exists()
+
+
+def _run_verify(argv, out: Path, hash_seed: str, patch: str = "") -> int:
+    """Run verify in a fresh interpreter under the given PYTHONHASHSEED,
+    after executing patch in the conventions module."""
+    script = ("import sys; from fractions import Fraction; from polyvec import cli, conventions; "
+              f"exec({patch!r}, vars(conventions)); sys.exit(cli.main(sys.argv[1:]))")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, *argv, "--out", str(out)],
+                          env=env, stdout=subprocess.DEVNULL, timeout=600).returncode
+
+
+def test_failing_report_identical_across_hash_seeds(tmp_path):
+    # a corrupted f table makes sl2 fail; the failing records carry
+    # witnesses, so equal bytes mean equal samples in both processes
+    argv = ["--d", "3", "--deg", "3", "--trials", "10", "--check", "sl2"]
+    patch = "F_TABLE_QUADRATIC = 1"
+    codes = [_run_verify(argv, tmp_path / seed, seed, patch) for seed in ("1", "2")]
+    assert codes == [1, 1]
+    first, second = ((tmp_path / seed / "report.jsonl").read_bytes() for seed in ("1", "2"))
+    assert b'"witness"' in first
+    assert first == second
