@@ -147,3 +147,11 @@ def test_failing_report_identical_across_hash_seeds(tmp_path):
     first, second = ((tmp_path / seed / "report.jsonl").read_bytes() for seed in ("1", "2"))
     assert b'"witness"' in first
     assert first == second
+
+
+@pytest.mark.parametrize("seed", ["63186545", "1563"])
+def test_cocycle_negative_control_is_deterministic(seed):
+    # at 1563 the sampled triples alone miss the perturbed pairing; the
+    # named basis triples of cocycle_check expose it at every seed
+    argv = ["--d", "3", "--deg", "4", "--trials", "20", "--seed", seed, "--check", "cocycles"]
+    assert main(argv) == 0

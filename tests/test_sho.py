@@ -231,6 +231,27 @@ def test_cocycle_check_pass_and_fail():
     assert any("witness" in r.details for r in report.failures())
 
 
+def test_cocycle_check_named_triples_expose_broken_pairings():
+    # trials=0: only the named basis triples are evaluated
+    def c1(f, g, decalage=True):
+        total = Fraction(0)
+        for k, comp in f.xi_components().items():
+            decal = -1 if decalage and (k - 1) & 1 else 1
+            total += conventions.EXT_C1_SIGN * decal * pvcalc.top_constant_pairing(comp, g)
+        return total
+
+    assert cocycle_check(c1, trials=0).ok
+    assert cocycle_check(lambda f, g: pvcalc.schouten(f, g).constant_term(), trials=0).ok
+    for broken in (
+        lambda f, g: c1(f, g) + sum((f * g)._terms.values(), Fraction(0)),
+        lambda f, g: c1(f, g, decalage=False),
+        lambda f, g: pvcalc.symmetric_bracket(f, g).constant_term(),
+    ):
+        report = cocycle_check(broken, trials=0)
+        assert not report.ok
+        assert "witness" in report.records[0].details
+
+
 def test_sho_basis_and_structure_constants():
     basis = sho_basis(3, 0)
     # degree <= 2 generators modulo constants and the top monomial
