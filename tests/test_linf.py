@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from polyvec.contraction import build_datum, contraction_K, perturb_side_conditi
 from polyvec.linf import (
     field_structure,
     jacobi_defect,
+    koszul_reorder_sign,
     mbcov_minimal_l2,
     minimal_model_structure,
     potential_d_brackets,
@@ -279,3 +281,21 @@ def test_minimal_model_symmetry():
         a = carrier.random_element(carrier.slots[t % 3], 3, seed=t)
         b = carrier.random_element(carrier.slots[(t + 1) % 3], 3, seed=t + 9)
         assert all(v.is_zero() for v in symmetry_defects(S, 2, [a, b]))
+
+
+def test_koszul_reorder_sign_matches_pairwise_definition():
+    # reference: flip the sign for every inverted pair of odd inputs
+    def pairwise(order, parities):
+        sign = 1
+        for a in range(len(order)):
+            for b in range(a + 1, len(order)):
+                if order[a] > order[b] and (parities[order[a]] & parities[order[b]] & 1):
+                    sign = -sign
+        return sign
+
+    rng = random.Random(7)
+    for _ in range(500):
+        n = rng.randrange(0, 7)
+        order = rng.sample(range(n), n)
+        parities = [rng.randrange(2) for _ in range(n)]
+        assert koszul_reorder_sign(order, parities) == pairwise(order, parities)

@@ -1,8 +1,9 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from polyvec.superpoly import Monomial, SuperPoly, monomial_basis, random_poly
+from polyvec.superpoly import Monomial, SuperPoly, koszul_sign, monomial_basis, random_poly
 
 
 def xi(d, i):
@@ -17,6 +18,19 @@ def test_product_koszul_sign():
     d = 2
     assert xi(d, 1) * xi(d, 2) == SuperPoly.monomial(d, (0, 0), (1, 2))
     assert xi(d, 2) * xi(d, 1) == SuperPoly.monomial(d, (0, 0), (1, 2), -1)
+
+
+def test_koszul_sign_is_transposition_parity():
+    # sort by adjacent transpositions and count them
+    for n in range(6):
+        for perm in permutations(range(n)):
+            items, swaps = list(perm), 0
+            for end in range(n - 1, 0, -1):
+                for i in range(end):
+                    if items[i] > items[i + 1]:
+                        items[i], items[i + 1] = items[i + 1], items[i]
+                        swaps += 1
+            assert koszul_sign(perm) == (-1) ** swaps, perm
 
 
 def test_odd_square_zero():
