@@ -304,12 +304,19 @@ def ext_bracket_d3(a: ExtElement, b: ExtElement) -> ExtElement:
     if a.d != 3 or b.d != 3:
         raise ValueError("d = 3 only")
     raw = pvcalc.schouten(a.gen, b.gen)
-    c1 = Fraction(0)
-    for k, comp in a.gen.xi_components().items():
-        decalage = -1 if (k - 1) & 1 else 1
-        c1 += conventions.EXT_C1_SIGN * decalage * pvcalc.top_constant_pairing(comp, b.gen)
     c2 = (conventions.EXT_C2_SIGN - 1) * raw.constant_term()  # carving supplies the +1 part
-    return ext_element(raw, c1=c1, c2=c2)
+    return ext_element(raw, c1=c1_pairing(a.gen, b.gen), c2=c2)
+
+
+def c1_pairing(f: SuperPoly, g: SuperPoly) -> Fraction:
+    """The top-pairing cocycle of the c1 channel: the top-constant pairing
+    of each xi-component of f with g, times its decalage sign and the
+    pinned global sign."""
+    total = Fraction(0)
+    for k, comp in f.xi_components().items():
+        decalage = -1 if (k - 1) & 1 else 1
+        total += conventions.EXT_C1_SIGN * decalage * pvcalc.top_constant_pairing(comp, g)
+    return total
 
 
 def ext_parity(v: ExtElement) -> int:

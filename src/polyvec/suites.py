@@ -22,6 +22,7 @@ from .linf import (
 )
 from .reporting import Report
 from .sho import (
+    c1_pairing,
     cocycle_check,
     ext_bracket_d3,
     ext_element,
@@ -397,13 +398,6 @@ def suite_cocycles(cfg: CampaignConfig) -> Report:
                 yield {"a": str(a), "b": str(b), "c": str(c)}
 
     report.check("extension.super_jacobi", super_jacobi())
-
-    def c1_pairing(f, g):
-        total = Fraction(0)
-        for k2, comp in f.xi_components().items():
-            decal = -1 if (k2 - 1) & 1 else 1
-            total += conventions.EXT_C1_SIGN * decal * pvcalc.top_constant_pairing(comp, g)
-        return total
 
     report.extend(cocycle_check(c1_pairing, trials=cfg.trials // 2, seed=cfg.seed,
                                 max_degree=cfg.max_degree, label="extension.c1_cocycle"))
