@@ -238,11 +238,13 @@ def verify_datum(datum: HomotopyDatum, sample_budget: int = 50, seed: int = 0,
         ("H_squared", lambda psi: datum.homotopy(datum.homotopy(psi)).is_zero()),
         ("p_H", lambda psi: datum.project(datum.homotopy(psi)).is_zero()),
     ):
-        ok = all(check(random_field(d, variant, key, max_degree, seed=sample_seed(seed, name, key) % (2**32)))
+        ok = all(check(random_field(d, variant, key, max_degree,
+                                    seed=sample_seed(seed, name, key) % (2**32)))
                  for key in keys)
         report.add(f"datum.{label}.d{d}.side.{name}", ok, required=False)
     ok = all(datum.homotopy(datum.include(v)).is_zero()
-             for v in (datum.carrier.random_element(slot, max_degree, seed=sample_seed(seed, "Hi", slot) % (2**32))
+             for v in (datum.carrier.random_element(slot, max_degree,
+                                                    seed=sample_seed(seed, "Hi", slot) % (2**32))
                        for slot in slots))
     report.add(f"datum.{label}.d{d}.side.H_iota", ok, required=False)
     return report
