@@ -30,7 +30,22 @@ from .complexes import (
     summands,
 )
 from .reporting import Report
-from .superpoly import SuperPoly, sample_seed
+from .superpoly import Monomial, SuperPoly, sample_seed
+
+
+def _contraction_K_rule(m: Monomial):
+    """K on one monomial of xi-degree k: transport to a form of degree
+    d - k, contract with the Euler field, transport back, and scale by
+    euler_homotopy_sign(k) / (x-degree + d - k)."""
+    k = len(m.odd)
+    weight = sum(m.exps) + len(m.exps) - k
+    if weight == 0:
+        return
+    sign = conventions.euler_homotopy_sign(k)
+    for w, a in pvcalc.vee_omega_rule(m):
+        for e, b in pvcalc.euler_contraction_rule(w):
+            for v, c in pvcalc.vee_omega_inv_rule(e):
+                yield v, Fraction(sign * a * b * c, weight)
 
 
 def contraction_K(mu: SuperPoly) -> SuperPoly:
@@ -41,16 +56,7 @@ def contraction_K(mu: SuperPoly) -> SuperPoly:
     1/(p+q); components with p + q = 0 (constants in top polyvector
     degree) are annihilated.  Output into PV^d never has a constant term.
     """
-    out = SuperPoly.zero(mu.d)
-    for k, comp in mu.xi_components().items():
-        w = pvcalc.vee_omega(comp)
-        acc = SuperPoly.zero(mu.d)
-        for (q, p), piece in w.bidegree_components().items():
-            if p + q == 0:
-                continue
-            acc = acc + pvcalc.euler_contraction(piece).scale(Fraction(1, p + q))
-        out = out + pvcalc.vee_omega_inv(acc).scale(conventions.euler_homotopy_sign(k))
-    return out
+    return mu.map_monomials(_contraction_K_rule)
 
 
 def divergence_free_part(p: SuperPoly) -> SuperPoly:
@@ -167,7 +173,7 @@ def perturb_side_conditions(datum: HomotopyDatum) -> HomotopyDatum:
     d = datum.d
 
     def lam(v: ModelElement) -> ModelElement:
-        c = sum(v.part(("pv", 0))._terms.values(), Fraction(0))
+        c = sum((c for _, c in v.part(("pv", 0)).terms()), Fraction(0))
         if c == 0:
             return datum.carrier.zero()
         return ModelElement(d, datum.variant, {("pv", 1): SuperPoly.xi(d, 1).scale(c)})

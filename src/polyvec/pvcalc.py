@@ -13,28 +13,31 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .superpoly import Monomial, SuperPoly, koszul_sign
+from .superpoly import Monomial, SuperPoly, d_even_rule, d_odd_rule, koszul_sign
+
+
+def divergence_rule(m: Monomial):
+    """Delta on one monomial: sum_i d/dx_i d/dxi_i."""
+    return [(n, s * t) for i in m.odd for o, s in d_odd_rule(m, i) for n, t in d_even_rule(o, i)]
 
 
 def divergence(p: SuperPoly) -> SuperPoly:
     """Delta = sum_i d/dx_i d/dxi_i; lowers xi-degree by one, squares to zero."""
-    out = SuperPoly.zero(p.d)
-    for i in range(1, p.d + 1):
-        out = out + p.d_odd(i).d_even(i)
-    return out
+    return p.map_monomials(divergence_rule)
+
+
+def _decalage(k: int) -> int:
+    return -1 if (k - 1) & 1 else 1
 
 
 def schouten(mu: SuperPoly, nu: SuperPoly) -> SuperPoly:
     """Schouten bracket [mu, nu] = (-1)^(|mu|-1) (Delta(mu nu) - (Delta mu) nu - (-1)^|mu| mu Delta nu).
 
     |mu| is the xi-degree; non-homogeneous first arguments are handled by
-    bilinear extension over xi-homogeneous components.  Each component is
-    the symmetric bracket times the decalage sign (-1)^(|mu|-1).
+    bilinear extension over xi-homogeneous components.  It is the
+    symmetric bracket with the decalage sign (-1)^(|mu|-1) on mu.
     """
-    out = SuperPoly.zero(mu.d)
-    for k, comp in mu.xi_components().items():
-        out = out + symmetric_bracket(comp, nu).scale(-1 if (k - 1) & 1 else 1)
-    return out
+    return symmetric_bracket(mu.scale_by_xi_degree(_decalage), nu)
 
 
 def symmetric_bracket(mu: SuperPoly, nu: SuperPoly) -> SuperPoly:
@@ -45,11 +48,8 @@ def symmetric_bracket(mu: SuperPoly, nu: SuperPoly) -> SuperPoly:
     when both inputs are divergence free.  Related to schouten() by the
     decalage sign (-1)^(|mu| - 1).
     """
-    out = SuperPoly.zero(mu.d)
-    for k, comp in mu.xi_components().items():
-        sign_inner = -1 if k & 1 else 1
-        out = out + divergence(comp * nu) - divergence(comp) * nu - (comp * divergence(nu)).scale(sign_inner)
-    return out
+    signed = mu.scale_by_xi_degree(lambda k: -1 if k & 1 else 1)
+    return divergence(mu * nu) - divergence(mu) * nu - signed * divergence(nu)
 
 
 # -- transport through Omega -----------------------------------------
@@ -59,37 +59,40 @@ def _complement(d: int, odd: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(i for i in range(1, d + 1) if i not in odd)
 
 
+def vee_omega_rule(m: Monomial):
+    """xi_S -> sign(S, S^c) dx_{S^c} on one monomial."""
+    comp = _complement(len(m.exps), m.odd)
+    return ((Monomial(m.exps, comp), koszul_sign(m.odd + comp)),)
+
+
+def vee_omega_inv_rule(m: Monomial):
+    """dx_T -> sign(T^c, T) xi_{T^c} on one monomial."""
+    comp = _complement(len(m.exps), m.odd)
+    return ((Monomial(m.exps, comp), koszul_sign(comp + m.odd)),)
+
+
 def vee_omega(mu: SuperPoly) -> SuperPoly:
     """Contract with Omega: PV^k -> Omega^{d-k}, xi_S -> sign(S, S^c) dx_{S^c}.
 
     The result reuses the SuperPoly encoding with xi_i read as dx_i.
     """
-    out: dict[Monomial, Fraction] = {}
-    for m, c in mu._terms.items():
-        comp = _complement(mu.d, m.odd)
-        sign = koszul_sign(m.odd + comp)
-        mono = Monomial(m.exps, comp)
-        out[mono] = out.get(mono, Fraction(0)) + sign * c
-    return SuperPoly(mu.d, out)
+    return mu.map_monomials(vee_omega_rule)
 
 
 def vee_omega_inv(w: SuperPoly) -> SuperPoly:
     """Inverse of vee_omega: dx_T -> sign(T^c, T) xi_{T^c}."""
-    out: dict[Monomial, Fraction] = {}
-    for m, c in w._terms.items():
-        comp = _complement(w.d, m.odd)
-        sign = koszul_sign(comp + m.odd)
-        mono = Monomial(m.exps, comp)
-        out[mono] = out.get(mono, Fraction(0)) + sign * c
-    return SuperPoly(w.d, out)
+    return w.map_monomials(vee_omega_inv_rule)
+
+
+def de_rham_rule(m: Monomial):
+    """sum_i dx_i ^ d/dx_i on one monomial."""
+    return [(Monomial(o.exps, tuple(sorted(o.odd + (i,)))), koszul_sign((i,) + o.odd) * t)
+            for i in range(1, len(m.exps) + 1) if i not in m.odd for o, t in d_even_rule(m, i)]
 
 
 def de_rham(w: SuperPoly) -> SuperPoly:
     """Holomorphic de Rham differential on forms: sum_i dx_i ^ (d/dx_i)."""
-    out = SuperPoly.zero(w.d)
-    for i in range(1, w.d + 1):
-        out = out + SuperPoly.xi(w.d, i) * w.d_even(i)
-    return out
+    return w.map_monomials(de_rham_rule)
 
 
 def divergence_via_transport(mu: SuperPoly) -> SuperPoly:
@@ -98,18 +101,18 @@ def divergence_via_transport(mu: SuperPoly) -> SuperPoly:
     Satisfies transported(mu) = transport_sign(k) * divergence(mu) on
     xi-degree k; asserted by the test suite.
     """
-    out = SuperPoly.zero(mu.d)
-    for _, comp in mu.xi_components().items():
-        out = out + vee_omega_inv(de_rham(vee_omega(comp)))
-    return out
+    return vee_omega_inv(de_rham(vee_omega(mu)))
+
+
+def euler_contraction_rule(m: Monomial):
+    """sum_i x_i d/dxi_i on one monomial (a form, xi_i read as dx_i)."""
+    return [(Monomial(o.exps[: i - 1] + (o.exps[i - 1] + 1,) + o.exps[i:], o.odd), s)
+            for i in m.odd for o, s in d_odd_rule(m, i)]
 
 
 def euler_contraction(w: SuperPoly) -> SuperPoly:
     """Contraction of a form with the Euler vector field sum_i x_i d/dx_i."""
-    out = SuperPoly.zero(w.d)
-    for i in range(1, w.d + 1):
-        out = out + SuperPoly.x(w.d, i) * w.d_odd(i)
-    return out
+    return w.map_monomials(euler_contraction_rule)
 
 
 # -- pairings ---------------------------------------------------------

@@ -212,10 +212,6 @@ def levi_civita(i: int, j: int, k: int) -> int:
     return 1 if (i, j, k) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)) else -1
 
 
-def principal_degrees(f: SuperPoly) -> set[int]:
-    return set(f.homogeneous_components("principal"))
-
-
 # -- the d = 3 central extension ---------------------------------------
 
 
@@ -312,11 +308,8 @@ def c1_pairing(f: SuperPoly, g: SuperPoly) -> Fraction:
     """The top-pairing cocycle of the c1 channel: the top-constant pairing
     of each xi-component of f with g, times its decalage sign and the
     pinned global sign."""
-    total = Fraction(0)
-    for k, comp in f.xi_components().items():
-        decalage = -1 if (k - 1) & 1 else 1
-        total += conventions.EXT_C1_SIGN * decalage * pvcalc.top_constant_pairing(comp, g)
-    return total
+    signed = f.scale_by_xi_degree(lambda k: conventions.EXT_C1_SIGN * (-1 if (k - 1) & 1 else 1))
+    return pvcalc.top_constant_pairing(signed, g)
 
 
 def ext_parity(v: ExtElement) -> int:

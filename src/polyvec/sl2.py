@@ -56,10 +56,7 @@ class Sl2Element:
 def act_h(v: ExtElement) -> ExtElement:
     """h: a generator of xi-degree s has weight s - 1; h e1 = e1, h e2 = -e2."""
     _require_d3(v)
-    gen = SuperPoly.zero(3)
-    for s, comp in v.gen.xi_components().items():
-        gen = gen + comp.scale(s - 1)
-    return ExtElement(gen, v.c1, -v.c2)
+    return ExtElement(v.gen.scale_by_xi_degree(lambda s: s - 1), v.c1, -v.c2)
 
 
 def act_e(v: ExtElement) -> ExtElement:

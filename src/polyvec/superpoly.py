@@ -136,9 +136,6 @@ class SuperPoly:
     def total_degree(self) -> int:
         return max((m.degree for m in self._terms), default=0)
 
-    def is_xi_homogeneous(self) -> bool:
-        return len(self.xi_degrees()) <= 1
-
     def xi_degree(self) -> int:
         """The xi-degree of a xi-homogeneous element (0 for the zero element)."""
         degs = self.xi_degrees()
@@ -215,41 +212,30 @@ class SuperPoly:
         if self.d != other.d:
             raise ValueError(f"dimension mismatch: {self.d} != {other.d}")
 
-    # -- derivatives -------------------------------------------------
+    # -- linear operators --------------------------------------------
+
+    def map_monomials(self, rule) -> "SuperPoly":
+        """The linear operator sending each monomial m to the sum of
+        coeff * mono over the (mono, coeff) pairs that rule(m) yields."""
+        out: dict[Monomial, Fraction] = {}
+        for m, c in self._terms.items():
+            for mono, k in rule(m):
+                out[mono] = out.get(mono, 0) + k * c
+        return SuperPoly(self.d, out)
+
+    def scale_by_xi_degree(self, factor) -> "SuperPoly":
+        """Scale the xi-degree-k part by factor(k)."""
+        return self.map_monomials(lambda m: ((m, factor(len(m.odd))),))
 
     def d_even(self, i: int) -> "SuperPoly":
         """Partial derivative with respect to x_i."""
         _check_index(self.d, i)
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self._terms.items():
-            e = m.exps[i - 1]
-            if e == 0:
-                continue
-            exps = tuple(v - 1 if j == i - 1 else v for j, v in enumerate(m.exps))
-            mono = Monomial(exps, m.odd)
-            val = out.get(mono, Fraction(0)) + e * c
-            if val:
-                out[mono] = val
-            else:
-                out.pop(mono, None)
-        return SuperPoly(self.d, out)
+        return self.map_monomials(lambda m: d_even_rule(m, i))
 
     def d_odd(self, i: int) -> "SuperPoly":
         """Left derivative with respect to xi_i."""
         _check_index(self.d, i)
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self._terms.items():
-            if i not in m.odd:
-                continue
-            pos = m.odd.index(i)
-            sign = -1 if pos & 1 else 1
-            mono = Monomial(m.exps, m.odd[:pos] + m.odd[pos + 1 :])
-            val = out.get(mono, Fraction(0)) + sign * c
-            if val:
-                out[mono] = val
-            else:
-                out.pop(mono, None)
-        return SuperPoly(self.d, out)
+        return self.map_monomials(lambda m: d_odd_rule(m, i))
 
     # -- decompositions ----------------------------------------------
 
@@ -261,14 +247,6 @@ class SuperPoly:
 
     def parity_component(self, p: int) -> "SuperPoly":
         return SuperPoly(self.d, {m: c for m, c in self._terms.items() if m.parity == p})
-
-    def bidegree_components(self) -> dict[tuple[int, int], "SuperPoly"]:
-        """Split by (x-degree, xi-degree)."""
-        out: dict[tuple[int, int], dict] = {}
-        for m, c in self._terms.items():
-            key = (sum(m.exps), m.xi_degree)
-            out.setdefault(key, {})[m] = c
-        return {k: SuperPoly(self.d, v) for k, v in sorted(out.items())}
 
     def homogeneous_components(self, grading: str = "total-degree") -> dict[int, "SuperPoly"]:
         """Decompose by a grading: total-degree, xi-degree, or principal.
@@ -365,6 +343,22 @@ class SuperPoly:
 def _check_index(d: int, i: int):
     if not 1 <= i <= d:
         raise IndexError(f"index {i} out of range for dimension {d}")
+
+
+def d_even_rule(m: Monomial, i: int):
+    """d/dx_i on one monomial, as (monomial, coefficient) pairs."""
+    e = m.exps[i - 1]
+    if e == 0:
+        return ()
+    return ((Monomial(m.exps[: i - 1] + (e - 1,) + m.exps[i:], m.odd), e),)
+
+
+def d_odd_rule(m: Monomial, i: int):
+    """The left derivative d/dxi_i on one monomial."""
+    if i not in m.odd:
+        return ()
+    pos = m.odd.index(i)
+    return ((Monomial(m.exps, m.odd[:pos] + m.odd[pos + 1 :]), -1 if pos & 1 else 1),)
 
 
 def monomial_basis(d: int, max_degree: int, xi_degrees=None) -> list[Monomial]:

@@ -1,0 +1,128 @@
+"""The one-pass operators against their composite definitions.
+
+Every linear operator on polyvectors is a per-monomial rule applied by
+SuperPoly.map_monomials.  The references below build the same operators
+from whole-SuperPoly pieces: sums of derivative products, splits by
+xi-degree and by bidegree, and per-component loops.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from polyvec import conventions, pvcalc
+from polyvec.contraction import contraction_K
+from polyvec.sho import ExtElement, c1_pairing
+from polyvec.sl2 import act_h
+from polyvec.superpoly import SuperPoly, random_poly
+
+
+def _mixed(d, seed):
+    """A sum of three xi-homogeneous samples of random xi-degrees."""
+    rng = random.Random(seed)
+    out = SuperPoly.zero(d)
+    for j in range(3):
+        out = out + random_poly(d, 4, xi_degree_filter=rng.randrange(d + 1), seed=seed + j, n_terms=3)
+    return out
+
+
+def _divergence(p):
+    out = SuperPoly.zero(p.d)
+    for i in range(1, p.d + 1):
+        out = out + p.d_odd(i).d_even(i)
+    return out
+
+
+def _euler_contraction(w):
+    out = SuperPoly.zero(w.d)
+    for i in range(1, w.d + 1):
+        out = out + SuperPoly.x(w.d, i) * w.d_odd(i)
+    return out
+
+
+def _de_rham(w):
+    out = SuperPoly.zero(w.d)
+    for i in range(1, w.d + 1):
+        out = out + SuperPoly.xi(w.d, i) * w.d_even(i)
+    return out
+
+
+def _bidegree_components(p):
+    out = {}
+    for m, c in p.terms():
+        key = (sum(m.exps), m.xi_degree)
+        out[key] = out.get(key, SuperPoly.zero(p.d)) + SuperPoly(p.d, {m: c})
+    return out
+
+
+def _contraction_K(mu):
+    out = SuperPoly.zero(mu.d)
+    for k, comp in mu.xi_components().items():
+        acc = SuperPoly.zero(mu.d)
+        for (q, p), piece in _bidegree_components(pvcalc.vee_omega(comp)).items():
+            if p + q:
+                acc = acc + _euler_contraction(piece).scale(Fraction(1, p + q))
+        out = out + pvcalc.vee_omega_inv(acc).scale(conventions.euler_homotopy_sign(k))
+    return out
+
+
+def _symmetric_bracket(mu, nu):
+    out = SuperPoly.zero(mu.d)
+    for k, comp in mu.xi_components().items():
+        out = (out + _divergence(comp * nu) - _divergence(comp) * nu
+               - (comp * _divergence(nu)).scale(-1 if k & 1 else 1))
+    return out
+
+
+def _schouten(mu, nu):
+    out = SuperPoly.zero(mu.d)
+    for k, comp in mu.xi_components().items():
+        out = out + _symmetric_bracket(comp, nu).scale(-1 if (k - 1) & 1 else 1)
+    return out
+
+
+def _divergence_via_transport(mu):
+    out = SuperPoly.zero(mu.d)
+    for comp in mu.xi_components().values():
+        out = out + pvcalc.vee_omega_inv(_de_rham(pvcalc.vee_omega(comp)))
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_fused_operators_match_composites(d):
+    for seed in range(0, 600, 20):
+        mu, nu = _mixed(d, seed), _mixed(d, seed + 10)
+        assert pvcalc.divergence(mu) == _divergence(mu)
+        assert pvcalc.euler_contraction(mu) == _euler_contraction(mu)
+        assert pvcalc.de_rham(mu) == _de_rham(mu)
+        assert pvcalc.divergence_via_transport(mu) == _divergence_via_transport(mu)
+        assert contraction_K(mu) == _contraction_K(mu)
+        assert pvcalc.symmetric_bracket(mu, nu) == _symmetric_bracket(mu, nu)
+        assert pvcalc.schouten(mu, nu) == _schouten(mu, nu)
+
+
+def test_vee_omega_round_trip():
+    for d in range(2, 6):
+        for seed in range(10):
+            mu = _mixed(d, seed)
+            assert pvcalc.vee_omega_inv(pvcalc.vee_omega(mu)) == mu
+
+
+def test_c1_pairing_and_act_h_match_component_loops():
+    for seed in range(0, 600, 20):
+        f, g = _mixed(3, seed), _mixed(3, seed + 10)
+        want = Fraction(0)
+        for k, comp in f.xi_components().items():
+            decalage = -1 if (k - 1) & 1 else 1
+            want += conventions.EXT_C1_SIGN * decalage * pvcalc.top_constant_pairing(comp, g)
+        assert c1_pairing(f, g) == want
+        weighted = SuperPoly.zero(3)
+        for s, comp in f.xi_components().items():
+            weighted = weighted + comp.scale(s - 1)
+        assert act_h(ExtElement(f, 1, 2)) == ExtElement(weighted, 1, -2)
+
+
+def test_scale_by_xi_degree_drops_zero_parts():
+    p = SuperPoly.const(3, 2) + SuperPoly.xi(3, 1) + SuperPoly.xi(3, 1) * SuperPoly.xi(3, 2)
+    assert p.scale_by_xi_degree(lambda k: k - 1) == SuperPoly.const(3, -2) + SuperPoly.xi(3, 1) * SuperPoly.xi(3, 2)
