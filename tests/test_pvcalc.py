@@ -173,3 +173,27 @@ def test_lifted_bracket_identity_d3():
         lhs = mu * pvcalc.divergence(beta * top)
         rhs = (pvcalc.schouten(mu, beta) * top).scale(conventions.LIFT_SIGN)
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_gerstenhaber_leibniz_rule(d):
+    # [mu, nu rho] = [mu, nu] rho + (-1)^((|mu|-1)|nu|) nu [mu, rho]
+    for seed in range(60):
+        mu, nu, rho = (_homog(d, 3, 3 * seed + i) for i in range(3))
+        sign = -1 if ((mu.xi_degree() - 1) * nu.xi_degree()) & 1 else 1
+        lhs = pvcalc.schouten(mu, nu * rho)
+        assert lhs == pvcalc.schouten(mu, nu) * rho + (nu * pvcalc.schouten(mu, rho)).scale(sign)
+
+
+def test_derivation_family_rejects_third_order_laplacian(monkeypatch):
+    # Delta + d/dxi_1 (d/dx_1)^2 squares to zero but is third order, so
+    # only the Leibniz half of the family can tell it from Delta
+    from polyvec.suites import CampaignConfig, suite_algebra
+
+    second_order = pvcalc.divergence
+    monkeypatch.setattr(pvcalc, "divergence",
+                        lambda p: second_order(p) + p.d_odd(1).d_even(1).d_even(1))
+    report = suite_algebra(CampaignConfig(d=3, max_degree=4, trials=20))
+    record = next(r for r in report.records if r.check_id == "algebra.d3.derivation_and_second_order")
+    assert not record.passed
+    assert "rho" in record.details["witness"]
