@@ -345,7 +345,9 @@ def random_sho_generator(max_degree: int, seed: int, d: int = 3,
     import random as _random
 
     if xi_degree is None:
-        xi_degree = _random.Random(seed ^ 0x5EED).randrange(0, d + 1)
+        # the top xi-degree d has no SHO part: its divergence-free part is
+        # the constant top monomial, which the carving removes
+        xi_degree = _random.Random(seed ^ 0x5EED).randrange(0, d)
     raw = random_poly(d, max_degree, xi_degree_filter=xi_degree, seed=seed, n_terms=5)
     return _sho_part(raw)
 
@@ -383,7 +385,7 @@ def cocycle_check(pairing, trials: int = 50, seed: int = 0, max_degree: int = 4,
     The identity is the central component of the extension Jacobi:
     c(a,[b,x]) - c([a,b],x) - (-1)^{|a||b|} c(b,[a,x]) = 0 with
     Lie parities |f| + 1.  Named basis triples come first, then seeded
-    ones; a sampled generator vanishes about half the time.
+    ones.
     """
 
     def failures():

@@ -262,3 +262,8 @@ def test_sho_basis_and_structure_constants():
     # central value along e1 (sign fixed by the conventions ledger)
     hits = [r for r in rows if {r["left"], r["right"]} == {"xi1", "xi2*xi3"}]
     assert hits and all(abs(Fraction(h["e1"])) == 1 and h["bracket"] == "0" for h in hits)
+
+
+def test_random_sho_generator_draws_no_zero():
+    # xi-degree d would always carve down to zero
+    assert not any(random_sho_generator(4, seed=s).is_zero() for s in range(400))
