@@ -267,7 +267,7 @@ def suite_jacobi(cfg: CampaignConfig) -> Report:
 
     def jacobi(n):
         for t in range(max(1, cfg.trials // max(1, len(jacobi_range)))):
-            xs = [carrier.random_element(slots[sample_seed(n, t, i) % len(slots)],
+            xs = [carrier.random_element(slots[sample_seed(cfg.seed, n, t, i) % len(slots)],
                                          cfg.max_degree,
                                          seed=cfg.seed + 997 * t + 31 * n + i)
                   for i in range(n)]
@@ -279,7 +279,7 @@ def suite_jacobi(cfg: CampaignConfig) -> Report:
 
     def centrality():
         for t in range(cfg.trials // 2):
-            xs = [carrier.random_element(slots[sample_seed(t, i, 5) % len(slots)],
+            xs = [carrier.random_element(slots[sample_seed(cfg.seed, t, i, 5) % len(slots)],
                                          cfg.max_degree, seed=cfg.seed + 13 * t + i)
                   for i in range(top_arity)]
             out = structure.brackets[top_arity](*xs)

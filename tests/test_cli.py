@@ -155,3 +155,23 @@ def test_cocycle_negative_control_is_deterministic(seed):
     # named basis triples of cocycle_check expose it at every seed
     argv = ["--d", "3", "--deg", "4", "--trials", "20", "--seed", seed, "--check", "cocycles"]
     assert main(argv) == 0
+
+
+def test_jacobi_slots_depend_on_campaign_seed(monkeypatch):
+    from polyvec.complexes import CarrierModel, Variant
+
+    asked = []
+    draw = CarrierModel.random_element
+
+    def recording(self, slot, max_degree, seed):
+        asked.append(slot)
+        return draw(self, slot, max_degree, seed)
+
+    monkeypatch.setattr(CarrierModel, "random_element", recording)
+    runs = []
+    for seed in (1, 2):
+        asked.clear()
+        suites.suite_jacobi(suites.CampaignConfig(d=4, variant=Variant.potential(2), max_degree=2,
+                                                  trials=8, seed=seed))
+        runs.append(list(asked))
+    assert runs[0] != runs[1]
