@@ -34,9 +34,6 @@ from .superpoly import Monomial, SuperPoly, sample_seed
 
 
 def _contraction_K_rule(m: Monomial):
-    """K on one monomial of xi-degree k: transport to a form of degree
-    d - k, contract with the Euler field, transport back, and scale by
-    euler_homotopy_sign(k) / (x-degree + d - k)."""
     k = len(m.odd)
     weight = sum(m.exps) + len(m.exps) - k
     if weight == 0:
@@ -51,10 +48,11 @@ def _contraction_K_rule(m: Monomial):
 def contraction_K(mu: SuperPoly) -> SuperPoly:
     """Degree-raising homotopy for the divergence: PV^j -> PV^{j+1}.
 
-    On each (form-degree p, coefficient-degree q) component of the
-    transported form, contract with the Euler vector field and scale by
-    1/(p+q); components with p + q = 0 (constants in top polyvector
-    degree) are annihilated.  Output into PV^d never has a constant term.
+    Each monomial of xi-degree k is transported to a form of degree
+    p = d - k with coefficient degree q, contracted with the Euler vector
+    field, transported back, and scaled by euler_homotopy_sign(k)/(p+q);
+    monomials with p + q = 0 (constants in top polyvector degree) are
+    annihilated.  Output into PV^d never has a constant term.
     """
     return mu.map_monomials(_contraction_K_rule)
 

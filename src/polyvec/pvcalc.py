@@ -26,7 +26,8 @@ def divergence(p: SuperPoly) -> SuperPoly:
     return p.map_monomials(divergence_rule)
 
 
-def _decalage(k: int) -> int:
+def decalage_sign(k: int) -> int:
+    """(-1)^(k-1): schouten is symmetric_bracket with this sign on xi-degree k."""
     return -1 if (k - 1) & 1 else 1
 
 
@@ -37,7 +38,7 @@ def schouten(mu: SuperPoly, nu: SuperPoly) -> SuperPoly:
     bilinear extension over xi-homogeneous components.  It is the
     symmetric bracket with the decalage sign (-1)^(|mu|-1) on mu.
     """
-    return symmetric_bracket(mu.scale_by_xi_degree(_decalage), nu)
+    return symmetric_bracket(mu.scale_by_xi_degree(decalage_sign), nu)
 
 
 def symmetric_bracket(mu: SuperPoly, nu: SuperPoly) -> SuperPoly:

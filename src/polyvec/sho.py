@@ -308,8 +308,8 @@ def c1_pairing(f: SuperPoly, g: SuperPoly) -> Fraction:
     """The top-pairing cocycle of the c1 channel: the top-constant pairing
     of each xi-component of f with g, times its decalage sign and the
     pinned global sign."""
-    signed = f.scale_by_xi_degree(lambda k: conventions.EXT_C1_SIGN * (-1 if (k - 1) & 1 else 1))
-    return pvcalc.top_constant_pairing(signed, g)
+    signed = f.scale_by_xi_degree(pvcalc.decalage_sign)
+    return conventions.EXT_C1_SIGN * pvcalc.top_constant_pairing(signed, g)
 
 
 def ext_parity(v: ExtElement) -> int:

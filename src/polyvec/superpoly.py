@@ -159,11 +159,7 @@ class SuperPoly:
         self._check_same(other)
         terms = dict(self._terms)
         for m, c in other._terms.items():
-            s = terms.get(m, Fraction(0)) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
+            terms[m] = terms.get(m, 0) + c
         return SuperPoly(self.d, terms)
 
     def __neg__(self) -> "SuperPoly":
@@ -189,11 +185,7 @@ class SuperPoly:
                 sign, odd = merged
                 exps = tuple(a + b for a, b in zip(ma.exps, mb.exps))
                 mono = Monomial(exps, odd)
-                val = out.get(mono, Fraction(0)) + sign * ca * cb
-                if val:
-                    out[mono] = val
-                else:
-                    out.pop(mono, None)
+                out[mono] = out.get(mono, 0) + sign * ca * cb
         return SuperPoly(self.d, out)
 
     def __eq__(self, other) -> bool:
