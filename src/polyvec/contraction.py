@@ -171,7 +171,7 @@ def perturb_side_conditions(datum: HomotopyDatum) -> HomotopyDatum:
     d = datum.d
 
     def lam(v: ModelElement) -> ModelElement:
-        c = sum((c for _, c in v.part(("pv", 0)).terms()), Fraction(0))
+        c = sum((coeff for _, coeff in v.part(("pv", 0)).terms()), Fraction(0))
         if c == 0:
             return datum.carrier.zero()
         return ModelElement(d, datum.variant, {("pv", 1): SuperPoly.xi(d, 1).scale(c)})
