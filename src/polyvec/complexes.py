@@ -4,9 +4,10 @@ Two families of complexes are modelled, both with differential Q = t*Delta
 where t is an even formal parameter:
 
 * the minimal theory: summands t^i PV^j with i, j >= 0 and i + j <= d - 1;
-* the k-potential variants (2 <= k <= d-1, and k != (d-1)/2 for odd d):
-  the minimal summands with the diagonal i + j = k removed, together with
-  a separate potential tower t^{-m} PV^{k+m+1} for 0 <= m <= d-k-1.
+* the k-potential variants (2 <= k <= d-1): the minimal summands with the
+  diagonal i + j = k removed, together with a separate potential tower
+  t^{-m} PV^{k+m+1} for 0 <= m <= d-k-1.  The self-pairing case
+  k = (d-1)/2 for odd d is accepted; it lacks only the Poisson pairing.
 
 Summand keys are ("f", i, j) for the minimal summands and ("p", m) for
 the potential tower; the tower's final summand carries no outgoing
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from . import pvcalc
 from .superpoly import SuperPoly, random_poly
@@ -102,6 +104,14 @@ def parity_of(key: FieldKey, variant: Variant) -> int:
     return (variant.k + key[1]) & 1
 
 
+def collect(pairs) -> dict:
+    """Sum the (key, SuperPoly) pairs that share a key into one dict."""
+    out: dict = {}
+    for key, poly in pairs:
+        out[key] = out[key] + poly if key in out else poly
+    return out
+
+
 @dataclass
 class DescendantField:
     """Finitely supported map from summand keys to xi-homogeneous SuperPolys."""
@@ -131,26 +141,24 @@ class DescendantField:
     def single(cls, d: int, variant: Variant, key: FieldKey, poly: SuperPoly) -> "DescendantField":
         return cls(d, variant, {key: poly})
 
+    def map_parts(self, rule) -> "DescendantField":
+        """The map sending each summand (key, poly) to the sum of the
+        (key', poly') pairs that rule(key, poly) yields; every key' must
+        be a summand of this complex, even where poly' is zero."""
+        return DescendantField(self.d, self.variant, collect(
+            pair for key, poly in self.parts.items() for pair in rule(key, poly)))
+
     def __add__(self, other: "DescendantField") -> "DescendantField":
         if (self.d, self.variant) != (other.d, other.variant):
             raise ValueError("cannot add fields of different complexes")
-        parts = dict(self.parts)
-        for key, poly in other.parts.items():
-            parts[key] = parts.get(key, SuperPoly.zero(self.d)) + poly
-        return DescendantField(self.d, self.variant, parts)
+        return DescendantField(self.d, self.variant,
+                               collect(chain(self.parts.items(), other.parts.items())))
 
     def __neg__(self) -> "DescendantField":
-        return DescendantField(self.d, self.variant, {k: -p for k, p in self.parts.items()})
+        return self.map_parts(lambda key, poly: ((key, -poly),))
 
     def __sub__(self, other: "DescendantField") -> "DescendantField":
         return self + (-other)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DescendantField)
-            and (self.d, self.variant) == (other.d, other.variant)
-            and self.parts == other.parts
-        )
 
     def is_zero(self) -> bool:
         return not self.parts
@@ -191,28 +199,16 @@ def differential(psi: DescendantField) -> DescendantField:
     potential tower Q maps ("p", m) to ("p", m-1); the m = 0 summand has
     no outgoing arrow.
     """
-    parts: dict[FieldKey, SuperPoly] = {}
 
-    def put(key, poly):
-        if poly.is_zero():
-            return
-        parts[key] = parts.get(key, SuperPoly.zero(psi.d)) + poly
-
-    for key, poly in psi.parts.items():
+    def rule(key, poly):
         if key[0] == "f":
             _, i, j = key
-            img = pvcalc.divergence(poly)
-            if img.is_zero():
-                continue
-            if j == 0:
-                raise AssertionError("Delta must vanish on xi-degree 0")
-            put(("f", i + 1, j - 1), img)
-        else:
-            m = key[1]
-            if m == 0:
-                continue
-            put(("p", m - 1), pvcalc.divergence(poly))
-    return DescendantField(psi.d, psi.variant, parts)
+            if j > 0:
+                yield ("f", i + 1, j - 1), pvcalc.divergence(poly)
+        elif key[1] > 0:
+            yield ("p", key[1] - 1), pvcalc.divergence(poly)
+
+    return psi.map_parts(rule)
 
 
 def phi_map(psi: DescendantField) -> DescendantField:
@@ -224,17 +220,10 @@ def phi_map(psi: DescendantField) -> DescendantField:
     """
     if psi.variant.kind != "potential":
         raise ValueError("phi_map expects a potential-variant field")
-    k = psi.variant.k
-    target = Variant.mbcov()
-    parts: dict[FieldKey, SuperPoly] = {}
-    for key, poly in psi.parts.items():
-        if key[0] == "f":
-            parts[key] = parts.get(key, SuperPoly.zero(psi.d)) + poly
-        elif key[1] == 0:
-            img = pvcalc.divergence(poly)
-            if not img.is_zero():
-                parts[("f", 0, k)] = parts.get(("f", 0, k), SuperPoly.zero(psi.d)) + img
-    return DescendantField(psi.d, target, parts)
+    diagonal = ("f", 0, psi.variant.k)
+    return DescendantField(psi.d, Variant.mbcov(), collect(
+        (key, poly) if key[0] == "f" else (diagonal, pvcalc.divergence(poly))
+        for key, poly in psi.parts.items() if key[0] == "f" or key[1] == 0))
 
 
 # -- cohomology carriers ----------------------------------------------
@@ -258,24 +247,15 @@ class ModelElement:
     def __add__(self, other: "ModelElement") -> "ModelElement":
         if (self.d, self.variant) != (other.d, other.variant):
             raise ValueError("carrier mismatch")
-        parts = dict(self.parts)
-        for key, poly in other.parts.items():
-            parts[key] = parts.get(key, SuperPoly.zero(self.d)) + poly
-        return ModelElement(self.d, self.variant, parts, self.scalar + other.scalar)
+        return ModelElement(self.d, self.variant,
+                            collect(chain(self.parts.items(), other.parts.items())),
+                            self.scalar + other.scalar)
 
     def __neg__(self) -> "ModelElement":
         return ModelElement(self.d, self.variant, {k: -p for k, p in self.parts.items()}, -self.scalar)
 
     def __sub__(self, other: "ModelElement") -> "ModelElement":
         return self + (-other)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ModelElement)
-            and (self.d, self.variant) == (other.d, other.variant)
-            and self.parts == other.parts
-            and self.scalar == other.scalar
-        )
 
     def is_zero(self) -> bool:
         return not self.parts and self.scalar == 0
@@ -307,7 +287,7 @@ class CarrierModel:
         """Whether a SuperPoly is a valid value for the slot."""
         from .contraction import contraction_K  # local import to avoid a cycle
 
-        if slot not in self.slots:
+        if slot not in self.slots or slot == ("c",):  # the scalar slot holds no polyvector
             return False
         if poly.is_zero():
             return True
@@ -317,10 +297,8 @@ class CarrierModel:
             return pvcalc.divergence(poly).is_zero()
         if slot[0] == "pot":
             return True
-        if slot[0] == "quot":
-            # canonical representatives are K Delta reduced
-            return poly == contraction_K(pvcalc.divergence(poly))
-        return False
+        # canonical quotient representatives are K Delta reduced
+        return poly == contraction_K(pvcalc.divergence(poly))
 
     def slot_xi_degree(self, slot: SlotKey) -> int:
         if slot[0] == "pv":

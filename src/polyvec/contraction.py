@@ -25,6 +25,7 @@ from .complexes import (
     ModelElement,
     Variant,
     cohomology_model,
+    collect,
     differential,
     random_field,
     summands,
@@ -92,61 +93,43 @@ def build_datum(d: int, variant: Variant) -> HomotopyDatum:
     variant.validate(d)
     carrier = cohomology_model(d, variant)
     k = variant.k if variant.kind == "potential" else None
-    zero = lambda: DescendantField.zero(d, variant)
 
     def homotopy(psi: DescendantField) -> DescendantField:
-        out = zero()
-        for key, poly in psi.parts.items():
+        def rule(key, poly):
             if key[0] == "f":
                 _, i, j = key
-                if i == 0:
-                    continue
-                out = out + DescendantField.single(d, variant, ("f", i - 1, j + 1), contraction_K(poly))
-            else:
-                m = key[1]
-                if m == d - k - 1:
-                    continue
-                out = out + DescendantField.single(d, variant, ("p", m + 1), contraction_K(poly))
-        return out
+                if i > 0:
+                    yield ("f", i - 1, j + 1), contraction_K(poly)
+            elif key[1] < d - k - 1:
+                yield ("p", key[1] + 1), contraction_K(poly)
+
+        return psi.map_parts(rule)
 
     def project(psi: DescendantField) -> ModelElement:
-        parts: dict = {}
-        scalar = Fraction(0)
-        for key, poly in psi.parts.items():
-            if key[0] == "f":
-                _, i, j = key
-                if i != 0:
-                    continue
-                value = poly if j == 0 else divergence_free_part(poly)
-                if not value.is_zero():
-                    parts[("pv", j)] = parts.get(("pv", j), SuperPoly.zero(d)) + value
-            else:
-                m = key[1]
-                if k == d - 1:
+        def pairs():
+            for key, poly in psi.parts.items():
+                if key[0] == "f":
+                    _, i, j = key
+                    if i == 0:
+                        yield ("pv", j), poly if j == 0 else divergence_free_part(poly)
+                elif k == d - 1:
                     # single-summand tower: the full PV^d slot
-                    parts[("pot",)] = parts.get(("pot",), SuperPoly.zero(d)) + poly
-                elif m == 0:
-                    rep = contraction_K(pvcalc.divergence(poly))
-                    if not rep.is_zero():
-                        parts[("quot",)] = parts.get(("quot",), SuperPoly.zero(d)) + rep
-                elif m == d - k - 1:
-                    scalar += poly.top_constant()
-        return ModelElement(d, variant, parts, scalar)
+                    yield ("pot",), poly
+                elif key[1] == 0:
+                    yield ("quot",), contraction_K(pvcalc.divergence(poly))
+
+        scalar = psi.part(("p", d - k - 1)).top_constant() if ("c",) in carrier.slots else 0
+        return ModelElement(d, variant, collect(pairs()), scalar)
 
     def include(v: ModelElement) -> DescendantField:
-        out = zero()
-        for slot, poly in v.parts.items():
-            if slot[0] == "pv":
-                out = out + DescendantField.single(d, variant, ("f", 0, slot[1]), poly)
-            elif slot == ("pot",):
-                out = out + DescendantField.single(d, variant, ("p", 0), poly)
-            elif slot == ("quot",):
-                # canonical representatives satisfy rep = K Delta rep
-                out = out + DescendantField.single(d, variant, ("p", 0), poly)
+        # pot and quot parts sit at the head of the tower as they are:
+        # canonical quotient representatives satisfy rep = K Delta rep
+        pairs = [(("f", 0, slot[1]) if slot[0] == "pv" else ("p", 0), poly)
+                 for slot, poly in v.parts.items()]
         if v.scalar:
             top = SuperPoly.monomial(d, (0,) * d, tuple(range(1, d + 1)), v.scalar)
-            out = out + DescendantField.single(d, variant, ("p", d - k - 1), top)
-        return out
+            pairs.append((("p", d - k - 1), top))
+        return DescendantField(d, variant, collect(pairs))
 
     return HomotopyDatum(d, variant, carrier, homotopy, project, include)
 
@@ -155,8 +138,7 @@ def scale_homotopy(datum: HomotopyDatum, factor) -> HomotopyDatum:
     """Deliberately corrupted datum (negative control): H -> factor * H."""
 
     def homotopy(psi: DescendantField) -> DescendantField:
-        out = datum.homotopy(psi)
-        return DescendantField(out.d, out.variant, {k: p.scale(factor) for k, p in out.parts.items()})
+        return datum.homotopy(psi).map_parts(lambda key, poly: ((key, poly.scale(factor)),))
 
     return HomotopyDatum(datum.d, datum.variant, datum.carrier, homotopy, datum.project, datum.include)
 

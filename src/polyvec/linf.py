@@ -31,6 +31,7 @@ from .complexes import (
     ModelElement,
     Variant,
     cohomology_model,
+    collect,
     parity_of,
     t_power_of,
 )
@@ -129,18 +130,19 @@ def field_structure(d: int) -> LInftyStructure:
     variant = Variant.mbcov()
 
     def b2(psi: DescendantField, chi: DescendantField) -> DescendantField:
-        out = DescendantField.zero(d, variant)
-        for key1, p1 in psi.parts.items():
-            for key2, p2 in chi.parts.items():
-                val = pvcalc.symmetric_bracket(p1, p2)
-                if val.is_zero():
-                    continue
-                i = t_power_of(key1) + t_power_of(key2)
-                j = val.xi_degree()
-                if i + j > d - 1:
-                    raise ValueError("bracket output leaves the minimal complex")
-                out = out + DescendantField.single(d, variant, ("f", i, j), val)
-        return out
+        def pairs():
+            for key1, p1 in psi.parts.items():
+                for key2, p2 in chi.parts.items():
+                    val = pvcalc.symmetric_bracket(p1, p2)
+                    if val.is_zero():
+                        continue
+                    i = t_power_of(key1) + t_power_of(key2)
+                    j = val.xi_degree()
+                    if i + j > d - 1:
+                        raise ValueError("bracket output leaves the minimal complex")
+                    yield ("f", i, j), val
+
+        return DescendantField(d, variant, collect(pairs()))
 
     from .complexes import differential as Q
 
@@ -162,7 +164,7 @@ def field_parity(psi: DescendantField) -> int:
 def model_parity(carrier: CarrierModel, v: ModelElement) -> int:
     pars = {carrier.parity(slot) for slot in v.parts}
     if v.scalar != 0:
-        pars.add(carrier.parity(("c",)) if ("c",) in carrier.slots else carrier.parity(("pot",)))
+        pars.add(carrier.parity(("c",)))
     if len(pars) > 1:
         raise ValueError("element is not parity-homogeneous")
     return pars.pop() if pars else 0
@@ -215,34 +217,14 @@ def minimal_model_structure(d: int, variant: Variant) -> LInftyStructure:
     k = variant.k if variant.kind == "potential" else None
 
     def b2(v: ModelElement, w: ModelElement) -> ModelElement:
-        cv, cw = _content(v), _content(w)
-        prod = cv * cw
-        image = pvcalc.divergence(prod)
-        parts: dict = {}
-
-        def put(slot, poly):
-            if not poly.is_zero():
-                parts[slot] = parts.get(slot, SuperPoly.zero(d)) + poly
-
-        for j, comp in image.xi_components().items():
-            if variant.kind == "mbcov":
-                put(("pv", j), comp)
-            elif k == d - 1:
-                if j <= d - 2:
-                    put(("pv", j), comp)
-                else:
-                    put(("pot",), contraction_K(comp))
-            else:
-                if j == k:
-                    put(("quot",), contraction_K(comp))
-                else:
-                    put(("pv", j), comp)
-        if k == d - 1:
-            tc = prod.top_constant()
-            if tc:
-                top = SuperPoly.monomial(d, (0,) * d, tuple(range(1, d + 1)), tc)
-                put(("pot",), top)
-        return ModelElement(d, variant, parts)
+        prod = _content(v) * _content(w)
+        lifted = ("pot",) if k == d - 1 else ("quot",)
+        pairs = [(("pv", j), comp) if j != k else (lifted, contraction_K(comp))
+                 for j, comp in pvcalc.divergence(prod).xi_components().items()]
+        if k == d - 1 and prod.top_constant():
+            top = SuperPoly.monomial(d, (0,) * d, tuple(range(1, d + 1)), prod.top_constant())
+            pairs.append((("pot",), top))
+        return ModelElement(d, variant, collect(pairs))
 
     brackets: dict[int, Callable] = {2: b2}
 

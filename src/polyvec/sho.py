@@ -72,14 +72,6 @@ class SuperVectorField:
         return SuperVectorField(self.d, tuple(a.scale(c) for a in self.mu_x),
                                 tuple(a.scale(c) for a in self.mu_xi))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SuperVectorField)
-            and self.d == other.d
-            and self.mu_x == other.mu_x
-            and self.mu_xi == other.mu_xi
-        )
-
     def is_zero(self) -> bool:
         return all(a.is_zero() for a in self.mu_x) and all(a.is_zero() for a in self.mu_xi)
 
@@ -247,14 +239,6 @@ class ExtElement:
 
     def scale(self, c) -> "ExtElement":
         return ExtElement(self.gen.scale(c), self.c1 * Fraction(c), self.c2 * Fraction(c))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExtElement)
-            and self.gen == other.gen
-            and self.c1 == other.c1
-            and self.c2 == other.c2
-        )
 
     def is_zero(self) -> bool:
         return self.gen.is_zero() and self.c1 == 0 and self.c2 == 0

@@ -75,6 +75,16 @@ class OutsideVerifiedDomain(ValueError):
     """f is only defined on principal degrees <= 1 (plus the center)."""
 
 
+def _in_f_domain(v: ExtElement) -> bool:
+    """Whether f's table covers v: no component of principal degree above 1."""
+    return all(deg <= 1 for deg in v.gen.homogeneous_components("principal"))
+
+
+def _leibniz_sides(action, a: ExtElement, b: ExtElement, ab: ExtElement):
+    """Both sides of x.[a, b] = [x.a, b] + [a, x.b] for x = action, given ab = [a, b]."""
+    return action(ab), ext_bracket_d3(action(a), b) + ext_bracket_d3(a, action(b))
+
+
 def act_f(v: ExtElement) -> ExtElement:
     """f by its table on principal degrees -1, 0, 1; f e1 = e2, f e2 = 0.
 
@@ -82,7 +92,7 @@ def act_f(v: ExtElement) -> ExtElement:
     principal degree above 1.
     """
     _require_d3(v)
-    if any(deg > 1 for deg in v.gen.homogeneous_components("principal")):
+    if not _in_f_domain(v):
         raise OutsideVerifiedDomain("generator has principal degree above 1")
     gen = SuperPoly.zero(3)
     # only xi-degree-2 components map nontrivially
@@ -184,8 +194,7 @@ def sl2_relations_check(truncation: int = 3, trials: int = 40, seed: int = 0) ->
         for t in range(trials):
             a = ext_element(random_sho_generator(truncation + 2, seed=sample_seed(seed, name, t, 0) % 2**32))
             b = ext_element(random_sho_generator(truncation + 2, seed=sample_seed(seed, name, t, 1) % 2**32))
-            lhs = action(ext_bracket_d3(a, b))
-            rhs = ext_bracket_d3(action(a), b) + ext_bracket_d3(a, action(b))
+            lhs, rhs = _leibniz_sides(action, a, b, ext_bracket_d3(a, b))
             if lhs != rhs:
                 yield {"a": str(a), "b": str(b)}
 
@@ -199,11 +208,10 @@ def sl2_relations_check(truncation: int = 3, trials: int = 40, seed: int = 0) ->
             a = _random_low_degree(seed=sample_seed(seed, "fa", t) % 2**32)
             b = _random_low_degree(seed=sample_seed(seed, "fb", t) % 2**32)
             ab = ext_bracket_d3(a, b)
-            if any(deg > 1 for deg in ab.gen.homogeneous_components("principal")):
+            if not _in_f_domain(ab):
                 continue
             checked += 1
-            lhs = act_f(ab)
-            rhs = ext_bracket_d3(act_f(a), b) + ext_bracket_d3(a, act_f(b))
+            lhs, rhs = _leibniz_sides(act_f, a, b, ab)
             if lhs != rhs:
                 yield {"a": str(a), "b": str(b)}
             if checked >= trials:
@@ -269,8 +277,7 @@ def equivariance_check_cocycle(trials: int = 30, seed: int = 0) -> Report:
             u = ext_element(-SuperPoly.x(3, i))
             aj = ext_element(SuperPoly.xi(3, j))
             for left, right in ((a, b), (u, aj)):
-                lhs = action(ext_bracket_d3(left, right))
-                rhs = ext_bracket_d3(action(left), right) + ext_bracket_d3(left, action(right))
+                lhs, rhs = _leibniz_sides(action, left, right, ext_bracket_d3(left, right))
                 if lhs != rhs:
                     yield {"x": name, "left": str(left), "right": str(right),
                            "lhs": str(lhs), "rhs": str(rhs)}
@@ -282,12 +289,10 @@ def equivariance_check_cocycle(trials: int = 30, seed: int = 0) -> Report:
         for t in range(trials):
             a = _random_low_degree(seed=sample_seed(seed, name, t, 0) % 2**32)
             b = _random_low_degree(seed=sample_seed(seed, name, t, 1) % 2**32)
-            if name == "f":
-                ab = ext_bracket_d3(a, b)
-                if any(deg > 1 for deg in ab.gen.homogeneous_components("principal")):
-                    continue
-            lhs = action(ext_bracket_d3(a, b))
-            rhs = ext_bracket_d3(action(a), b) + ext_bracket_d3(a, action(b))
+            ab = ext_bracket_d3(a, b)
+            if name == "f" and not _in_f_domain(ab):
+                continue
+            lhs, rhs = _leibniz_sides(action, a, b, ab)
             if lhs != rhs:
                 yield {"x": name, "a": str(a), "b": str(b)}
 
@@ -333,11 +338,6 @@ class ZTwoField:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ZTwoField)
-                and (self.phi1, self.phi2, self.mu, self.nu)
-                == (other.phi1, other.phi2, other.mu, other.nu))
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in (self.phi1, self.phi2, self.mu, self.nu))
@@ -405,7 +405,7 @@ def equivariance_compare_theorem(truncation: int = 3, trials: int = 40, seed: in
             v = v + ExtElement(SuperPoly.zero(3),
                                Fraction(sample_seed(seed, t, 1) % 5 - 2),
                                Fraction(sample_seed(seed, t, 2) % 5 - 2))
-            if name == "f" and any(dd > 1 for dd in v.gen.homogeneous_components("principal")):
+            if name == "f" and not _in_f_domain(v):
                 continue
             tried += 1
             lhs = embed(actions[name](v))

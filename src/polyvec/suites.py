@@ -285,7 +285,7 @@ def suite_jacobi(cfg: CampaignConfig) -> Report:
             out = structure.brackets[top_arity](*xs)
             if out.parts:
                 yield {"witness": "non-central output"}
-            center = cohomology_model(d, variant).element({}, scalar=out.scalar)
+            center = carrier.element({}, scalar=out.scalar)
             probe = carrier.random_element(slots[t % len(slots)], cfg.max_degree, seed=cfg.seed + t)
             if not structure.brackets[2](center, probe).is_zero():
                 yield {"witness": "center is not central"}

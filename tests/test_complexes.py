@@ -110,6 +110,10 @@ def test_cohomology_model_membership():
     assert model.membership(("pv", 1), SuperPoly.x(3, 1) * xi(2))  # divergence free
     assert not model.membership(("pv", 1), SuperPoly.x(3, 1) * xi(1))
     assert not model.membership(("pv", 1), xi(1) * xi(2))  # wrong degree
+    # the scalar slot of a central carrier holds no polyvector
+    central = cohomology_model(4, Variant.potential(2))
+    assert not central.membership(("c",), SuperPoly.const(4, 1))
+    assert not central.membership(("c",), SuperPoly.zero(4))
 
 
 def test_cohomology_model_slots():

@@ -1,9 +1,19 @@
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 
 from polyvec import pvcalc
-from polyvec.complexes import DescendantField, Variant, cohomology_model
+from polyvec.complexes import (
+    DescendantField,
+    Variant,
+    cohomology_model,
+    differential,
+    phi_map,
+    random_field,
+    summands,
+)
 from polyvec.contraction import (
     build_datum,
     contraction_K,
@@ -12,6 +22,7 @@ from polyvec.contraction import (
     scale_homotopy,
     verify_datum,
 )
+from polyvec.linf import field_structure
 from polyvec.superpoly import SuperPoly, random_poly
 
 
@@ -103,6 +114,34 @@ def test_datum_relations(d, variant):
     assert report.ok, report.summary_text()
     # side conditions happen to hold for the scaling homotopy
     assert all(r.passed for r in report.records if not r.required)
+
+    # every map is the sum of its values on the single-summand parts of a
+    # field (and of a carrier element) with every summand filled
+    keys = summands(d, variant)
+    singles = [random_field(d, variant, key, 3, seed=i) for i, key in enumerate(keys)]
+    psi = reduce(add, singles)
+    assert set(psi.parts) == set(keys)
+    maps = [differential, datum.homotopy, datum.project]
+    if variant.kind == "potential":
+        maps.append(phi_map)
+    for f in maps:
+        assert f(psi) == reduce(add, map(f, singles)), f
+    carrier = datum.carrier
+    elements = [carrier.random_element(slot, 5, seed=40 + i) for i, slot in enumerate(carrier.slots)]
+    v = reduce(add, elements)
+    assert set(v.parts) | ({("c",)} if v.scalar else set()) == set(carrier.slots)
+    assert datum.include(v) == reduce(add, map(datum.include, elements))
+
+    # the field bracket is bilinear over summands; summand pairs of total
+    # degree at most d keep its output in the complex, and several pairs
+    # land on the same output summand
+    if variant.kind == "mbcov":
+        b2 = field_structure(d).brackets[2]
+        low = [s for s, (_, i, j) in zip(singles, keys) if i + j <= d // 2]
+        high = [s for s, (_, i, j) in zip(singles, keys) if i + j <= d - d // 2]
+        out = b2(reduce(add, low), reduce(add, high))
+        assert not out.is_zero()
+        assert out == reduce(add, (b2(a, b) for a in low for b in high))
 
 
 def test_corrupted_datum_reports_witness():
