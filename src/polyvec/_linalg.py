@@ -42,14 +42,25 @@ def solve_combination(vectors: list[dict], target: dict):
 
 
 def independent_indices(vectors: list[dict]) -> list[int]:
-    """Indices of a maximal linearly independent subfamily (greedy)."""
-    basis: list[dict] = []
+    """Indices of a maximal linearly independent subfamily (greedy).
+
+    Each vector is reduced against the pivot rows kept so far and kept
+    when a remainder is left; its remainder, scaled to 1 at its least
+    key, becomes the next pivot row.
+    """
+    pivots: list[tuple] = []  # (pivot key, row with 1 there and 0 at earlier pivot keys)
     out: list[int] = []
     for idx, vec in enumerate(vectors):
-        if not vec:
-            continue
-        if basis and solve_combination(basis, vec) is not None:
-            continue
-        basis.append(vec)
-        out.append(idx)
+        rem = {key: Fraction(c) for key, c in vec.items() if c}
+        for pivot, row in pivots:
+            factor = rem.get(pivot)
+            if factor:
+                for key, c in row.items():
+                    rem[key] = rem.get(key, 0) - factor * c
+                rem = {key: c for key, c in rem.items() if c}
+        if rem:
+            pivot = min(rem)
+            scale = rem[pivot]
+            pivots.append((pivot, {key: c / scale for key, c in rem.items()}))
+            out.append(idx)
     return out

@@ -93,10 +93,8 @@ def export_tables(cfg: CampaignConfig, out_dir: Path) -> list[Path]:
             out = structure.brackets[n](*xs)
             samples.append({
                 "arity": n,
-                "inputs": [{ "/".join(map(str, s)): str(p) for s, p in x.parts.items()} | (
-                    {"c": str(x.scalar)} if x.scalar else {}) for x in xs],
-                "output": {"/".join(map(str, s)): str(p) for s, p in out.parts.items()} | (
-                    {"c": str(out.scalar)} if out.scalar else {}),
+                "inputs": [x.to_dict() for x in xs],
+                "output": out.to_dict(),
             })
     path = tables / f"brackets_{cfg.variant.label.replace('(', '_').replace(')', '')}_d{cfg.d}.json"
     path.write_text(json.dumps(samples, indent=1, sort_keys=True) + "\n")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 
 from . import pvcalc
@@ -87,6 +88,12 @@ def xi_degree_of(key: FieldKey, variant: Variant) -> int:
     return variant.k + key[1] + 1
 
 
+@cache
+def _summand_xi_degrees(d: int, variant: Variant) -> dict[FieldKey, int]:
+    """The xi-degree of every summand of the complex, keyed by summand."""
+    return {key: xi_degree_of(key, variant) for key in summands(d, variant)}
+
+
 def t_power_of(key: FieldKey) -> int:
     if key[0] == "f":
         return key[1]
@@ -121,14 +128,14 @@ class DescendantField:
     parts: dict[FieldKey, SuperPoly] = field(default_factory=dict)
 
     def __post_init__(self):
-        valid = set(summands(self.d, self.variant))
+        degrees = _summand_xi_degrees(self.d, self.variant)
         cleaned = {}
         for key, poly in self.parts.items():
-            if key not in valid:
+            if key not in degrees:
                 raise ValueError(f"invalid summand {key} for {self.variant.label}, d={self.d}")
             if poly.is_zero():
                 continue
-            if poly.xi_degrees() - {xi_degree_of(key, self.variant)}:
+            if poly.xi_degrees() - {degrees[key]}:
                 raise ValueError(f"summand {key} holds a wrong xi-degree")
             cleaned[key] = poly
         self.parts = cleaned
@@ -263,83 +270,110 @@ class ModelElement:
     def part(self, key: SlotKey) -> SuperPoly:
         return self.parts.get(key, SuperPoly.zero(self.d))
 
+    def to_dict(self) -> dict:
+        """Slot id -> polyvector text in sorted slot order, then "c" for a
+        nonzero scalar."""
+        body = {"/".join(map(str, slot)): str(self.parts[slot]) for slot in sorted(self.parts)}
+        if self.scalar:
+            body["c"] = str(self.scalar)
+        return body
+
 
 @dataclass(frozen=True)
 class CarrierModel:
-    """Description of a minimal-model carrier with membership predicates."""
+    """A minimal-model carrier: each slot is a subspace of one summand of
+    the field complex (its home), cut out by a canonical representative."""
 
     d: int
     variant: Variant
     slots: tuple[SlotKey, ...]
 
-    def parity(self, slot: SlotKey) -> int:
+    def home(self, slot: SlotKey) -> FieldKey:
+        """The summand the slot lives in: divergence-free polyvectors at
+        t^0, PV^d or the quotient at the head of the potential tower, and
+        the scalar at its tail."""
+        if slot not in self.slots:
+            raise ValueError(f"slot {slot} is not in the carrier")
         if slot[0] == "pv":
-            return slot[1] & 1
-        if slot[0] == "pot":
-            return (self.d - 1) & 1
+            return ("f", 0, slot[1])
+        if slot == ("c",):
+            return ("p", self.d - self.variant.k - 1)
+        return ("p", 0)
+
+    def canonical(self, slot: SlotKey, poly: SuperPoly) -> SuperPoly:
+        """The slot's canonical representative of poly: the divergence-free
+        part (id - K Delta) for pv, K Delta for the quotient, poly itself
+        for the full PV^d slot."""
+        from .contraction import contraction_K, divergence_free_part  # avoids a cycle
+
+        if slot[0] == "pv":
+            return divergence_free_part(poly)
         if slot[0] == "quot":
-            return self.variant.k & 1
-        if slot[0] == "c":
-            return (self.d - 1) & 1
-        raise ValueError(f"unknown slot {slot}")
+            return contraction_K(pvcalc.divergence(poly))
+        return poly
 
-    def membership(self, slot: SlotKey, poly: SuperPoly) -> bool:
-        """Whether a SuperPoly is a valid value for the slot."""
-        from .contraction import contraction_K  # local import to avoid a cycle
-
-        if slot not in self.slots or slot == ("c",):  # the scalar slot holds no polyvector
-            return False
-        if poly.is_zero():
-            return True
-        if poly.xi_degrees() - {self.slot_xi_degree(slot)}:
-            return False
-        if slot[0] == "pv":
-            return pvcalc.divergence(poly).is_zero()
-        if slot[0] == "pot":
-            return True
-        # canonical quotient representatives are K Delta reduced
-        return poly == contraction_K(pvcalc.divergence(poly))
+    def parity(self, slot: SlotKey) -> int:
+        return parity_of(self.home(slot), self.variant)
 
     def slot_xi_degree(self, slot: SlotKey) -> int:
-        if slot[0] == "pv":
-            return slot[1]
-        if slot[0] == "pot":
-            return self.d
-        if slot[0] == "quot":
-            return self.variant.k + 1
-        raise ValueError(f"slot {slot} holds no polyvector")
+        if slot == ("c",):
+            raise ValueError(f"slot {slot} holds no polyvector")
+        return xi_degree_of(self.home(slot), self.variant)
+
+    def membership(self, slot: SlotKey, poly: SuperPoly) -> bool:
+        """Whether a SuperPoly is a valid value for the slot: of the slot's
+        xi-degree and its own canonical representative (for pv, K Delta p = 0
+        is Delta p = 0)."""
+        if slot not in self.slots or slot == ("c",):  # the scalar slot holds no polyvector
+            return False
+        if poly.xi_degrees() - {self.slot_xi_degree(slot)}:
+            return False
+        return poly == self.canonical(slot, poly)
+
+    def project(self, psi: DescendantField) -> ModelElement:
+        """p: each slot reads its home summand and canonicalizes it; the
+        scalar is the constant top coefficient at its home."""
+        parts = {}
+        for slot in self.slots:
+            poly = psi.parts.get(self.home(slot))
+            if poly is not None and slot != ("c",):
+                parts[slot] = self.canonical(slot, poly)
+        scalar = psi.part(self.home(("c",))).top_constant() if ("c",) in self.slots else 0
+        return ModelElement(self.d, self.variant, parts, scalar)
+
+    def include(self, v: ModelElement) -> DescendantField:
+        """iota: each part at its home as it is (canonical quotient
+        representatives satisfy rep = K Delta rep), the scalar as the
+        constant top polyvector at its home."""
+        pairs = [(self.home(slot), poly) for slot, poly in v.parts.items()]
+        if v.scalar:
+            pairs.append((self.home(("c",)), SuperPoly.top(self.d, v.scalar)))
+        return DescendantField(self.d, self.variant, collect(pairs))
 
     def zero(self) -> ModelElement:
         return ModelElement(self.d, self.variant, {})
 
     def element(self, parts: dict | None = None, scalar=0) -> ModelElement:
         """Build an element, canonicalizing quotient representatives."""
-        from .contraction import contraction_K
-
         parts = dict(parts or {})
         for slot, poly in list(parts.items()):
             if slot not in self.slots:
                 raise ValueError(f"unknown slot {slot}")
-            if slot[0] == "quot":
-                parts[slot] = contraction_K(pvcalc.divergence(poly))
+            if slot == ("quot",):
+                parts[slot] = self.canonical(slot, poly)
         if scalar != 0 and ("c",) not in self.slots:
             raise ValueError("carrier has no central scalar slot")
         return ModelElement(self.d, self.variant, parts, Fraction(scalar))
 
     def random_element(self, slot: SlotKey, max_degree: int, seed: int) -> ModelElement:
-        """Seeded slot-homogeneous element (divergence free where required)."""
-        from .contraction import divergence_free_part
-
+        """Seeded slot-homogeneous element in canonical form."""
         if slot == ("c",):
             import random as _random
 
             rng = _random.Random(seed)
             return self.element({}, scalar=Fraction(rng.choice([-3, -2, -1, 1, 2, 3])))
-        j = self.slot_xi_degree(slot)
-        raw = random_poly(self.d, max_degree, xi_degree_filter=j, seed=seed)
-        if slot[0] == "pv":
-            raw = divergence_free_part(raw)
-        return self.element({slot: raw})
+        raw = random_poly(self.d, max_degree, xi_degree_filter=self.slot_xi_degree(slot), seed=seed)
+        return ModelElement(self.d, self.variant, {slot: self.canonical(slot, raw)})
 
 
 def cohomology_model(d: int, variant: Variant) -> CarrierModel:

@@ -9,7 +9,8 @@ with a per-degree sign fixed in conventions.py.
 Homotopy data relate a field complex to its cohomology carrier:
 p iota = id and id - iota p = Q H + H Q, checked summand by summand by
 verify_datum.  The side conditions H^2 = 0, H iota = 0, p H = 0 are not
-required, only measured; normalize_homotopy arranges them when absent.
+required, only probed by side_conditions; normalize_homotopy arranges
+them when absent.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .complexes import (
     ModelElement,
     Variant,
     cohomology_model,
-    collect,
     differential,
     random_field,
     summands,
@@ -82,13 +82,9 @@ def build_datum(d: int, variant: Variant) -> HomotopyDatum:
     """The explicit homotopy datum for a complex.
 
     H vanishes on the minimal t^0 summands and on the final potential
-    summand, and acts by t^{-1} K everywhere else.  p projects onto
-    divergence-free representatives (id - K Delta) on minimal t^0
-    summands, takes quotient classes and the top constant term on the
-    potential tower, and vanishes elsewhere.  iota includes
-    divergence-free polyvectors at t^0, canonical quotient
-    representatives at the head of the tower, and scalars as constant
-    top polyvectors at its tail.
+    summand, and acts by t^{-1} K everywhere else.  p and iota are the
+    carrier's own: p reads each slot's home summand and canonicalizes it,
+    iota puts each part back at its home (CarrierModel.project/include).
     """
     variant.validate(d)
     carrier = cohomology_model(d, variant)
@@ -105,33 +101,7 @@ def build_datum(d: int, variant: Variant) -> HomotopyDatum:
 
         return psi.map_parts(rule)
 
-    def project(psi: DescendantField) -> ModelElement:
-        def pairs():
-            for key, poly in psi.parts.items():
-                if key[0] == "f":
-                    _, i, j = key
-                    if i == 0:
-                        yield ("pv", j), poly if j == 0 else divergence_free_part(poly)
-                elif k == d - 1:
-                    # single-summand tower: the full PV^d slot
-                    yield ("pot",), poly
-                elif key[1] == 0:
-                    yield ("quot",), contraction_K(pvcalc.divergence(poly))
-
-        scalar = psi.part(("p", d - k - 1)).top_constant() if ("c",) in carrier.slots else 0
-        return ModelElement(d, variant, collect(pairs()), scalar)
-
-    def include(v: ModelElement) -> DescendantField:
-        # pot and quot parts sit at the head of the tower as they are:
-        # canonical quotient representatives satisfy rep = K Delta rep
-        pairs = [(("f", 0, slot[1]) if slot[0] == "pv" else ("p", 0), poly)
-                 for slot, poly in v.parts.items()]
-        if v.scalar:
-            top = SuperPoly.monomial(d, (0,) * d, tuple(range(1, d + 1)), v.scalar)
-            pairs.append((("p", d - k - 1), top))
-        return DescendantField(d, variant, collect(pairs))
-
-    return HomotopyDatum(d, variant, carrier, homotopy, project, include)
+    return HomotopyDatum(d, variant, carrier, homotopy, carrier.project, carrier.include)
 
 
 def scale_homotopy(datum: HomotopyDatum, factor) -> HomotopyDatum:
@@ -220,20 +190,29 @@ def verify_datum(datum: HomotopyDatum, sample_budget: int = 50, seed: int = 0,
         report.check(f"datum.{label}.d{d}.homotopy.{_key_id(key)}", homotopy(key))
 
     # side conditions, informational only
-    for name, check in (
-        ("H_squared", lambda psi: datum.homotopy(datum.homotopy(psi)).is_zero()),
-        ("p_H", lambda psi: datum.project(datum.homotopy(psi)).is_zero()),
-    ):
-        ok = all(check(random_field(d, variant, key, max_degree,
-                                    seed=sample_seed(seed, name, key) % (2**32)))
-                 for key in keys)
+    for name, ok in side_conditions(datum, seed, max_degree).items():
         report.add(f"datum.{label}.d{d}.side.{name}", ok, required=False)
-    ok = all(datum.homotopy(datum.include(v)).is_zero()
-             for v in (datum.carrier.random_element(slot, max_degree,
-                                                    seed=sample_seed(seed, "Hi", slot) % (2**32))
-                       for slot in slots))
-    report.add(f"datum.{label}.d{d}.side.H_iota", ok, required=False)
     return report
+
+
+def side_conditions(datum: HomotopyDatum, seed: int, max_degree: int) -> dict[str, bool]:
+    """Probe H^2 = 0 and p H = 0 on one seeded field per summand and
+    H iota = 0 on one seeded element per carrier slot."""
+    d, variant, carrier = datum.d, datum.variant, datum.carrier
+    keys = summands(d, variant)
+
+    def fields(name):
+        return (random_field(d, variant, key, max_degree, seed=sample_seed(seed, name, key) % (2**32))
+                for key in keys)
+
+    return {
+        "H_squared": all(datum.homotopy(datum.homotopy(psi)).is_zero() for psi in fields("H_squared")),
+        "p_H": all(datum.project(datum.homotopy(psi)).is_zero() for psi in fields("p_H")),
+        "H_iota": all(
+            datum.homotopy(datum.include(carrier.random_element(
+                slot, max_degree, seed=sample_seed(seed, "Hi", slot) % (2**32)))).is_zero()
+            for slot in carrier.slots),
+    }
 
 
 def _key_id(key) -> str:
@@ -241,7 +220,4 @@ def _key_id(key) -> str:
 
 
 def _el_str(v: ModelElement) -> str:
-    body = {("/".join(map(str, slot))): str(poly) for slot, poly in sorted(v.parts.items())}
-    if v.scalar:
-        body["c"] = str(v.scalar)
-    return repr(body)
+    return repr(v.to_dict())

@@ -35,7 +35,7 @@ from .complexes import (
     parity_of,
     t_power_of,
 )
-from .contraction import HomotopyDatum, contraction_K, normalize_homotopy
+from .contraction import HomotopyDatum, contraction_K, normalize_homotopy, side_conditions
 from .superpoly import SuperPoly, koszul_sign
 
 
@@ -221,9 +221,8 @@ def minimal_model_structure(d: int, variant: Variant) -> LInftyStructure:
         lifted = ("pot",) if k == d - 1 else ("quot",)
         pairs = [(("pv", j), comp) if j != k else (lifted, contraction_K(comp))
                  for j, comp in pvcalc.divergence(prod).xi_components().items()]
-        if k == d - 1 and prod.top_constant():
-            top = SuperPoly.monomial(d, (0,) * d, tuple(range(1, d + 1)), prod.top_constant())
-            pairs.append((("pot",), top))
+        if k == d - 1:
+            pairs.append((("pot",), SuperPoly.top(d, prod.top_constant())))
         return ModelElement(d, variant, collect(pairs))
 
     brackets: dict[int, Callable] = {2: b2}
@@ -282,24 +281,6 @@ def _set_partitions(n: int):
         yield [sorted(b) for b in sorted(part, key=min)]
 
 
-def _side_conditions_hold(datum: HomotopyDatum, probes: int = 6,
-                          max_degree: int = 3) -> bool:
-    from .complexes import random_field, summands
-
-    d, variant = datum.d, datum.variant
-    for t, key in enumerate(summands(d, variant)[:probes] * 2):
-        psi = random_field(d, variant, key, max_degree, seed=9000 + t)
-        if not datum.homotopy(datum.homotopy(psi)).is_zero():
-            return False
-        if not datum.project(datum.homotopy(psi)).is_zero():
-            return False
-    for i, slot in enumerate(datum.carrier.slots):
-        v = datum.carrier.random_element(slot, max_degree, seed=9100 + i)
-        if not datum.homotopy(datum.include(v)).is_zero():
-            return False
-    return True
-
-
 def transfer(structure: LInftyStructure, datum: HomotopyDatum, arity_cap: int) -> LInftyStructure:
     """Transferred structure on the cohomology carrier up to arity_cap.
 
@@ -310,7 +291,7 @@ def transfer(structure: LInftyStructure, datum: HomotopyDatum, arity_cap: int) -
     """
     if arity_cap < 2:
         raise ValueError("arity_cap must be at least 2")
-    if not _side_conditions_hold(datum):
+    if not all(side_conditions(datum, seed=0, max_degree=3).values()):
         datum = normalize_homotopy(datum)
     carrier = datum.carrier
     vertex_arities = [n for n in structure.arities() if n >= 2]

@@ -256,11 +256,7 @@ def ext_element(f: SuperPoly, c1=0, c2=0) -> ExtElement:
         raise ValueError("generator must be divergence free")
     const = f.constant_term()
     top = f.top_constant()
-    gen = f
-    if const:
-        gen = gen - SuperPoly.const(3, const)
-    if top:
-        gen = gen - SuperPoly.monomial(3, (0, 0, 0), (1, 2, 3), top)
+    gen = f - SuperPoly.const(3, const) - SuperPoly.top(3, top)
     return ExtElement(gen, Fraction(c1) + top, Fraction(c2) + const)
 
 
@@ -338,13 +334,8 @@ def random_sho_generator(max_degree: int, seed: int, d: int = 3,
 
 def _sho_part(p: SuperPoly) -> SuperPoly:
     """The divergence-free part of p with its constant term and top monomial carved off."""
-    d = p.d
     ker = divergence_free_part(p)
-    ker = ker - SuperPoly.const(d, ker.constant_term())
-    top = ker.top_constant()
-    if top:
-        ker = ker - SuperPoly.monomial(d, (0,) * d, tuple(range(1, d + 1)), top)
-    return ker
+    return ker - SuperPoly.const(p.d, ker.constant_term()) - SuperPoly.top(p.d, ker.top_constant())
 
 
 def _named_triples():

@@ -37,11 +37,7 @@ from .sho import (
 from .superpoly import SuperPoly, sample_seed
 
 
-def _xitop(coeff=1) -> SuperPoly:
-    return SuperPoly.monomial(3, (0, 0, 0), (1, 2, 3), coeff)
-
-
-E_GENERATOR = _xitop(conventions.E_GENERATOR_COEFF)
+E_GENERATOR = SuperPoly.top(3, conventions.E_GENERATOR_COEFF)
 
 
 @dataclass(frozen=True)
@@ -370,7 +366,7 @@ def embed(v: ExtElement) -> ZTwoField:
     """
     _require_d3(v)
     parts = v.gen.xi_components()
-    pot = _xitop(v.c1) + contraction_K(parts.get(2, SuperPoly.zero(3))).scale(conventions.EMBED_K_SIGN)
+    pot = SuperPoly.top(3, v.c1) + contraction_K(parts.get(2, SuperPoly.zero(3))).scale(conventions.EMBED_K_SIGN)
     phi1 = pvcalc.vee_omega(pot)
     phi2 = parts.get(0, SuperPoly.zero(3)) + SuperPoly.const(3, v.c2)
     mu = parts.get(1, SuperPoly.zero(3))

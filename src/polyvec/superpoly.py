@@ -126,6 +126,11 @@ class SuperPoly:
     def constant_term(self) -> Fraction:
         return self._terms.get(Monomial((0,) * self.d, ()), Fraction(0))
 
+    @classmethod
+    def top(cls, d: int, value) -> "SuperPoly":
+        """The constant top polyvector value * xi_1...xi_d."""
+        return cls(d, {Monomial((0,) * d, tuple(range(1, d + 1))): Fraction(value)})
+
     def top_constant(self) -> Fraction:
         """Coefficient of xi_1...xi_d with all even exponents zero."""
         return self._terms.get(Monomial((0,) * self.d, tuple(range(1, self.d + 1))), Fraction(0))

@@ -98,10 +98,22 @@ def test_report_determinism(tmp_path):
         assert a.read_bytes() == b.read_bytes()
 
 
-def test_golden_default_campaign(tmp_path):
+# golden report name -> campaign arguments; the potential campaigns reach
+# the pot, quot and scalar slots, which the default campaign never does
+GOLDEN_CAMPAIGNS = {
+    "report": DEFAULT_ARGS,
+    "report_potential_d3_k2": ["--d", "3", "--variant", "potential", "--k", "2",
+                               "--deg", "3", "--trials", "10", "--seed", "42"],
+    "report_potential_d4_k2": ["--d", "4", "--variant", "potential", "--k", "2",
+                               "--deg", "3", "--trials", "10", "--seed", "42"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CAMPAIGNS))
+def test_golden_default_campaign(tmp_path, name):
     out = tmp_path / "run"
-    assert main(DEFAULT_ARGS + ["--out", str(out)]) == 0
-    golden = GOLDEN / "report.jsonl"
+    assert main(GOLDEN_CAMPAIGNS[name] + ["--out", str(out)]) == 0
+    golden = GOLDEN / f"{name}.jsonl"
     assert golden.exists(), "golden report missing; regenerate with scripts in README"
     assert (out / "report.jsonl").read_bytes() == golden.read_bytes()
 

@@ -150,3 +150,52 @@ def test_random_elements_live_in_carrier():
             el = model.random_element(slot, 3, seed=5)
             for s, poly in el.parts.items():
                 assert model.membership(s, poly)
+
+
+def _slot_table(d, variant, slot):
+    """(parity, xi-degree) of a slot, written out per slot kind."""
+    k = variant.k
+    if slot[0] == "pv":
+        return slot[1] & 1, slot[1]
+    if slot[0] == "pot":
+        return (d - 1) & 1, d
+    if slot[0] == "quot":
+        return k & 1, k + 1
+    return (d - 1) & 1, None
+
+
+def test_slot_homes_give_parity_and_degree():
+    count = 0
+    for d in range(2, 7):
+        for variant in [Variant.mbcov()] + [Variant.potential(k) for k in range(2, d)]:
+            model = cohomology_model(d, variant)
+            keys = summands(d, variant)
+            for slot in model.slots:
+                assert model.home(slot) in keys
+                parity, degree = _slot_table(d, variant, slot)
+                assert model.parity(slot) == parity
+                if degree is None:
+                    with pytest.raises(ValueError):
+                        model.slot_xi_degree(slot)
+                else:
+                    assert model.slot_xi_degree(slot) == degree
+                count += 1
+    assert count == 76
+    central = cohomology_model(4, Variant.potential(2))
+    assert central.home(("c",)) == ("p", 1) and central.home(("quot",)) == ("p", 0)
+    for slot in [("pv", 2), ("pot",), ("x",)]:
+        with pytest.raises(ValueError):
+            central.home(slot)
+
+
+def test_membership_is_canonical_form():
+    model = cohomology_model(4, Variant.potential(2))
+    nu = random_poly(4, 3, xi_degree_filter=3, seed=4)
+    assert not model.membership(("quot",), nu)
+    assert model.membership(("quot",), model.canonical(("quot",), nu))
+    mu = SuperPoly.x(4, 1) * SuperPoly.xi(4, 1) + random_poly(4, 3, xi_degree_filter=1, seed=4)
+    assert not pvcalc.divergence(mu).is_zero() and not model.membership(("pv", 1), mu)
+    assert model.membership(("pv", 1), model.canonical(("pv", 1), mu))
+    pot = cohomology_model(3, Variant.potential(2))
+    top = random_poly(3, 3, xi_degree_filter=3, seed=4)
+    assert pot.membership(("pot",), top) and pot.canonical(("pot",), top) == top

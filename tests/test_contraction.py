@@ -15,11 +15,13 @@ from polyvec.complexes import (
     summands,
 )
 from polyvec.contraction import (
+    _el_str,
     build_datum,
     contraction_K,
     normalize_homotopy,
     perturb_side_conditions,
     scale_homotopy,
+    side_conditions,
     verify_datum,
 )
 from polyvec.linf import field_structure
@@ -170,3 +172,23 @@ def test_invalid_variant_rejected():
         build_datum(3, Variant.potential(3))
     with pytest.raises(ValueError):
         build_datum(1, Variant.mbcov())
+
+
+def test_witness_text_of_carrier_element():
+    d = 4
+    xi = lambda i: SuperPoly.xi(d, i)
+    carrier = cohomology_model(d, Variant.potential(2))
+    v = carrier.element({("pv", 1): xi(1), ("pv", 3): xi(1) * xi(2) * xi(3),
+                         ("quot",): contraction_K(xi(3) * xi(4))}, scalar=2)
+    assert _el_str(v) == ("{'pv/1': 'xi1', 'pv/3': 'xi1*xi2*xi3', "
+                          "'quot': '1/2*x2*xi2*xi3*xi4 + 1/2*x1*xi1*xi3*xi4', 'c': '2'}")
+
+
+def test_side_conditions_probe():
+    datum = build_datum(4, Variant.potential(2))
+    assert side_conditions(datum, seed=1, max_degree=3) == {
+        "H_squared": True, "p_H": True, "H_iota": True}
+    broken = side_conditions(perturb_side_conditions(build_datum(3, Variant.mbcov())),
+                             seed=2, max_degree=3)
+    assert list(broken) == ["H_squared", "p_H", "H_iota"]
+    assert not broken["p_H"] and not broken["H_iota"]

@@ -156,6 +156,12 @@ def test_transfer_with_normalized_homotopy():
         a = carrier.random_element(("pv", 1), 3, seed=7 + t)
         b = carrier.random_element(("pv", 2), 3, seed=17 + t)
         assert transferred.brackets[2](a, b) == model.brackets[2](a, b)
+    # the perturbation p H iota = lam reaches the ternary bracket through
+    # degree-0 inputs; after normalization it vanishes as in the minimal model
+    for t in range(3):
+        a, c = (carrier.random_element(("pv", 0), 2, seed=t + s) for s in (0, 90))
+        b = carrier.random_element(("pv", 1), 2, seed=t + 50)
+        assert transferred.brackets[3](a, b, c).is_zero()
 
 
 def test_transfer_rejects_small_cap():

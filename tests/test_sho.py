@@ -267,3 +267,16 @@ def test_sho_basis_and_structure_constants():
 def test_random_sho_generator_draws_no_zero():
     # xi-degree d would always carve down to zero
     assert not any(random_sho_generator(4, seed=s).is_zero() for s in range(400))
+
+
+def test_membership_criterion_catches_a_vanishing_divergence(monkeypatch):
+    from polyvec.complexes import Variant
+    from polyvec.suites import CampaignConfig, suite_sho
+
+    cfg = CampaignConfig(d=3, variant=Variant.mbcov(), max_degree=3, trials=4, seed=1,
+                         arity_cap=3, checks=("sho",))
+    check = "sho.d3.membership_criterion"
+    assert all(r.passed for r in suite_sho(cfg).records if r.check_id == check)
+    monkeypatch.setattr(pvcalc, "divergence", lambda p: SuperPoly.zero(p.d))
+    records = [r for r in suite_sho(cfg).records if r.check_id == check]
+    assert records and not any(r.passed for r in records)
