@@ -275,8 +275,11 @@ def test_membership_criterion_catches_a_vanishing_divergence(monkeypatch):
 
     cfg = CampaignConfig(d=3, variant=Variant.mbcov(), max_degree=3, trials=4, seed=1,
                          arity_cap=3, checks=("sho",))
-    check = "sho.d3.membership_criterion"
-    assert all(r.passed for r in suite_sho(cfg).records if r.check_id == check)
+
+    def outcome():
+        return [r.passed for r in suite_sho(cfg).records
+                if r.check_id == "sho.d3.membership_criterion"]
+
+    assert outcome() == [True]
     monkeypatch.setattr(pvcalc, "divergence", lambda p: SuperPoly.zero(p.d))
-    records = [r for r in suite_sho(cfg).records if r.check_id == check]
-    assert records and not any(r.passed for r in records)
+    assert outcome() == [False]
