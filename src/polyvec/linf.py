@@ -15,8 +15,9 @@ free inputs.
 Homotopy transfer is the standard sum over rooted trees with
 iota on the leaves, the homotopy on internal edges, and the projection
 at the root, organized as a recursion over set partitions of the
-inputs.  It requires the side conditions (H^2 = 0, H iota = 0, p H = 0);
-data lacking them are normalized first.
+inputs; within one bracket call each input subset's subtree is
+evaluated once.  It requires the side conditions (H^2 = 0, H iota = 0,
+p H = 0); data lacking them are normalized first.
 """
 
 from __future__ import annotations
@@ -281,39 +282,54 @@ def _set_partitions(n: int):
         yield [sorted(b) for b in sorted(part, key=min)]
 
 
+def tree_sum(structure: LInftyStructure, include: Callable, homotopy: Callable, inputs) -> Any:
+    """Sum over rooted trees with one leaf per (element, parity) input,
+    leaves decorated by include, internal edges by homotopy and vertices
+    by the source brackets, with Koszul signs; the transferred bracket
+    before the projection.
+
+    A recursion over set partitions of the input indices, in which the
+    subtree over each index subset is evaluated once per call.
+    """
+    inputs = tuple(inputs)
+    parities = [p for _, p in inputs]
+    vertex_arities = {n for n in structure.arities() if n >= 2}
+    thetas: dict[tuple[int, ...], Any] = {}
+
+    def theta(idx):
+        if idx not in thetas:
+            thetas[idx] = include(inputs[idx[0]][0]) if len(idx) == 1 else homotopy(big_b(idx))
+        return thetas[idx]
+
+    def big_b(idx):
+        # blocks of an increasing tuple are increasing subsequences, so the
+        # sign of the global indices equals the sign of the local ones
+        acc = structure.zero()
+        for blocks in _set_partitions(len(idx)):
+            if len(blocks) not in vertex_arities:
+                continue
+            order = [idx[i] for blk in blocks for i in blk]
+            sign = koszul_reorder_sign(order, parities)
+            args = [theta(tuple(idx[i] for i in blk)) for blk in blocks]
+            val = structure.brackets[len(blocks)](*args)
+            acc = acc + (val if sign > 0 else -val)
+        return acc
+
+    return big_b(tuple(range(len(inputs))))
+
+
 def transfer(structure: LInftyStructure, datum: HomotopyDatum, arity_cap: int) -> LInftyStructure:
     """Transferred structure on the cohomology carrier up to arity_cap.
 
-    The n-ary bracket is the sum over rooted trees with n leaves, leaves
-    decorated by iota, internal edges by the homotopy, the root by the
-    projection, and vertices by the source brackets, with Koszul signs;
-    evaluated by recursion over set partitions of the inputs.
+    The n-ary bracket is the projection of tree_sum with iota on the
+    leaves and the homotopy on internal edges; each input subset's
+    subtree is evaluated once per bracket call.
     """
     if arity_cap < 2:
         raise ValueError("arity_cap must be at least 2")
     if not all(side_conditions(datum, seed=0, max_degree=3).values()):
         datum = normalize_homotopy(datum)
     carrier = datum.carrier
-    vertex_arities = [n for n in structure.arities() if n >= 2]
-
-    def theta(xs):
-        if len(xs) == 1:
-            return datum.include(xs[0][0])
-        return datum.homotopy(big_b(xs))
-
-    def big_b(xs):
-        acc = structure.zero()
-        n = len(xs)
-        parities = [p for _, p in xs]
-        for blocks in _set_partitions(n):
-            if len(blocks) < 2 or len(blocks) not in vertex_arities:
-                continue
-            order = [i for blk in blocks for i in blk]
-            sign = koszul_reorder_sign(order, parities)
-            args = [theta(tuple(xs[i] for i in blk)) for blk in blocks]
-            val = structure.brackets[len(blocks)](*args)
-            acc = acc + (val if sign > 0 else -val)
-        return acc
 
     def make_bracket(n: int) -> Callable:
         if n == 1:
@@ -324,8 +340,8 @@ def transfer(structure: LInftyStructure, datum: HomotopyDatum, arity_cap: int) -
         def bn(*vs: ModelElement) -> ModelElement:
             if len(vs) != n:
                 raise ValueError(f"expected {n} inputs")
-            xs = tuple((v, model_parity(carrier, v)) for v in vs)
-            return datum.project(big_b(xs))
+            inputs = [(v, model_parity(carrier, v)) for v in vs]
+            return datum.project(tree_sum(structure, datum.include, datum.homotopy, inputs))
 
         return bn
 

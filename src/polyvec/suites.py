@@ -235,9 +235,9 @@ def suite_transfer(cfg: CampaignConfig) -> Report:
                     a = carrier.random_element(s1, cfg.max_degree, seed=cfg.seed + sample_seed(s1, s2, t, 0) % 10**6)
                     b = carrier.random_element(s2, cfg.max_degree, seed=cfg.seed + sample_seed(s1, s2, t, 1) % 10**6)
                     if transferred.brackets[2](a, b) != model.brackets[2](a, b):
-                        yield {"slots": [list(s1), list(s2)]}
+                        yield {"slots": [list(s1), list(s2)], "inputs": [a.to_dict(), b.to_dict()]}
                     if not transferred.brackets[1](a).is_zero():
-                        yield {"kind": "differential", "slot": list(s1)}
+                        yield {"kind": "differential", "slot": list(s1), "inputs": [a.to_dict()]}
 
     report.check(f"transfer.d{d}.l2_matches_schouten", l2())
 
@@ -248,7 +248,7 @@ def suite_transfer(cfg: CampaignConfig) -> Report:
                                              seed=cfg.seed + 31 * t + i + 1000 * n)
                       for i in range(n)]
                 if not transferred.brackets[n](*xs).is_zero():
-                    yield {"arity": n}
+                    yield {"arity": n, "inputs": [x.to_dict() for x in xs]}
 
     report.check(f"transfer.d{d}.higher_brackets_vanish", higher())
     return report

@@ -61,8 +61,9 @@ def test_criterion_3_homotopy_data():
 
 def test_criterion_4_transfer_oracle_equivalence():
     started = time.perf_counter()
-    for d in (2, 3):
-        cfg = CampaignConfig(d=d, max_degree=4, trials=200, seed=42, arity_cap=4)
+    # d = 3 checks the vanishing of the transferred brackets up to arity 6
+    for d, cap in ((2, 4), (3, 6)):
+        cfg = CampaignConfig(d=d, max_degree=4, trials=200, seed=42, arity_cap=cap)
         report = suite_transfer(cfg)
         assert report.ok, report.summary_text()
     _announce(4, "tree-sum transfer matches the Schouten minimal model", started)

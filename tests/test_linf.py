@@ -7,6 +7,8 @@ from polyvec import pvcalc
 from polyvec.complexes import DescendantField, Variant, cohomology_model
 from polyvec.contraction import build_datum, contraction_K, perturb_side_conditions
 from polyvec.linf import (
+    LInftyStructure,
+    _set_partitions,
     field_structure,
     jacobi_defect,
     koszul_reorder_sign,
@@ -17,6 +19,7 @@ from polyvec.linf import (
     schouten_structure,
     symmetry_defects,
     transfer,
+    tree_sum,
 )
 from polyvec.superpoly import SuperPoly, random_poly
 
@@ -98,11 +101,12 @@ def test_transfer_matches_minimal_model(d):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_transfer_higher_brackets_vanish(d):
+    arities = (3, 4, 5, 6) if d == 3 else (3, 4)
     datum = build_datum(d, Variant.mbcov())
-    transferred = transfer(field_structure(d), datum, arity_cap=4)
+    transferred = transfer(field_structure(d), datum, arity_cap=max(arities))
     carrier = cohomology_model(d, Variant.mbcov())
     slots = carrier.slots
-    for n in (3, 4):
+    for n in arities:
         for t in range(6):
             xs = [carrier.random_element(slots[(t + i) % len(slots)], 4, seed=100 * n + t + i)
                   for i in range(n)]
@@ -162,6 +166,132 @@ def test_transfer_with_normalized_homotopy():
         a, c = (carrier.random_element(("pv", 0), 2, seed=t + s) for s in (0, 90))
         b = carrier.random_element(("pv", 1), 2, seed=t + 50)
         assert transferred.brackets[3](a, b, c).is_zero()
+
+
+def _reference_tree_sum(structure, include, homotopy, inputs):
+    """The unmemoized tree sum: every set partition re-evaluates each of
+    its blocks' subtrees from the elements themselves."""
+    vertex_arities = [n for n in structure.arities() if n >= 2]
+
+    def theta(xs):
+        if len(xs) == 1:
+            return include(xs[0][0])
+        return homotopy(big_b(xs))
+
+    def big_b(xs):
+        acc = structure.zero()
+        n = len(xs)
+        parities = [p for _, p in xs]
+        for blocks in _set_partitions(n):
+            if len(blocks) < 2 or len(blocks) not in vertex_arities:
+                continue
+            order = [i for blk in blocks for i in blk]
+            sign = koszul_reorder_sign(order, parities)
+            args = [theta(tuple(xs[i] for i in blk)) for blk in blocks]
+            val = structure.brackets[len(blocks)](*args)
+            acc = acc + (val if sign > 0 else -val)
+        return acc
+
+    return big_b(tuple(inputs))
+
+
+def _toy_source(d):
+    """Schouten plus the ternary product: vertices of arity 2 and 3, so
+    trees of every shape contribute."""
+    base = schouten_structure(d, with_differential=False)
+    return LInftyStructure(base.zero, base.parity_of,
+                           {**base.brackets, 3: lambda a, b, c: a * b * c}, name="toy")
+
+
+def _toy_tree_sums(polys):
+    """(memoized, reference) tree sums with iota = 1 and H = x1 *."""
+    d = polys[0].d
+    source = _toy_source(d)
+    inputs = [(p, p.parity()) for p in polys]
+    args = (source, lambda v: v, lambda v: x(d, 1) * v, inputs)
+    return tree_sum(*args), _reference_tree_sum(*args)
+
+
+def _named_toy_inputs(d):
+    # two odd inputs each, so the Koszul sign enters the sum
+    return [
+        (x(d, 2) * x(d, 3), xi(d, 1), x(d, 1) * xi(d, 2)),
+        (x(d, 2), xi(d, 1), x(d, 3) * xi(d, 2), x(d, 1) * xi(d, 3)),
+        (x(d, 2), xi(d, 1), x(d, 3) * xi(d, 2), x(d, 1) * xi(d, 3), x(d, 2) * x(d, 3)),
+    ]
+
+
+def test_tree_sum_matches_reference_on_named_nonzero_inputs():
+    for polys in _named_toy_inputs(3):
+        got, want = _toy_tree_sums(polys)
+        assert not got.is_zero()
+        assert got == want
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_tree_sum_matches_reference_on_seeded_inputs(n):
+    nonzero = 0
+    for seed in range(5):
+        polys = [random_poly(3, 3, xi_degree_filter=(1, 1, 0, 2, 0)[(seed + i) % 5],
+                             seed=100 * seed + i, n_terms=3)
+                 for i in range(n)]
+        got, want = _toy_tree_sums(polys)
+        assert got == want
+        nonzero += not got.is_zero()
+    assert nonzero > 0
+
+
+def test_tree_sum_evaluates_each_subtree_once():
+    d, n = 3, 5
+    calls = {"include": 0, "homotopy": 0}
+
+    def counted(name, fn):
+        def call(v):
+            calls[name] += 1
+            return fn(v)
+        return call
+
+    polys = _named_toy_inputs(d)[-1]
+    tree_sum(_toy_source(d), counted("include", lambda v: v),
+             counted("homotopy", lambda v: x(d, 1) * v), [(p, p.parity()) for p in polys])
+    # one homotopy per input subset strictly between a singleton and the whole
+    assert calls == {"include": n, "homotopy": 2**n - n - 2}
+
+
+def _parse_model_element(carrier, body):
+    parts = {}
+    for slot_id, text in body.items():
+        name, *index = slot_id.split("/")
+        parts[(name, *map(int, index))] = SuperPoly.parse(carrier.d, text)
+    return carrier.element(parts)
+
+
+@pytest.mark.parametrize("arity, check", [(2, "l2_matches_schouten"), (3, "higher_brackets_vanish")])
+def test_failing_transfer_record_replays_its_inputs(monkeypatch, arity, check):
+    from polyvec import suites
+
+    drawn = []
+
+    def corrupted_transfer(structure, datum, arity_cap):
+        transferred = transfer(structure, datum, arity_cap)
+        honest = transferred.brackets[arity]
+
+        def bracket(*vs):
+            drawn.append(vs)
+            return honest(*vs) + vs[0]
+
+        transferred.brackets[arity] = bracket
+        return transferred
+
+    monkeypatch.setattr(suites, "transfer", corrupted_transfer)
+    cfg = suites.CampaignConfig(d=3, max_degree=3, trials=8, seed=42, arity_cap=3)
+    record = {r.check_id: r for r in suites.suite_transfer(cfg).records}[f"transfer.d3.{check}"]
+    assert not record.passed
+    # the family stops at its first failure, so the last evaluation failed
+    carrier = cohomology_model(3, Variant.mbcov())
+    replayed = [_parse_model_element(carrier, body) for body in record.details["witness"]["inputs"]]
+    assert replayed == list(drawn[-1])
+    assert not replayed[0].is_zero()
 
 
 def test_transfer_rejects_small_cap():
