@@ -24,6 +24,7 @@ from .complexes import Variant, cohomology_model
 from .linf import minimal_model_structure
 from .sho import structure_constants
 from .suites import SUITES, CampaignConfig, default_checks, run_campaign
+from .superpoly import sample_seed
 
 TIMING_MARKER = "== timing (excluded from byte comparisons) =="
 
@@ -89,7 +90,7 @@ def export_tables(cfg: CampaignConfig, out_dir: Path) -> list[Path]:
     for n in [a for a in structure.arities() if a >= 2]:
         for t in range(min(cfg.trials, 20)):
             xs = [carrier.random_element(slots[(t + i) % len(slots)], cfg.max_degree,
-                                         seed=cfg.seed + 311 * t + i) for i in range(n)]
+                                         seed=sample_seed(cfg.seed, f"tables.arity{n}", t, i)) for i in range(n)]
             out = structure.brackets[n](*xs)
             samples.append({
                 "arity": n,

@@ -18,6 +18,7 @@ identity elsewhere.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -368,10 +369,7 @@ class CarrierModel:
     def random_element(self, slot: SlotKey, max_degree: int, seed: int) -> ModelElement:
         """Seeded slot-homogeneous element in canonical form."""
         if slot == ("c",):
-            import random as _random
-
-            rng = _random.Random(seed)
-            return self.element({}, scalar=Fraction(rng.choice([-3, -2, -1, 1, 2, 3])))
+            return self.element({}, scalar=Fraction(random.Random(seed).choice([-3, -2, -1, 1, 2, 3])))
         raw = random_poly(self.d, max_degree, xi_degree_filter=self.slot_xi_degree(slot), seed=seed)
         return ModelElement(self.d, self.variant, {slot: self.canonical(slot, raw)})
 

@@ -170,7 +170,7 @@ def verify_datum(datum: HomotopyDatum, sample_budget: int = 50, seed: int = 0,
 
     def p_iota(slot):
         for t in range(per_slot):
-            v = datum.carrier.random_element(slot, max_degree, seed=sample_seed(seed, slot, t) % (2**32))
+            v = datum.carrier.random_element(slot, max_degree, seed=sample_seed(seed, slot, t))
             got = datum.project(datum.include(v))
             if got != v:
                 yield {"slot": list(slot), "element": _el_str(v), "projected": _el_str(got)}
@@ -180,7 +180,7 @@ def verify_datum(datum: HomotopyDatum, sample_budget: int = 50, seed: int = 0,
 
     def homotopy(key):
         for t in range(per_key):
-            psi = random_field(d, variant, key, max_degree, seed=sample_seed(seed, key, t) % (2**32))
+            psi = random_field(d, variant, key, max_degree, seed=sample_seed(seed, key, t))
             lhs = psi - datum.include(datum.project(psi))
             rhs = datum.differential(datum.homotopy(psi)) + datum.homotopy(datum.differential(psi))
             if lhs != rhs:
@@ -202,7 +202,7 @@ def side_conditions(datum: HomotopyDatum, seed: int, max_degree: int) -> dict[st
     keys = summands(d, variant)
 
     def fields(name):
-        return (random_field(d, variant, key, max_degree, seed=sample_seed(seed, name, key) % (2**32))
+        return (random_field(d, variant, key, max_degree, seed=sample_seed(seed, name, key))
                 for key in keys)
 
     return {
@@ -210,7 +210,7 @@ def side_conditions(datum: HomotopyDatum, seed: int, max_degree: int) -> dict[st
         "p_H": all(datum.project(datum.homotopy(psi)).is_zero() for psi in fields("p_H")),
         "H_iota": all(
             datum.homotopy(datum.include(carrier.random_element(
-                slot, max_degree, seed=sample_seed(seed, "Hi", slot) % (2**32)))).is_zero()
+                slot, max_degree, seed=sample_seed(seed, "Hi", slot)))).is_zero()
             for slot in carrier.slots),
     }
 

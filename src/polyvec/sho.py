@@ -322,12 +322,10 @@ def random_sho_generator(max_degree: int, seed: int, d: int = 3,
     The output is xi-homogeneous (the divergence-free projection
     preserves xi-degree), hence parity-homogeneous.
     """
-    import random as _random
-
     if xi_degree is None:
         # the top xi-degree d has no SHO part: its divergence-free part is
         # the constant top monomial, which the carving removes
-        xi_degree = _random.Random(seed ^ 0x5EED).randrange(0, d)
+        xi_degree = sample_seed(seed, "xi_degree") % d
     raw = random_poly(d, max_degree, xi_degree_filter=xi_degree, seed=seed, n_terms=5)
     return _sho_part(raw)
 
@@ -364,7 +362,7 @@ def cocycle_check(pairing, trials: int = 50, seed: int = 0, max_degree: int = 4,
     """
 
     def failures():
-        sampled = ([random_sho_generator(max_degree, seed=sample_seed(seed, t, i) % (2**32))
+        sampled = ([random_sho_generator(max_degree, seed=sample_seed(seed, label, t, i))
                     for i in range(3)] for t in range(trials))
         for a, b, x in chain(_named_triples(), sampled):
             if a.is_zero() or b.is_zero():

@@ -188,8 +188,8 @@ def sl2_relations_check(truncation: int = 3, trials: int = 40, seed: int = 0) ->
     # h and e are derivations at every sampled principal degree
     def derivation(name, action):
         for t in range(trials):
-            a = ext_element(random_sho_generator(truncation + 2, seed=sample_seed(seed, name, t, 0) % 2**32))
-            b = ext_element(random_sho_generator(truncation + 2, seed=sample_seed(seed, name, t, 1) % 2**32))
+            a, b = (ext_element(random_sho_generator(
+                truncation + 2, seed=sample_seed(seed, f"sl2.derivation.{name}", t, i))) for i in range(2))
             lhs, rhs = _leibniz_sides(action, a, b, ext_bracket_d3(a, b))
             if lhs != rhs:
                 yield {"a": str(a), "b": str(b)}
@@ -201,8 +201,7 @@ def sl2_relations_check(truncation: int = 3, trials: int = 40, seed: int = 0) ->
     def derivation_f():
         checked = 0
         for t in range(8 * trials):
-            a = _random_low_degree(seed=sample_seed(seed, "fa", t) % 2**32)
-            b = _random_low_degree(seed=sample_seed(seed, "fb", t) % 2**32)
+            a, b = (_random_low_degree(seed=sample_seed(seed, "sl2.derivation.f", t, i)) for i in range(2))
             ab = ext_bracket_d3(a, b)
             if not _in_f_domain(ab):
                 continue
@@ -219,8 +218,9 @@ def sl2_relations_check(truncation: int = 3, trials: int = 40, seed: int = 0) ->
     # operator relations
     def relation(name, lhs_fn, rhs_fn, domain):
         for t in range(trials):
-            deg = sample_seed(seed, name, t) % (domain + 2) - 1  # principal degree in [-1, domain]
-            v = _random_principal(deg, seed=sample_seed(seed, name, t, "v") % 2**32)
+            s = sample_seed(seed, f"sl2.relation.{name}", t)
+            deg = sample_seed(s, "degree") % (domain + 2) - 1  # principal degree in [-1, domain]
+            v = _random_principal(deg, seed=s)
             if v.gen.is_zero():
                 continue
             if lhs_fn(v) != rhs_fn(v):
@@ -241,11 +241,8 @@ def _comm(first, second, v: ExtElement) -> ExtElement:
 
 def _random_low_degree(seed: int) -> ExtElement:
     """Seeded extension element of principal degree <= 1."""
-    import random as _random
-
-    rng = _random.Random(seed)
-    deg = rng.choice([-1, 0, 0, 1, 1])
-    return _random_principal(deg, seed=rng.randrange(2**32))
+    deg = (-1, 0, 0, 1, 1)[sample_seed(seed, "degree") % 5]
+    return _random_principal(deg, seed=seed)
 
 
 def _random_principal(deg: int, seed: int) -> ExtElement:
@@ -283,8 +280,8 @@ def equivariance_check_cocycle(trials: int = 30, seed: int = 0) -> Report:
 
     def seeded(name, action):
         for t in range(trials):
-            a = _random_low_degree(seed=sample_seed(seed, name, t, 0) % 2**32)
-            b = _random_low_degree(seed=sample_seed(seed, name, t, 1) % 2**32)
+            a, b = (_random_low_degree(seed=sample_seed(seed, f"sl2.cocycle_equivariance.seeded.{name}", t, i))
+                    for i in range(2))
             ab = ext_bracket_d3(a, b)
             if name == "f" and not _in_f_domain(ab):
                 continue
@@ -396,11 +393,10 @@ def equivariance_compare_theorem(truncation: int = 3, trials: int = 40, seed: in
     def seeded(name):
         tried = 0
         for t in range(4 * trials):
-            deg = sample_seed(seed, name, t) % (truncation + 2) - 1
-            v = _random_principal(deg, seed=sample_seed(seed, name, t, 7) % 2**32)
-            v = v + ExtElement(SuperPoly.zero(3),
-                               Fraction(sample_seed(seed, t, 1) % 5 - 2),
-                               Fraction(sample_seed(seed, t, 2) % 5 - 2))
+            s = sample_seed(seed, f"sl2.field_equivariance.seeded.{name}", t)
+            deg = sample_seed(s, "degree") % (truncation + 2) - 1
+            v = _random_principal(deg, seed=s) + ExtElement(
+                SuperPoly.zero(3), Fraction(sample_seed(s, "e1") % 5 - 2), Fraction(sample_seed(s, "e2") % 5 - 2))
             if name == "f" and not _in_f_domain(v):
                 continue
             tried += 1

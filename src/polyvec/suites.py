@@ -63,9 +63,7 @@ class CampaignConfig:
 
 
 def _homog(d, deg, seed) -> SuperPoly:
-    import random as _r
-
-    j = _r.Random(seed).randrange(0, d + 1)
+    j = sample_seed(seed, "xi_degree") % (d + 1)
     return random_poly(d, deg, xi_degree_filter=j, seed=seed)
 
 
@@ -77,7 +75,7 @@ def suite_algebra(cfg: CampaignConfig) -> Report:
 
     def ring():
         for t in range(n):
-            a, b, c = (_homog(d, deg, seed + 11 * t + i) for i in range(3))
+            a, b, c = (_homog(d, deg, sample_seed(seed, f"algebra.d{d}.ring", t, i)) for i in range(3))
             if (a * b) * c != a * (b * c):
                 yield {"a": str(a), "b": str(b), "c": str(c)}
             pa, pb = a.parity(), b.parity()
@@ -89,8 +87,7 @@ def suite_algebra(cfg: CampaignConfig) -> Report:
 
     def leibniz():
         for t in range(n):
-            a = _homog(d, deg, seed + 101 * t)
-            b = _homog(d, deg, seed + 101 * t + 7)
+            a, b = (_homog(d, deg, sample_seed(seed, f"algebra.d{d}.leibniz", t, i)) for i in range(2))
             i = 1 + (t % d)
             lhs = (a * b).d_odd(i)
             rhs = a.d_odd(i) * b + (a * b.d_odd(i)).scale(-1 if a.parity() else 1)
@@ -104,7 +101,7 @@ def suite_algebra(cfg: CampaignConfig) -> Report:
 
     def laplacian():
         for t in range(n):
-            mu = _homog(d, deg, seed + 211 * t)
+            mu = _homog(d, deg, sample_seed(seed, f"algebra.d{d}.laplacian_squares_to_zero", t))
             if not pvcalc.divergence(pvcalc.divergence(mu)).is_zero():
                 yield {"mu": str(mu)}
 
@@ -112,8 +109,7 @@ def suite_algebra(cfg: CampaignConfig) -> Report:
 
     def antisymmetry():
         for t in range(n):
-            a = _homog(d, deg, seed + 307 * t)
-            b = _homog(d, deg, seed + 307 * t + 3)
+            a, b = (_homog(d, deg, sample_seed(seed, f"algebra.d{d}.shifted_antisymmetry", t, i)) for i in range(2))
             pa, pb = a.xi_degree(), b.xi_degree()
             sign = -1 if ((pa - 1) * (pb - 1)) & 1 else 1
             if pvcalc.schouten(a, b) != pvcalc.schouten(b, a).scale(-sign):
@@ -123,9 +119,7 @@ def suite_algebra(cfg: CampaignConfig) -> Report:
 
     def jacobi():
         for t in range(n):
-            a = _homog(d, deg, seed + 401 * t)
-            b = _homog(d, deg, seed + 401 * t + 1)
-            c = _homog(d, deg, seed + 401 * t + 2)
+            a, b, c = (_homog(d, deg, sample_seed(seed, f"algebra.d{d}.shifted_jacobi", t, i)) for i in range(3))
             sign = -1 if ((a.xi_degree() - 1) * (b.xi_degree() - 1)) & 1 else 1
             lhs = pvcalc.schouten(a, pvcalc.schouten(b, c))
             rhs = pvcalc.schouten(pvcalc.schouten(a, b), c) + pvcalc.schouten(b, pvcalc.schouten(a, c)).scale(sign)
@@ -136,15 +130,15 @@ def suite_algebra(cfg: CampaignConfig) -> Report:
 
     def derivation():
         for t in range(n):
-            mu = _homog(d, deg, seed + 503 * t)
-            nu = _homog(d, deg, seed + 503 * t + 5)
+            mu, nu = (_homog(d, deg, sample_seed(seed, f"algebra.d{d}.derivation_and_second_order", t, i))
+                      for i in range(2))
             sign = -1 if (mu.xi_degree() - 1) & 1 else 1
             lhs = pvcalc.divergence(pvcalc.schouten(mu, nu))
             rhs = pvcalc.schouten(pvcalc.divergence(mu), nu) + pvcalc.schouten(mu, pvcalc.divergence(nu)).scale(sign)
             if lhs != rhs:
                 yield {"mu": str(mu), "nu": str(nu)}
             # Gerstenhaber Leibniz rule: holds exactly when Delta is second order
-            rho = _homog(d, deg, seed + 503 * t + 9)
+            rho = _homog(d, deg, sample_seed(seed, f"algebra.d{d}.derivation_and_second_order", t, 2))
             sign = -1 if ((mu.xi_degree() - 1) * nu.xi_degree()) & 1 else 1
             lhs = pvcalc.schouten(mu, nu * rho)
             rhs = pvcalc.schouten(mu, nu) * rho + (nu * pvcalc.schouten(mu, rho)).scale(sign)
@@ -156,8 +150,10 @@ def suite_algebra(cfg: CampaignConfig) -> Report:
     def lifted_bracket():
         top = SuperPoly.top(3, 1)
         for t in range(n):
-            mu = random_poly(3, cfg.max_degree, xi_degree_filter=1, seed=seed + 601 * t)
-            beta = random_poly(3, cfg.max_degree, xi_degree_filter=0, seed=seed + 601 * t + 1)
+            mu = random_poly(3, cfg.max_degree, xi_degree_filter=1,
+                             seed=sample_seed(seed, "algebra.d3.lifted_bracket_identity", t, 0))
+            beta = random_poly(3, cfg.max_degree, xi_degree_filter=0,
+                               seed=sample_seed(seed, "algebra.d3.lifted_bracket_identity", t, 1))
             lhs = mu * pvcalc.divergence(beta * top)
             rhs = (pvcalc.schouten(mu, beta) * top).scale(conventions.LIFT_SIGN)
             if lhs != rhs:
@@ -177,7 +173,8 @@ def suite_contraction(cfg: CampaignConfig) -> Report:
     def homotopy_identity():
         for j in range(d):
             for t in range(per_degree):
-                mu = random_poly(d, deg, xi_degree_filter=j, seed=seed + 31 * t + 7 * j)
+                mu = random_poly(d, deg, xi_degree_filter=j,
+                                 seed=sample_seed(seed, f"contraction.d{d}.homotopy_identity", j, t))
                 if pvcalc.divergence(contraction_K(mu)) + contraction_K(pvcalc.divergence(mu)) != mu:
                     yield {"xi_degree": j, "mu": str(mu)}
 
@@ -185,7 +182,8 @@ def suite_contraction(cfg: CampaignConfig) -> Report:
 
     def top_constant():
         for t in range(cfg.trials):
-            mu = random_poly(d, deg, xi_degree_filter=d - 1, seed=seed + 97 * t)
+            mu = random_poly(d, deg, xi_degree_filter=d - 1,
+                             seed=sample_seed(seed, f"contraction.d{d}.top_constant_vanishes", t))
             if contraction_K(mu).top_constant() != 0:
                 yield {"mu": str(mu)}
 
@@ -194,7 +192,8 @@ def suite_contraction(cfg: CampaignConfig) -> Report:
     def transport_sign():
         for j in range(d + 1):
             for t in range(max(1, per_degree // 2)):
-                mu = random_poly(d, deg, xi_degree_filter=j, seed=seed + 13 * t + j)
+                mu = random_poly(d, deg, xi_degree_filter=j,
+                                 seed=sample_seed(seed, f"contraction.d{d}.transport_sign", j, t))
                 want = pvcalc.divergence(mu).scale(conventions.transport_sign(j))
                 if pvcalc.divergence_via_transport(mu) != want:
                     yield {"xi_degree": j, "mu": str(mu)}
@@ -232,8 +231,9 @@ def suite_transfer(cfg: CampaignConfig) -> Report:
         for s1 in slots:
             for s2 in slots:
                 for t in range(per):
-                    a = carrier.random_element(s1, cfg.max_degree, seed=cfg.seed + sample_seed(s1, s2, t, 0) % 10**6)
-                    b = carrier.random_element(s2, cfg.max_degree, seed=cfg.seed + sample_seed(s1, s2, t, 1) % 10**6)
+                    a, b = (carrier.random_element(s, cfg.max_degree, seed=sample_seed(
+                        cfg.seed, f"transfer.d{d}.l2_matches_schouten", s1, s2, t, i))
+                        for i, s in enumerate((s1, s2)))
                     if transferred.brackets[2](a, b) != model.brackets[2](a, b):
                         yield {"slots": [list(s1), list(s2)], "inputs": [a.to_dict(), b.to_dict()]}
                     if not transferred.brackets[1](a).is_zero():
@@ -243,10 +243,9 @@ def suite_transfer(cfg: CampaignConfig) -> Report:
 
     def higher():
         for n in range(3, cfg.arity_cap + 1):
-            for t in range(cfg.trials // 2):
-                xs = [carrier.random_element(slots[(t + i) % len(slots)], cfg.max_degree,
-                                             seed=cfg.seed + 31 * t + i + 1000 * n)
-                      for i in range(n)]
+            for t in range(max(1, cfg.trials // 2)):
+                xs = [carrier.random_element(slots[(t + i) % len(slots)], cfg.max_degree, seed=sample_seed(
+                    cfg.seed, f"transfer.d{d}.higher_brackets_vanish", n, t, i)) for i in range(n)]
                 if not transferred.brackets[n](*xs).is_zero():
                     yield {"arity": n, "inputs": [x.to_dict() for x in xs]}
 
@@ -269,7 +268,7 @@ def suite_jacobi(cfg: CampaignConfig) -> Report:
         for t in range(max(1, cfg.trials // max(1, len(jacobi_range)))):
             xs = [carrier.random_element(slots[sample_seed(cfg.seed, n, t, i) % len(slots)],
                                          cfg.max_degree,
-                                         seed=cfg.seed + 997 * t + 31 * n + i)
+                                         seed=sample_seed(cfg.seed, f"jacobi.{variant.label}.d{d}.arity{n}", t, i))
                   for i in range(n)]
             if not jacobi_defect(structure, n, xs).is_zero():
                 yield {"arity": n}
@@ -278,15 +277,17 @@ def suite_jacobi(cfg: CampaignConfig) -> Report:
         report.check(f"jacobi.{variant.label}.d{d}.arity{n}", jacobi(n))
 
     def centrality():
-        for t in range(cfg.trials // 2):
+        family = f"jacobi.{variant.label}.d{d}.centrality"
+        for t in range(max(1, cfg.trials // 2)):
             xs = [carrier.random_element(slots[sample_seed(cfg.seed, t, i, 5) % len(slots)],
-                                         cfg.max_degree, seed=cfg.seed + 13 * t + i)
+                                         cfg.max_degree, seed=sample_seed(cfg.seed, family, t, i))
                   for i in range(top_arity)]
             out = structure.brackets[top_arity](*xs)
             if out.parts:
                 yield {"witness": "non-central output"}
             center = carrier.element({}, scalar=out.scalar)
-            probe = carrier.random_element(slots[t % len(slots)], cfg.max_degree, seed=cfg.seed + t)
+            probe = carrier.random_element(slots[t % len(slots)], cfg.max_degree,
+                                           seed=sample_seed(cfg.seed, family, t, top_arity))
             if not structure.brackets[2](center, probe).is_zero():
                 yield {"witness": "center is not central"}
 
@@ -302,7 +303,7 @@ def suite_sho(cfg: CampaignConfig) -> Report:
 
     def divergence_law():
         for t in range(cfg.trials):
-            f = _homog(d, deg, seed + 19 * t)
+            f = _homog(d, deg, sample_seed(seed, f"sho.d{d}.divergence_law", t))
             if f.is_zero():
                 continue
             kappa = conventions.KAPPA_EVEN if f.parity() == 0 else conventions.KAPPA_ODD
@@ -315,8 +316,7 @@ def suite_sho(cfg: CampaignConfig) -> Report:
 
     def anti_map():
         for t in range(cfg.trials):
-            f = _homog(d, deg, seed + 23 * t)
-            g = _homog(d, deg, seed + 23 * t + 9)
+            f, g = (_homog(d, deg, sample_seed(seed, f"sho.d{d}.hamiltonian_anti_map", t, i)) for i in range(2))
             if f.is_zero() or g.is_zero():
                 continue
             sigma = conventions.SIGMA_TABLE[(f.parity(), g.parity())]
@@ -347,9 +347,9 @@ def suite_sho(cfg: CampaignConfig) -> Report:
     report.check(f"sho.d{d}.membership_criterion", membership_criterion())
 
     def principal_grading():
-        for t in range(cfg.trials // 2):
-            f = random_sho_generator(deg, seed=seed + 41 * t, d=d)
-            g = random_sho_generator(deg, seed=seed + 41 * t + 3, d=d)
+        for t in range(max(1, cfg.trials // 2)):
+            f, g = (random_sho_generator(deg, seed=sample_seed(seed, f"sho.d{d}.principal_grading", t, i), d=d)
+                    for i in range(2))
             br = pvcalc.schouten(f, g)
             degs_f = set(f.homogeneous_components("principal"))
             degs_g = set(g.homogeneous_components("principal"))
@@ -388,18 +388,17 @@ def suite_cocycles(cfg: CampaignConfig) -> Report:
 
     def super_jacobi():
         for t in range(cfg.trials):
-            a = ext_element(random_sho_generator(cfg.max_degree, seed=cfg.seed + 3 * t))
-            b = ext_element(random_sho_generator(cfg.max_degree, seed=cfg.seed + 3 * t + 1))
-            c = ext_element(random_sho_generator(cfg.max_degree, seed=cfg.seed + 3 * t + 2))
+            a, b, c = (ext_element(random_sho_generator(
+                cfg.max_degree, seed=sample_seed(cfg.seed, "extension.super_jacobi", t, i))) for i in range(3))
             if not lie_jacobi_defect(a, b, c).is_zero():
                 yield {"a": str(a), "b": str(b), "c": str(c)}
 
     report.check("extension.super_jacobi", super_jacobi())
 
-    report.extend(cocycle_check(c1_pairing, trials=cfg.trials // 2, seed=cfg.seed,
+    report.extend(cocycle_check(c1_pairing, trials=max(1, cfg.trials // 2), seed=cfg.seed,
                                 max_degree=cfg.max_degree, label="extension.c1_cocycle"))
     report.extend(cocycle_check(lambda f, g: pvcalc.schouten(f, g).constant_term(),
-                                trials=cfg.trials // 2, seed=cfg.seed,
+                                trials=max(1, cfg.trials // 2), seed=cfg.seed,
                                 max_degree=cfg.max_degree, label="extension.c2_cocycle"))
     # negative control: a perturbed pairing is not a cocycle
     def perturbed(f, g):
@@ -411,8 +410,9 @@ def suite_cocycles(cfg: CampaignConfig) -> Report:
 
     def centrality():
         center = ext_element(SuperPoly.zero(3), c1=1, c2=-2)
-        for t in range(cfg.trials // 2):
-            v = ext_element(random_sho_generator(cfg.max_degree, seed=cfg.seed + 7 * t))
+        for t in range(max(1, cfg.trials // 2)):
+            v = ext_element(random_sho_generator(cfg.max_degree,
+                                                 seed=sample_seed(cfg.seed, "extension.centrality", t)))
             if not ext_bracket_d3(center, v).is_zero() or not ext_bracket_d3(v, center).is_zero():
                 yield {"v": str(v)}
 
@@ -422,11 +422,10 @@ def suite_cocycles(cfg: CampaignConfig) -> Report:
 
 def suite_sl2(cfg: CampaignConfig) -> Report:
     report = Report()
-    report.extend(sl2_relations_check(truncation=min(4, cfg.max_degree),
-                                      trials=cfg.trials // 2, seed=cfg.seed))
-    report.extend(equivariance_check_cocycle(trials=cfg.trials // 2, seed=cfg.seed))
-    report.extend(equivariance_compare_theorem(truncation=min(3, cfg.max_degree),
-                                               trials=cfg.trials // 2, seed=cfg.seed))
+    half = max(1, cfg.trials // 2)
+    report.extend(sl2_relations_check(truncation=min(4, cfg.max_degree), trials=half, seed=cfg.seed))
+    report.extend(equivariance_check_cocycle(trials=half, seed=cfg.seed))
+    report.extend(equivariance_compare_theorem(truncation=min(3, cfg.max_degree), trials=half, seed=cfg.seed))
     return report
 
 

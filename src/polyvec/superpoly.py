@@ -385,8 +385,12 @@ def _exponents_up_to(d: int, budget: int) -> Iterator[tuple[int, ...]]:
 def sample_seed(*parts) -> int:
     """A sample seed derived from the repr of parts, equal in every process.
 
-    The builtin hash() salts str per process, so seeds derived from it
-    would draw different samples in each run of the same configuration.
+    Every sampled input is drawn with seed=sample_seed(campaign seed,
+    family, [degree, slot or arity,] trial[, position]), family being a
+    label unique within the campaign (the check id where there is one).
+    A draw's secondary choice, such as its xi-degree, is sample_seed(seed,
+    "<choice>") % n of the draw's own seed.  Seeds go to random.Random
+    unreduced.  hash() would salt str per process and differ in each run.
     """
     return int.from_bytes(blake2b(repr(parts).encode(), digest_size=8).digest(), "big")
 

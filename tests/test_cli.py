@@ -28,6 +28,11 @@ def test_exit_zero_on_pass(tmp_path, capsys):
     assert "PASS" in out and "FAIL" not in out.replace("info:FAIL", "")
 
 
+def test_single_trial_campaign_passes():
+    # families that draw trials // 2 samples still draw one at trials 1
+    assert main(["--d", "3", "--deg", "3", "--trials", "1", "--seed", "42"]) == 0
+
+
 def test_exit_two_on_bad_config(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--d", "3", "--variant", "potential", "--k", "1"])

@@ -121,6 +121,43 @@ def test_random_poly_filter():
     assert all(sum(m.exps) == 0 for m in p._terms)
 
 
+def test_campaign_families_draw_independent_samples(monkeypatch):
+    # homotopy is left out: its negative control redraws the verified
+    # samples on purpose, to show that they catch a corrupted homotopy
+    from polyvec import complexes, sho, suites
+
+    drawn = []
+
+    def recording(d, max_total_degree, xi_degree_filter=None, seed=0, n_terms=4):
+        drawn.append((xi_degree_filter, seed))
+        return random_poly(d, max_total_degree, xi_degree_filter, seed, n_terms)
+
+    for module in (suites, sho, complexes):
+        monkeypatch.setattr(module, "random_poly", recording)
+    cfg = suites.CampaignConfig(d=3, max_degree=4, trials=100, seed=42)
+    repeats = {}
+    for name in ("algebra", "sho", "contraction", "cocycles"):
+        drawn.clear()
+        suites.SUITES[name](cfg)
+        assert drawn
+        repeats[name] = len(drawn) - len(set(drawn))
+    assert repeats == dict.fromkeys(repeats, 0)
+
+
+def test_homog_xi_degree_is_independent_of_its_monomials():
+    # the xi-degree is chosen from the draw's seed, not from the stream
+    # that then picks the monomials
+    from polyvec.suites import _homog
+
+    firsts = set()
+    for seed in range(2000):
+        p = _homog(3, 4, seed)
+        if not p.is_zero() and p.xi_degree() == 0:
+            firsts.add(next(iter(p._terms)))
+    assert len(monomial_basis(3, 4, {0})) == 35
+    assert len(firsts) >= 30
+
+
 def test_canonical_zero():
     p = random_poly(3, 3, seed=11)
     assert not (p + (-p))._terms
