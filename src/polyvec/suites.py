@@ -63,7 +63,7 @@ class CampaignConfig:
 
 
 def _homog(d, deg, seed) -> SuperPoly:
-    j = sample_seed(seed, "xi_degree") % (d + 1)
+    j = sample_seed(seed, "xi_degree") % (min(d, deg) + 1)
     return random_poly(d, deg, xi_degree_filter=j, seed=seed)
 
 

@@ -1,10 +1,13 @@
 """Exact supercommutative polynomial arithmetic on C^{d|d}.
 
 Elements live in Q[x_1..x_d] (x) Lambda[xi_1..xi_d] with exact rational
-coefficients.  A monomial stores an even exponent vector and a strictly
-increasing tuple of odd indices; xi_i^2 = 0 is enforced by the subset
-representation.  Values are immutable once built and every operation is
-a pure function, so concurrent use needs no synchronization.
+coefficients.  Each stored coefficient is an int, or a Fraction whose
+denominator is not 1: arithmetic stays on Python ints until a division
+(such as the weights of contraction_K) forces a Fraction.  A monomial
+stores an even exponent vector and a strictly increasing tuple of odd
+indices; xi_i^2 = 0 is enforced by the subset representation.  Values
+are immutable once built and every operation is a pure function, so
+concurrent use needs no synchronization.
 
 Odd derivatives use the LEFT convention throughout: d_odd(i) anticommutes
 xi_i to the front of the odd factor and strikes it.
@@ -15,6 +18,8 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
 # hashlib.blake2b is this class; importing hashlib also loads OpenSSL,
@@ -76,9 +81,12 @@ class SuperPoly:
 
     __slots__ = ("d", "_terms")
 
-    def __init__(self, d: int, terms: dict[Monomial, Fraction] | None = None):
+    def __init__(self, d: int, terms: dict[Monomial, int | Fraction] | None = None):
+        # the one place the coefficient invariant is enforced: zero terms
+        # are dropped and an integral Fraction is stored as its numerator
         self.d = d
-        self._terms = {m: c for m, c in (terms or {}).items() if c != 0}
+        self._terms = {m: c if type(c) is int or c.denominator != 1 else c.numerator
+                       for m, c in (terms or {}).items() if c}
 
     # -- constructors ------------------------------------------------
 
@@ -88,21 +96,18 @@ class SuperPoly:
 
     @classmethod
     def const(cls, d: int, value) -> "SuperPoly":
-        c = Fraction(value)
-        if c == 0:
-            return cls(d)
-        return cls(d, {Monomial((0,) * d, ()): c})
+        return cls(d, {Monomial((0,) * d, ()): value})
 
     @classmethod
     def x(cls, d: int, i: int) -> "SuperPoly":
         _check_index(d, i)
         exps = tuple(1 if j == i - 1 else 0 for j in range(d))
-        return cls(d, {Monomial(exps, ()): Fraction(1)})
+        return cls(d, {Monomial(exps, ()): 1})
 
     @classmethod
     def xi(cls, d: int, i: int) -> "SuperPoly":
         _check_index(d, i)
-        return cls(d, {Monomial((0,) * d, (i,)): Fraction(1)})
+        return cls(d, {Monomial((0,) * d, (i,)): 1})
 
     @classmethod
     def monomial(cls, d: int, exps: Iterable[int], odd: Iterable[int], coeff=1) -> "SuperPoly":
@@ -110,30 +115,30 @@ class SuperPoly:
         odd = tuple(odd)
         if len(exps) != d or list(odd) != sorted(set(odd)):
             raise ValueError("malformed monomial")
-        return cls(d, {Monomial(exps, odd): Fraction(coeff)})
+        return cls(d, {Monomial(exps, odd): coeff})
 
     # -- basic queries -----------------------------------------------
 
-    def terms(self) -> Iterator[tuple[Monomial, Fraction]]:
+    def terms(self) -> Iterator[tuple[Monomial, int | Fraction]]:
         return iter(sorted(self._terms.items(), key=lambda t: t[0].sort_key()))
 
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
+    def coefficient(self, mono: Monomial) -> int | Fraction:
+        return self._terms.get(mono, 0)
 
-    def constant_term(self) -> Fraction:
-        return self._terms.get(Monomial((0,) * self.d, ()), Fraction(0))
+    def constant_term(self) -> int | Fraction:
+        return self._terms.get(Monomial((0,) * self.d, ()), 0)
 
     @classmethod
     def top(cls, d: int, value) -> "SuperPoly":
         """The constant top polyvector value * xi_1...xi_d."""
-        return cls(d, {Monomial((0,) * d, tuple(range(1, d + 1))): Fraction(value)})
+        return cls(d, {Monomial((0,) * d, tuple(range(1, d + 1))): value})
 
-    def top_constant(self) -> Fraction:
+    def top_constant(self) -> int | Fraction:
         """Coefficient of xi_1...xi_d with all even exponents zero."""
-        return self._terms.get(Monomial((0,) * self.d, tuple(range(1, self.d + 1))), Fraction(0))
+        return self._terms.get(Monomial((0,) * self.d, tuple(range(1, self.d + 1))), 0)
 
     def xi_degrees(self) -> set[int]:
         return {m.xi_degree for m in self._terms}
@@ -174,14 +179,13 @@ class SuperPoly:
         return self + (-other)
 
     def scale(self, value) -> "SuperPoly":
-        c = Fraction(value)
-        if c == 0:
+        if not value:
             return SuperPoly(self.d)
-        return SuperPoly(self.d, {m: c * v for m, v in self._terms.items()})
+        return SuperPoly(self.d, {m: value * v for m, v in self._terms.items()})
 
     def __mul__(self, other: "SuperPoly") -> "SuperPoly":
         self._check_same(other)
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int | Fraction] = {}
         for ma, ca in self._terms.items():
             for mb, cb in other._terms.items():
                 merged = _merge_odd(ma.odd, mb.odd)
@@ -214,7 +218,7 @@ class SuperPoly:
     def map_monomials(self, rule) -> "SuperPoly":
         """The linear operator sending each monomial m to the sum of
         coeff * mono over the (mono, coeff) pairs that rule(m) yields."""
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int | Fraction] = {}
         for m, c in self._terms.items():
             for mono, k in rule(m):
                 out[mono] = out.get(mono, 0) + k * c
@@ -306,9 +310,9 @@ class SuperPoly:
         chunks = re.findall(r"[+-]?[^+-]+", text.replace(" ", ""))
         result = cls(d)
         for chunk in chunks:
-            sign = Fraction(1)
+            sign = 1
             if chunk.startswith("-"):
-                sign = Fraction(-1)
+                sign = -1
                 chunk = chunk[1:]
             elif chunk.startswith("+"):
                 chunk = chunk[1:]
@@ -328,7 +332,8 @@ class SuperPoly:
                     continue
                 m = re.fullmatch(r"(\d+)(?:/(\d+))?", factor)
                 if m:
-                    coeff *= Fraction(int(m.group(1)), int(m.group(2) or 1))
+                    num, den = m.groups()
+                    coeff *= Fraction(int(num), int(den)) if den else int(num)
                     continue
                 raise ValueError(f"cannot parse factor {factor!r}")
             if odd != sorted(set(odd)):
@@ -358,19 +363,25 @@ def d_odd_rule(m: Monomial, i: int):
     return ((Monomial(m.exps, m.odd[:pos] + m.odd[pos + 1 :]), -1 if pos & 1 else 1),)
 
 
-def monomial_basis(d: int, max_degree: int, xi_degrees=None) -> list[Monomial]:
-    """All monomials of total degree <= max_degree, sorted canonically."""
-    from itertools import combinations
+def monomial_basis(d: int, max_degree: int, xi_degrees=None) -> tuple[Monomial, ...]:
+    """All monomials of total degree <= max_degree, sorted canonically.
 
-    xi_degrees = set(range(d + 1)) if xi_degrees is None else set(xi_degrees)
+    xi_degrees restricts the xi-degrees that appear (all by default).
+    """
+    top = min(d, max_degree)
+    if xi_degrees is None:
+        xi_degrees = range(top + 1)
+    return _basis(d, max_degree, tuple(sorted({k for k in xi_degrees if k <= top})))
+
+
+@lru_cache(maxsize=None)
+def _basis(d: int, max_degree: int, xi_degrees: tuple[int, ...]) -> tuple[Monomial, ...]:
     out = []
-    for k in sorted(xi_degrees):
-        if k > d or k > max_degree:
-            continue
+    for k in xi_degrees:
         for odd in combinations(range(1, d + 1), k):
             for exps in _exponents_up_to(d, max_degree - k):
                 out.append(Monomial(exps, odd))
-    return sorted(out, key=lambda m: m.sort_key())
+    return tuple(sorted(out, key=lambda m: m.sort_key()))
 
 
 def _exponents_up_to(d: int, budget: int) -> Iterator[tuple[int, ...]]:
@@ -408,9 +419,8 @@ def random_poly(d: int, max_total_degree: int, xi_degree_filter=None, seed: int 
         xi_degree_filter = {xi_degree_filter}
     basis = monomial_basis(d, max_total_degree, xi_degree_filter)
     rng = random.Random(seed)
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[Monomial, int] = {}
     for _ in range(min(n_terms, len(basis))):
         mono = rng.choice(basis)
-        coeff = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
-        terms[mono] = terms.get(mono, Fraction(0)) + coeff
+        terms[mono] = terms.get(mono, 0) + rng.choice([-3, -2, -1, 1, 2, 3])
     return SuperPoly(d, terms)

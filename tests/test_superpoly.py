@@ -219,6 +219,95 @@ def test_monomial_basis_counts():
     assert all(m.degree <= 3 for m in monomial_basis(2, 3))
 
 
+def _stored_types_ok(p):
+    """The coefficient invariant: int, or a Fraction that is not integral."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in p._terms.values())
+
+
+def test_integral_coefficients_are_stored_as_int():
+    from polyvec.contraction import contraction_K
+
+    half = x(3, 1).scale(Fraction(1, 2))
+    product = half * SuperPoly.const(3, 2)
+    assert product._terms == {Monomial((1, 0, 0), ()): 1}
+    assert type(product.coefficient(Monomial((1, 0, 0), ()))) is int
+    results = [
+        product,
+        half + half,
+        x(3, 1).scale(Fraction(4, 2)),
+        xi(3, 2).scale(Fraction(2, 3)) + x(3, 1),
+        contraction_K(SuperPoly.const(1, 1)),
+        contraction_K(x(1, 1).scale(2)),
+        SuperPoly.parse(2, "-4/2*x1 + 1/3*xi1 + 5"),
+        random_poly(3, 4, seed=9, n_terms=6),
+    ]
+    for p in results:
+        assert not p.is_zero() and _stored_types_ok(p), p._terms
+    assert any(type(c) is Fraction for c in results[3]._terms.values())
+
+
+def test_fraction_and_int_coefficients_are_interchangeable():
+    m = Monomial((1, 0), (2,))
+    a, b = SuperPoly(2, {m: Fraction(2)}), SuperPoly(2, {m: 2})
+    assert a == b and hash(a) == hash(b) and str(a) == str(b) == "2*x1*xi2"
+    assert type(a.coefficient(m)) is int
+    assert SuperPoly(2, {m: Fraction(0)}).is_zero()
+
+
+def test_zero_defaults_are_int():
+    p = x(3, 1)
+    assert type(p.coefficient(Monomial((0, 0, 0), (1,)))) is int
+    assert type(p.constant_term()) is int and type(p.top_constant()) is int
+
+
+def test_str_parse_round_trip_mixed_coefficients():
+    p = (SuperPoly.const(3, 3) + x(3, 2).scale(Fraction(-1, 2))
+         + SuperPoly.monomial(3, (1, 0, 2), (1, 3), Fraction(7, 3))
+         + SuperPoly.monomial(3, (0, 0, 0), (1, 2, 3), -4))
+    text = str(p)
+    assert text == "3 - 1/2*x2 - 4*xi1*xi2*xi3 + 7/3*x1*x3^2*xi1*xi3"
+    q = SuperPoly.parse(3, text)
+    assert q == p and str(q) == text and _stored_types_ok(q)
+
+
+def test_monomial_basis_is_memoized_and_immutable():
+    first = monomial_basis(3, 3, [2, 0])
+    assert isinstance(first, tuple)
+    assert monomial_basis(3, 3, {0, 2}) is first
+    assert monomial_basis(3, 3, (2, 0, 2, 7)) == first
+    assert monomial_basis(3, 3) == monomial_basis(3, 3, range(4))
+    with pytest.raises(AttributeError):
+        first.append(Monomial((9, 9, 9), ()))
+    with pytest.raises(TypeError):
+        first[0] = Monomial((9, 9, 9), ())
+    # 20 x-monomials of degree <= 3, and 3 xi-pairs times 4 of degree <= 1
+    assert len(first) == 32 and {m.xi_degree for m in first} == {0, 2}
+    assert list(first) == sorted(first, key=Monomial.sort_key)
+
+
+@pytest.mark.parametrize("xi_degree, seed, text", [
+    (0, 1, "-x3^2 + x1*x3 + 2*x1*x2 + x1*x2^3"),
+    (1, 7, "-3*x3*xi1 - 2*x2^2*xi3 + 3*x1*x2*xi2 + 2*x1^2*x3*xi2"),
+    (2, 42, "3*xi1*xi2 - 2*x2*xi1*xi3 - 2*x2*xi2*xi3 - 3*x2^2*xi2*xi3"),
+    (3, 2024, "x1*xi1*xi2*xi3"),
+    (None, 5, "xi1*xi2 + 3*x3*xi1*xi2*xi3 + 3*x3^2*xi1*xi3 + 3*x1*xi1*xi2*xi3"),
+])
+def test_random_poly_draws_are_pinned(xi_degree, seed, text):
+    # the monomial basis is drawn from in the same canonical order, so
+    # these samples must not move
+    for _ in range(2):
+        assert str(random_poly(3, 4, xi_degree, seed=seed)) == text
+
+
+def test_homog_draws_respect_the_degree_budget():
+    # an xi-degree above the degree budget leaves an empty basis, which
+    # would make random_poly return 0 and the sampled check vacuous
+    from polyvec.suites import _homog
+
+    assert sum(_homog(5, 3, s).is_zero() for s in range(300)) == 0
+
+
 def test_parity_and_xi_degree_errors():
     d = 2
     p = x(d, 1) + xi(d, 1)
