@@ -25,8 +25,8 @@ print("d/dxi2 (xi1 xi2) =", p.d_odd(2), "   (xi2 anticommutes past xi1 first)")
 print("\n# gradings")
 q = x1 * x1 * xi1 + xi2
 print("q =", q)
-print("xi-degree components:", {k: str(v) for k, v in q.homogeneous_components("xi-degree").items()})
-print("principal components:", {k: str(v) for k, v in q.homogeneous_components("principal").items()})
+print("xi-degree components:", {k: str(v) for k, v in q.xi_components().items()})
+print("principal components:", {k: str(v) for k, v in q.principal_components().items()})
 
 print("\n# canonical text form round-trips")
 r = random_poly(d, 3, seed=7, n_terms=5)

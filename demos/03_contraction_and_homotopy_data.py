@@ -23,15 +23,16 @@ print("top output constant term:", contraction_K(top_in).top_constant())
 print("\n# homotopy data for the minimal theory, d = 3")
 datum = build_datum(3, Variant.mbcov())
 psi = DescendantField.single(3, Variant.mbcov(), ("f", 1, 0), SuperPoly.x(3, 1))
-print("p kills positive t-powers:", datum.project(psi).is_zero())
+print("p kills positive t-powers:", datum.carrier.project(psi).is_zero())
 report = verify_datum(datum, sample_budget=60, seed=0)
 print(report.summary_text())
 
-print("\n# the 2-potential variant in d = 4 has a central scalar slot")
+print("\n# the 2-potential variant in d = 4 has a central slot c: constant top polyvectors")
 datum = build_datum(4, Variant.potential(2))
 top = SuperPoly.monomial(4, (0, 0, 0, 0), (1, 2, 3, 4), 5)
 psi = DescendantField.single(4, Variant.potential(2), ("p", 1), top)
-print("p(5 * xi1 xi2 xi3 xi4 at the tower tail) =", datum.project(psi).scalar)
+print("p(5 * xi1 xi2 xi3 xi4 at the tower tail) =",
+      datum.carrier.project(psi).part(("c",)).top_constant())
 
 print("\n# corrupted homotopies are rejected")
 bad = verify_datum(scale_homotopy(datum, 2), sample_budget=30, seed=0)

@@ -39,11 +39,9 @@ print("l3(a, b, c) =", transferred.brackets[3](a, b, c).is_zero())
 print("l4(a,b,c,e) =", transferred.brackets[4](a, b, c, e).is_zero())
 
 print("\n# the k-potential models add central multibrackets")
-from polyvec.linf import potential_k_brackets
-
-S = potential_k_brackets(4, 2)
+S = minimal_model_structure(4, Variant.potential(2))
 car4 = cohomology_model(4, Variant.potential(2))
 xs = [car4.element({("pv", 1): SuperPoly.xi(4, 1)}),
       car4.element({("pv", 1): SuperPoly.xi(4, 3)}),
       car4.element({("quot",): SuperPoly.x(4, 3) * SuperPoly.xi(4, 2) * SuperPoly.xi(4, 3) * SuperPoly.xi(4, 4)})]
-print("ternary bracket into the center:", S.brackets[3](*xs).scalar)
+print("ternary bracket into the center:", S.brackets[3](*xs).part(("c",)).top_constant())

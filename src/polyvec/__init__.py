@@ -33,10 +33,7 @@ from .linf import (
     LInftyStructure,
     field_structure,
     jacobi_defect,
-    mbcov_minimal_l2,
     minimal_model_structure,
-    potential_d_brackets,
-    potential_k_brackets,
     schouten_structure,
     transfer,
 )
@@ -53,7 +50,6 @@ from .sho import (
     vf_bracket,
 )
 from .sl2 import (
-    Sl2Element,
     ZTwoField,
     act_e,
     act_f,

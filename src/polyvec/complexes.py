@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache
 from itertools import chain
 
@@ -239,45 +238,40 @@ def phi_map(psi: DescendantField) -> DescendantField:
 
 @dataclass
 class ModelElement:
-    """Element of a minimal-model carrier: slot-indexed polyvector parts
-    plus a scalar coordinate for the central slot (potential variants with
-    k < d-1).  Quotient parts are stored by their canonical representative."""
+    """Element of a minimal-model carrier: slot-indexed polyvector parts,
+    each stored by its slot's canonical representative (a quotient class
+    by its K Delta representative, the central line by its constant top
+    polyvector)."""
 
     d: int
     variant: Variant
     parts: dict[SlotKey, SuperPoly] = field(default_factory=dict)
-    scalar: Fraction = Fraction(0)
 
     def __post_init__(self):
         self.parts = {k: p for k, p in self.parts.items() if not p.is_zero()}
-        self.scalar = Fraction(self.scalar)
 
     def __add__(self, other: "ModelElement") -> "ModelElement":
         if (self.d, self.variant) != (other.d, other.variant):
             raise ValueError("carrier mismatch")
         return ModelElement(self.d, self.variant,
-                            collect(chain(self.parts.items(), other.parts.items())),
-                            self.scalar + other.scalar)
+                            collect(chain(self.parts.items(), other.parts.items())))
 
     def __neg__(self) -> "ModelElement":
-        return ModelElement(self.d, self.variant, {k: -p for k, p in self.parts.items()}, -self.scalar)
+        return ModelElement(self.d, self.variant, {k: -p for k, p in self.parts.items()})
 
     def __sub__(self, other: "ModelElement") -> "ModelElement":
         return self + (-other)
 
     def is_zero(self) -> bool:
-        return not self.parts and self.scalar == 0
+        return not self.parts
 
     def part(self, key: SlotKey) -> SuperPoly:
         return self.parts.get(key, SuperPoly.zero(self.d))
 
     def to_dict(self) -> dict:
-        """Slot id -> polyvector text in sorted slot order, then "c" for a
-        nonzero scalar."""
-        body = {"/".join(map(str, slot)): str(self.parts[slot]) for slot in sorted(self.parts)}
-        if self.scalar:
-            body["c"] = str(self.scalar)
-        return body
+        """Slot id -> polyvector text in sorted slot order; SuperPoly.parse
+        reads each value back."""
+        return {"/".join(map(str, slot)): str(self.parts[slot]) for slot in sorted(self.parts)}
 
 
 @dataclass(frozen=True)
@@ -292,7 +286,7 @@ class CarrierModel:
     def home(self, slot: SlotKey) -> FieldKey:
         """The summand the slot lives in: divergence-free polyvectors at
         t^0, PV^d or the quotient at the head of the potential tower, and
-        the scalar at its tail."""
+        the central line at its tail."""
         if slot not in self.slots:
             raise ValueError(f"slot {slot} is not in the carrier")
         if slot[0] == "pv":
@@ -303,58 +297,49 @@ class CarrierModel:
 
     def canonical(self, slot: SlotKey, poly: SuperPoly) -> SuperPoly:
         """The slot's canonical representative of poly: the divergence-free
-        part (id - K Delta) for pv, K Delta for the quotient, poly itself
-        for the full PV^d slot."""
+        part (id - K Delta) for pv, K Delta for the quotient, the constant
+        top polyvector for the central line, poly itself for the full PV^d
+        slot."""
         from .contraction import contraction_K, divergence_free_part  # avoids a cycle
 
         if slot[0] == "pv":
             return divergence_free_part(poly)
         if slot[0] == "quot":
             return contraction_K(pvcalc.divergence(poly))
+        if slot == ("c",):
+            return SuperPoly.top(self.d, poly.top_constant())
         return poly
 
     def parity(self, slot: SlotKey) -> int:
         return parity_of(self.home(slot), self.variant)
 
     def slot_xi_degree(self, slot: SlotKey) -> int:
-        if slot == ("c",):
-            raise ValueError(f"slot {slot} holds no polyvector")
         return xi_degree_of(self.home(slot), self.variant)
 
     def membership(self, slot: SlotKey, poly: SuperPoly) -> bool:
         """Whether a SuperPoly is a valid value for the slot: of the slot's
         xi-degree and its own canonical representative (for pv, K Delta p = 0
         is Delta p = 0)."""
-        if slot not in self.slots or slot == ("c",):  # the scalar slot holds no polyvector
-            return False
-        if poly.xi_degrees() - {self.slot_xi_degree(slot)}:
+        if slot not in self.slots or poly.xi_degrees() - {self.slot_xi_degree(slot)}:
             return False
         return poly == self.canonical(slot, poly)
 
     def project(self, psi: DescendantField) -> ModelElement:
-        """p: each slot reads its home summand and canonicalizes it; the
-        scalar is the constant top coefficient at its home."""
-        parts = {}
-        for slot in self.slots:
-            poly = psi.parts.get(self.home(slot))
-            if poly is not None and slot != ("c",):
-                parts[slot] = self.canonical(slot, poly)
-        scalar = psi.part(self.home(("c",))).top_constant() if ("c",) in self.slots else 0
-        return ModelElement(self.d, self.variant, parts, scalar)
+        """p: each slot reads its home summand and canonicalizes it."""
+        homes = ((slot, self.home(slot)) for slot in self.slots)
+        return ModelElement(self.d, self.variant, {
+            slot: self.canonical(slot, psi.parts[key]) for slot, key in homes if key in psi.parts})
 
     def include(self, v: ModelElement) -> DescendantField:
         """iota: each part at its home as it is (canonical quotient
-        representatives satisfy rep = K Delta rep), the scalar as the
-        constant top polyvector at its home."""
-        pairs = [(self.home(slot), poly) for slot, poly in v.parts.items()]
-        if v.scalar:
-            pairs.append((self.home(("c",)), SuperPoly.top(self.d, v.scalar)))
-        return DescendantField(self.d, self.variant, collect(pairs))
+        representatives satisfy rep = K Delta rep)."""
+        return DescendantField(self.d, self.variant,
+                               collect((self.home(slot), poly) for slot, poly in v.parts.items()))
 
     def zero(self) -> ModelElement:
         return ModelElement(self.d, self.variant, {})
 
-    def element(self, parts: dict | None = None, scalar=0) -> ModelElement:
+    def element(self, parts: dict | None = None) -> ModelElement:
         """Build an element, canonicalizing quotient representatives."""
         parts = dict(parts or {})
         for slot, poly in list(parts.items()):
@@ -362,14 +347,13 @@ class CarrierModel:
                 raise ValueError(f"unknown slot {slot}")
             if slot == ("quot",):
                 parts[slot] = self.canonical(slot, poly)
-        if scalar != 0 and ("c",) not in self.slots:
-            raise ValueError("carrier has no central scalar slot")
-        return ModelElement(self.d, self.variant, parts, Fraction(scalar))
+        return ModelElement(self.d, self.variant, parts)
 
     def random_element(self, slot: SlotKey, max_degree: int, seed: int) -> ModelElement:
         """Seeded slot-homogeneous element in canonical form."""
         if slot == ("c",):
-            return self.element({}, scalar=Fraction(random.Random(seed).choice([-3, -2, -1, 1, 2, 3])))
+            value = SuperPoly.top(self.d, random.Random(seed).choice([-3, -2, -1, 1, 2, 3]))
+            return ModelElement(self.d, self.variant, {slot: value})
         raw = random_poly(self.d, max_degree, xi_degree_filter=self.slot_xi_degree(slot), seed=seed)
         return ModelElement(self.d, self.variant, {slot: self.canonical(slot, raw)})
 
@@ -379,9 +363,10 @@ def cohomology_model(d: int, variant: Variant) -> CarrierModel:
 
     * minimal theory: divergence-free polyvectors of degree 0..d-1;
     * k = d-1 potentials: full PV^d plus divergence-free degrees 0..d-2;
-    * k < d-1 potentials: a scalar slot, the quotient PV^{k+1} / Delta PV^{k+2}
-      (stored via canonical representatives), and divergence-free degrees
-      j <= d-1 with j != k.
+    * k < d-1 potentials: the central line c (constant top polyvectors at
+      the tail of the potential tower), the quotient PV^{k+1} / Delta
+      PV^{k+2} (stored via canonical representatives), and divergence-free
+      degrees j <= d-1 with j != k.
     """
     variant.validate(d)
     if variant.kind == "mbcov":

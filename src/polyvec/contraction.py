@@ -6,9 +6,11 @@ It is obtained by transporting the Euler-scaling homotopy of the
 polynomial de Rham complex through contraction with the volume element,
 with a per-degree sign fixed in conventions.py.
 
-Homotopy data relate a field complex to its cohomology carrier:
-p iota = id and id - iota p = Q H + H Q, checked summand by summand by
-verify_datum.  The side conditions H^2 = 0, H iota = 0, p H = 0 are not
+Homotopy data relate a field complex to its cohomology carrier.  A
+datum is the carrier, which supplies p and iota (CarrierModel.project
+and include), plus a homotopy H; Q is complexes.differential.  The
+relations p iota = id and id - iota p = Q H + H Q are checked summand
+by summand by verify_datum.  The side conditions H^2 = 0, H iota = 0, p H = 0 are not
 required, only probed by side_conditions; normalize_homotopy arranges
 them when absent.
 """
@@ -65,26 +67,22 @@ def divergence_free_part(p: SuperPoly) -> SuperPoly:
 
 @dataclass(frozen=True)
 class HomotopyDatum:
-    """Operators (H, p, iota) between a field complex and its carrier."""
+    """A homotopy H between a field complex and its carrier.
 
-    d: int
-    variant: Variant
+    The complex is the carrier's (carrier.d, carrier.variant), Q is
+    complexes.differential, and p and iota are carrier.project and
+    carrier.include; only H varies between data.
+    """
+
     carrier: CarrierModel
     homotopy: Callable[[DescendantField], DescendantField]
-    project: Callable[[DescendantField], ModelElement]
-    include: Callable[[ModelElement], DescendantField]
-
-    def differential(self, psi: DescendantField) -> DescendantField:
-        return differential(psi)
 
 
 def build_datum(d: int, variant: Variant) -> HomotopyDatum:
     """The explicit homotopy datum for a complex.
 
     H vanishes on the minimal t^0 summands and on the final potential
-    summand, and acts by t^{-1} K everywhere else.  p and iota are the
-    carrier's own: p reads each slot's home summand and canonicalizes it,
-    iota puts each part back at its home (CarrierModel.project/include).
+    summand, and acts by t^{-1} K everywhere else.
     """
     variant.validate(d)
     carrier = cohomology_model(d, variant)
@@ -101,7 +99,7 @@ def build_datum(d: int, variant: Variant) -> HomotopyDatum:
 
         return psi.map_parts(rule)
 
-    return HomotopyDatum(d, variant, carrier, homotopy, carrier.project, carrier.include)
+    return HomotopyDatum(carrier, homotopy)
 
 
 def scale_homotopy(datum: HomotopyDatum, factor) -> HomotopyDatum:
@@ -110,7 +108,7 @@ def scale_homotopy(datum: HomotopyDatum, factor) -> HomotopyDatum:
     def homotopy(psi: DescendantField) -> DescendantField:
         return datum.homotopy(psi).map_parts(lambda key, poly: ((key, poly.scale(factor)),))
 
-    return HomotopyDatum(datum.d, datum.variant, datum.carrier, homotopy, datum.project, datum.include)
+    return HomotopyDatum(datum.carrier, homotopy)
 
 
 def perturb_side_conditions(datum: HomotopyDatum) -> HomotopyDatum:
@@ -120,18 +118,16 @@ def perturb_side_conditions(datum: HomotopyDatum) -> HomotopyDatum:
     Q iota = 0 and p Q = 0 the defining relations survive, while
     p H iota = lam breaks the side conditions.
     """
-    d = datum.d
+    carrier = datum.carrier
 
     def lam(v: ModelElement) -> ModelElement:
         c = sum((coeff for _, coeff in v.part(("pv", 0)).terms()), Fraction(0))
-        if c == 0:
-            return datum.carrier.zero()
-        return ModelElement(d, datum.variant, {("pv", 1): SuperPoly.xi(d, 1).scale(c)})
+        return carrier.element({("pv", 1): SuperPoly.xi(carrier.d, 1).scale(c)})
 
     def homotopy(psi: DescendantField) -> DescendantField:
-        return datum.homotopy(psi) + datum.include(lam(datum.project(psi)))
+        return datum.homotopy(psi) + carrier.include(lam(carrier.project(psi)))
 
-    return HomotopyDatum(d, datum.variant, datum.carrier, homotopy, datum.project, datum.include)
+    return HomotopyDatum(carrier, homotopy)
 
 
 def normalize_homotopy(datum: HomotopyDatum) -> HomotopyDatum:
@@ -141,15 +137,15 @@ def normalize_homotopy(datum: HomotopyDatum) -> HomotopyDatum:
     H <- (1 - iota p) H, H <- H Q H; each step preserves the homotopy
     relations (Q iota = 0 and p Q = 0 hold for every datum built here).
     """
-    Q = datum.differential
+    carrier = datum.carrier
 
     def one_minus_ip(psi):
-        return psi - datum.include(datum.project(psi))
+        return psi - carrier.include(carrier.project(psi))
 
     h1 = lambda psi: datum.homotopy(one_minus_ip(psi))
     h2 = lambda psi: one_minus_ip(h1(psi))
-    h3 = lambda psi: h2(Q(h2(psi)))
-    return HomotopyDatum(datum.d, datum.variant, datum.carrier, h3, datum.project, datum.include)
+    h3 = lambda psi: h2(differential(h2(psi)))
+    return HomotopyDatum(carrier, h3)
 
 
 def verify_datum(datum: HomotopyDatum, sample_budget: int = 50, seed: int = 0,
@@ -161,17 +157,18 @@ def verify_datum(datum: HomotopyDatum, sample_budget: int = 50, seed: int = 0,
     Side conditions (H^2, H iota, p H) are reported informationally.
     """
     report = Report()
-    d, variant = datum.d, datum.variant
+    carrier = datum.carrier
+    d, variant = carrier.d, carrier.variant
     keys = summands(d, variant)
-    slots = datum.carrier.slots
+    slots = carrier.slots
     per_slot = max(1, sample_budget // max(1, len(slots)))
     per_key = max(1, sample_budget // max(1, len(keys)))
     label = variant.label
 
     def p_iota(slot):
         for t in range(per_slot):
-            v = datum.carrier.random_element(slot, max_degree, seed=sample_seed(seed, slot, t))
-            got = datum.project(datum.include(v))
+            v = carrier.random_element(slot, max_degree, seed=sample_seed(seed, slot, t))
+            got = carrier.project(carrier.include(v))
             if got != v:
                 yield {"slot": list(slot), "element": _el_str(v), "projected": _el_str(got)}
 
@@ -181,8 +178,8 @@ def verify_datum(datum: HomotopyDatum, sample_budget: int = 50, seed: int = 0,
     def homotopy(key):
         for t in range(per_key):
             psi = random_field(d, variant, key, max_degree, seed=sample_seed(seed, key, t))
-            lhs = psi - datum.include(datum.project(psi))
-            rhs = datum.differential(datum.homotopy(psi)) + datum.homotopy(datum.differential(psi))
+            lhs = psi - carrier.include(carrier.project(psi))
+            rhs = differential(datum.homotopy(psi)) + datum.homotopy(differential(psi))
             if lhs != rhs:
                 yield {"summand": list(key), "field": psi.to_dict()}
 
@@ -198,7 +195,8 @@ def verify_datum(datum: HomotopyDatum, sample_budget: int = 50, seed: int = 0,
 def side_conditions(datum: HomotopyDatum, seed: int, max_degree: int) -> dict[str, bool]:
     """Probe H^2 = 0 and p H = 0 on one seeded field per summand and
     H iota = 0 on one seeded element per carrier slot."""
-    d, variant, carrier = datum.d, datum.variant, datum.carrier
+    carrier = datum.carrier
+    d, variant = carrier.d, carrier.variant
     keys = summands(d, variant)
 
     def fields(name):
@@ -207,9 +205,9 @@ def side_conditions(datum: HomotopyDatum, seed: int, max_degree: int) -> dict[st
 
     return {
         "H_squared": all(datum.homotopy(datum.homotopy(psi)).is_zero() for psi in fields("H_squared")),
-        "p_H": all(datum.project(datum.homotopy(psi)).is_zero() for psi in fields("p_H")),
+        "p_H": all(carrier.project(datum.homotopy(psi)).is_zero() for psi in fields("p_H")),
         "H_iota": all(
-            datum.homotopy(datum.include(carrier.random_element(
+            datum.homotopy(carrier.include(carrier.random_element(
                 slot, max_degree, seed=sample_seed(seed, "Hi", slot)))).is_zero()
             for slot in carrier.slots),
     }

@@ -164,8 +164,6 @@ def field_parity(psi: DescendantField) -> int:
 
 def model_parity(carrier: CarrierModel, v: ModelElement) -> int:
     pars = {carrier.parity(slot) for slot in v.parts}
-    if v.scalar != 0:
-        pars.add(carrier.parity(("c",)))
     if len(pars) > 1:
         raise ValueError("element is not parity-homogeneous")
     return pars.pop() if pars else 0
@@ -177,9 +175,9 @@ def model_parity(carrier: CarrierModel, v: ModelElement) -> int:
 def _content(v: ModelElement) -> SuperPoly:
     """Flatten a carrier element to a divergence-free polyvector.
 
-    Divergence-free slots contribute as they are; potential and quotient
-    slots contribute through the divergence of their representative.  The
-    scalar slot is central and contributes nothing.
+    Divergence-free slots contribute as they are; every other slot
+    contributes through the divergence of its representative, so the
+    central line (constant top polyvectors) contributes nothing.
     """
     acc = SuperPoly.zero(v.d)
     for slot, poly in v.parts.items():
@@ -188,18 +186,6 @@ def _content(v: ModelElement) -> SuperPoly:
         else:
             acc = acc + pvcalc.divergence(poly)
     return acc
-
-
-def mbcov_minimal_l2(alpha: SuperPoly, beta: SuperPoly) -> SuperPoly:
-    """Lie bracket of the minimal model on divergence-free polyvectors.
-
-    Coincides with the Schouten bracket; in the symmetric convention it
-    is Delta(alpha beta), related by the decalage sign (-1)^(|alpha|-1).
-    """
-    for p in (alpha, beta):
-        if not pvcalc.divergence(p).is_zero():
-            raise ValueError("inputs must be divergence free")
-    return pvcalc.schouten(alpha, beta)
 
 
 def minimal_model_structure(d: int, variant: Variant) -> LInftyStructure:
@@ -211,7 +197,7 @@ def minimal_model_structure(d: int, variant: Variant) -> LInftyStructure:
       reproduces the wedge and wedge-of-divergence bracket families.
     * k < d-1 potentials: b2 as above with xi-degree k output lifted to a
       quotient class, plus the (d-k+1)-ary bracket into the central slot
-      given by the constant top coefficient of the content product.
+      c: the constant top part of the content product.
     """
     variant.validate(d)
     carrier = cohomology_model(d, variant)
@@ -237,7 +223,7 @@ def minimal_model_structure(d: int, variant: Variant) -> LInftyStructure:
             prod = SuperPoly.const(d, 1)
             for v in vs:
                 prod = prod * _content(v)
-            return ModelElement(d, variant, {}, prod.top_constant())
+            return ModelElement(d, variant, {("c",): SuperPoly.top(d, prod.top_constant())})
 
         brackets[arity] = l_top
 
@@ -247,19 +233,6 @@ def minimal_model_structure(d: int, variant: Variant) -> LInftyStructure:
         brackets=brackets,
         name=f"minimal({variant.label}, d={d})",
     )
-
-
-def potential_d_brackets(d: int) -> LInftyStructure:
-    """Minimal model of the (d-1)-potential theory: a Lie superalgebra."""
-    return minimal_model_structure(d, Variant.potential(d - 1))
-
-
-def potential_k_brackets(d: int, k: int) -> LInftyStructure:
-    """Minimal model of the k-potential theory for k < d-1: quadratic plus
-    (d-k+1)-ary brackets, the latter central."""
-    if k == d - 1:
-        raise ValueError("use potential_d_brackets for k = d-1")
-    return minimal_model_structure(d, Variant.potential(k))
 
 
 # -- homotopy transfer --------------------------------------------------
@@ -334,14 +307,14 @@ def transfer(structure: LInftyStructure, datum: HomotopyDatum, arity_cap: int) -
     def make_bracket(n: int) -> Callable:
         if n == 1:
             def b1(v: ModelElement) -> ModelElement:
-                return datum.project(structure.bracket(1)(datum.include(v)))
+                return carrier.project(structure.bracket(1)(carrier.include(v)))
             return b1
 
         def bn(*vs: ModelElement) -> ModelElement:
             if len(vs) != n:
                 raise ValueError(f"expected {n} inputs")
             inputs = [(v, model_parity(carrier, v)) for v in vs]
-            return datum.project(tree_sum(structure, datum.include, datum.homotopy, inputs))
+            return carrier.project(tree_sum(structure, carrier.include, datum.homotopy, inputs))
 
         return bn
 

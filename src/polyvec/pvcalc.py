@@ -119,7 +119,7 @@ def euler_contraction(w: SuperPoly) -> SuperPoly:
 # -- pairings ---------------------------------------------------------
 
 
-def top_constant_pairing(a: SuperPoly, b: SuperPoly) -> Fraction:
+def top_constant_pairing(a: SuperPoly, b: SuperPoly) -> int | Fraction:
     """(a ^ b)(0) contracted with Omega: the constant top coefficient of a*b."""
     if a.d != b.d:
         raise ValueError("dimension mismatch")

@@ -213,16 +213,13 @@ class ExtElement:
 
     gen is a divergence-free generator with no constant term and no top
     monomial; c1, c2 are the central coordinates along e1 (top-pairing
-    channel) and e2 (constant-term channel).
+    channel) and e2 (constant-term channel): ints, or Fractions where a
+    division entered, like SuperPoly coefficients.
     """
 
     gen: SuperPoly
-    c1: Fraction = Fraction(0)
-    c2: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        self.c1 = Fraction(self.c1)
-        self.c2 = Fraction(self.c2)
+    c1: int | Fraction = 0
+    c2: int | Fraction = 0
 
     @property
     def d(self) -> int:
@@ -238,7 +235,7 @@ class ExtElement:
         return self + (-other)
 
     def scale(self, c) -> "ExtElement":
-        return ExtElement(self.gen.scale(c), self.c1 * Fraction(c), self.c2 * Fraction(c))
+        return ExtElement(self.gen.scale(c), self.c1 * c, self.c2 * c)
 
     def is_zero(self) -> bool:
         return self.gen.is_zero() and self.c1 == 0 and self.c2 == 0
@@ -257,7 +254,7 @@ def ext_element(f: SuperPoly, c1=0, c2=0) -> ExtElement:
     const = f.constant_term()
     top = f.top_constant()
     gen = f - SuperPoly.const(3, const) - SuperPoly.top(3, top)
-    return ExtElement(gen, Fraction(c1) + top, Fraction(c2) + const)
+    return ExtElement(gen, c1 + top, c2 + const)
 
 
 def ext_from_field(x: SuperVectorField) -> ExtElement:
@@ -284,7 +281,7 @@ def ext_bracket_d3(a: ExtElement, b: ExtElement) -> ExtElement:
     return ext_element(raw, c1=c1_pairing(a.gen, b.gen), c2=c2)
 
 
-def c1_pairing(f: SuperPoly, g: SuperPoly) -> Fraction:
+def c1_pairing(f: SuperPoly, g: SuperPoly) -> int | Fraction:
     """The top-pairing cocycle of the c1 channel: the top-constant pairing
     of each xi-component of f with g, times its decalage sign and the
     pinned global sign."""

@@ -40,15 +40,6 @@ from .superpoly import SuperPoly, sample_seed
 E_GENERATOR = SuperPoly.top(3, conventions.E_GENERATOR_COEFF)
 
 
-@dataclass(frozen=True)
-class Sl2Element:
-    """a_e e + a_h h + a_f f in the basis with [h,e]=2e, [h,f]=-2f, [e,f]=h."""
-
-    a_e: Fraction = Fraction(0)
-    a_h: Fraction = Fraction(0)
-    a_f: Fraction = Fraction(0)
-
-
 def act_h(v: ExtElement) -> ExtElement:
     """h: a generator of xi-degree s has weight s - 1; h e1 = e1, h e2 = -e2."""
     _require_d3(v)
@@ -73,7 +64,7 @@ class OutsideVerifiedDomain(ValueError):
 
 def _in_f_domain(v: ExtElement) -> bool:
     """Whether f's table covers v: no component of principal degree above 1."""
-    return all(deg <= 1 for deg in v.gen.homogeneous_components("principal"))
+    return all(deg <= 1 for deg in v.gen.principal_components())
 
 
 def _leibniz_sides(action, a: ExtElement, b: ExtElement, ab: ExtElement):
@@ -119,23 +110,12 @@ def act_f(v: ExtElement) -> ExtElement:
                 value = SuperPoly.x(3, i) * SuperPoly.x(3, k)
                 gen = gen + value.scale(
                     Fraction(conventions.F_TABLE_DIAGONAL * levi_civita(i, j, k) * t, 2))
-    return ExtElement(gen, Fraction(0), v.c1)
+    return ExtElement(gen, 0, v.c1)
 
 
 def _require_d3(v: ExtElement):
     if v.d != 3:
         raise ValueError("the sl2 action is implemented for d = 3")
-
-
-def act(x: Sl2Element, v: ExtElement) -> ExtElement:
-    out = ExtElement(SuperPoly.zero(3))
-    if x.a_e:
-        out = out + act_e(v).scale(x.a_e)
-    if x.a_h:
-        out = out + act_h(v).scale(x.a_h)
-    if x.a_f:
-        out = out + act_f(v).scale(x.a_f)
-    return out
 
 
 # Diagonal branch bookkeeping: divergence freeness forces the two diagonal
@@ -154,16 +134,16 @@ def extend_f(v: ExtElement) -> ExtElement | None:
     Different decompositions are not checked against each other.
     """
     _require_d3(v)
-    by_degree = v.gen.homogeneous_components("principal")
+    by_degree = v.gen.principal_components()
     total = act_f(ExtElement(SuperPoly.zero(3), v.c1, v.c2))
     for deg, comp in by_degree.items():
         if deg <= 1:
             total = total + act_f(ExtElement(comp))
             continue
         ones = [g for g in sho_basis(3, 1)
-                if set(g.homogeneous_components("principal")) == {1}]
+                if set(g.principal_components()) == {1}]
         lowers = [g for g in sho_basis(3, deg - 1)
-                  if set(g.homogeneous_components("principal")) == {deg - 1}]
+                  if set(g.principal_components()) == {deg - 1}]
         pairs = [(u, w) for u in ones for w in lowers]
         columns = [pvcalc.schouten(u, w)._terms for u, w in pairs]
         coeffs = solve_combination(columns, comp._terms)
@@ -248,7 +228,7 @@ def _random_low_degree(seed: int) -> ExtElement:
 def _random_principal(deg: int, seed: int) -> ExtElement:
     """Seeded element concentrated in one principal degree (-1, 0, or up)."""
     gen = random_sho_generator(deg + 2, seed=seed)
-    comp = gen.homogeneous_components("principal").get(deg, SuperPoly.zero(3))
+    comp = gen.principal_components().get(deg, SuperPoly.zero(3))
     return ext_element(comp)
 
 
@@ -336,14 +316,11 @@ class ZTwoField:
         return all(p.is_zero() for p in (self.phi1, self.phi2, self.mu, self.nu))
 
 
-def field_action(x: Sl2Element | str, psi: ZTwoField) -> ZTwoField:
-    """Infinitesimal sl2 action: the standard representation on the pair
-    (phi1, phi2), zero on mu and nu."""
-    if isinstance(x, str):
-        x = Sl2Element(**{f"a_{x}": Fraction(1)})
+def field_action(x: str, psi: ZTwoField) -> ZTwoField:
+    """Infinitesimal action of the generator x in {"e", "h", "f"}: the
+    standard representation on the pair (phi1, phi2), zero on mu and nu."""
     z = SuperPoly.zero(3)
-    phi1 = psi.phi2.scale(x.a_e) + psi.phi1.scale(x.a_h)
-    phi2 = psi.phi1.scale(x.a_f) + psi.phi2.scale(-x.a_h)
+    phi1, phi2 = {"e": (psi.phi2, z), "h": (psi.phi1, -psi.phi2), "f": (z, psi.phi1)}[x]
     return ZTwoField(phi1, phi2, z, z)
 
 
@@ -379,9 +356,9 @@ def equivariance_compare_theorem(truncation: int = 3, trials: int = 40, seed: in
     """
     report = Report()
     named = {
-        "h.on_e1": ("h", ExtElement(SuperPoly.zero(3), Fraction(1), Fraction(0))),
+        "h.on_e1": ("h", ExtElement(SuperPoly.zero(3), 1, 0)),
         "h.on_gen_xi1": ("h", ext_element(SuperPoly.xi(3, 1))),
-        "e.on_e2": ("e", ExtElement(SuperPoly.zero(3), Fraction(0), Fraction(1))),
+        "e.on_e2": ("e", ExtElement(SuperPoly.zero(3), 0, 1)),
     }
     actions = {"e": act_e, "h": act_h, "f": act_f}
     for label, (name, v) in named.items():
@@ -396,7 +373,7 @@ def equivariance_compare_theorem(truncation: int = 3, trials: int = 40, seed: in
             s = sample_seed(seed, f"sl2.field_equivariance.seeded.{name}", t)
             deg = sample_seed(s, "degree") % (truncation + 2) - 1
             v = _random_principal(deg, seed=s) + ExtElement(
-                SuperPoly.zero(3), Fraction(sample_seed(s, "e1") % 5 - 2), Fraction(sample_seed(s, "e2") % 5 - 2))
+                SuperPoly.zero(3), sample_seed(s, "e1") % 5 - 2, sample_seed(s, "e2") % 5 - 2)
             if name == "f" and not _in_f_domain(v):
                 continue
             tried += 1

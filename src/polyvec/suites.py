@@ -283,12 +283,11 @@ def suite_jacobi(cfg: CampaignConfig) -> Report:
                                          cfg.max_degree, seed=sample_seed(cfg.seed, family, t, i))
                   for i in range(top_arity)]
             out = structure.brackets[top_arity](*xs)
-            if out.parts:
+            if set(out.parts) - {("c",)}:
                 yield {"witness": "non-central output"}
-            center = carrier.element({}, scalar=out.scalar)
             probe = carrier.random_element(slots[t % len(slots)], cfg.max_degree,
                                            seed=sample_seed(cfg.seed, family, t, top_arity))
-            if not structure.brackets[2](center, probe).is_zero():
+            if not structure.brackets[2](out, probe).is_zero():
                 yield {"witness": "center is not central"}
 
     if top_arity > 2:
@@ -351,11 +350,11 @@ def suite_sho(cfg: CampaignConfig) -> Report:
             f, g = (random_sho_generator(deg, seed=sample_seed(seed, f"sho.d{d}.principal_grading", t, i), d=d)
                     for i in range(2))
             br = pvcalc.schouten(f, g)
-            degs_f = set(f.homogeneous_components("principal"))
-            degs_g = set(g.homogeneous_components("principal"))
+            degs_f = set(f.principal_components())
+            degs_g = set(g.principal_components())
             if len(degs_f) == 1 and len(degs_g) == 1 and not br.is_zero():
                 want = {degs_f.pop() + degs_g.pop()}
-                if set(br.homogeneous_components("principal")) - want:
+                if set(br.principal_components()) - want:
                     yield {"f": str(f), "g": str(g)}
 
     report.check(f"sho.d{d}.principal_grading", principal_grading())
@@ -380,7 +379,7 @@ def suite_cocycles(cfg: CampaignConfig) -> Report:
         for i in (1, 2, 3):
             for j in (1, 2, 3):
                 out = ext_bracket_d3(ext_element(-x(i)), ext_element(xi(j)))
-                want = Fraction(1 if i == j else 0)
+                want = 1 if i == j else 0
                 if not (out.gen.is_zero() and out.c1 == 0 and out.c2 == want):
                     yield {"ij": [i, j], "got": str(out)}
 

@@ -160,9 +160,6 @@ class SuperPoly:
             raise ValueError("element is not parity-homogeneous")
         return pars.pop() if pars else 0
 
-    def is_parity_homogeneous(self) -> bool:
-        return len({m.parity for m in self._terms}) <= 1
-
     # -- algebra -----------------------------------------------------
 
     def __add__(self, other: "SuperPoly") -> "SuperPoly":
@@ -249,23 +246,13 @@ class SuperPoly:
     def parity_component(self, p: int) -> "SuperPoly":
         return SuperPoly(self.d, {m: c for m, c in self._terms.items() if m.parity == p})
 
-    def homogeneous_components(self, grading: str = "total-degree") -> dict[int, "SuperPoly"]:
-        """Decompose by a grading: total-degree, xi-degree, or principal.
-
-        The principal grading assigns a monomial of total degree n the
-        degree n - 2 (quadratic generators sit in degree 0).
-        """
-        if grading == "total-degree":
-            key = lambda m: m.degree
-        elif grading == "xi-degree":
-            key = lambda m: m.xi_degree
-        elif grading == "principal":
-            key = lambda m: m.degree - 2
-        else:
-            raise ValueError(f"unknown grading {grading!r}")
+    def principal_components(self) -> dict[int, "SuperPoly"]:
+        """Decompose by the principal grading, which assigns a monomial of
+        total degree n the degree n - 2 (quadratic generators sit in
+        degree 0)."""
         out: dict[int, dict] = {}
         for m, c in self._terms.items():
-            out.setdefault(key(m), {})[m] = c
+            out.setdefault(m.degree - 2, {})[m] = c
         return {k: SuperPoly(self.d, v) for k, v in sorted(out.items())}
 
     # -- serialization -----------------------------------------------

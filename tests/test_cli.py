@@ -8,12 +8,15 @@ import pytest
 
 from polyvec.cli import TIMING_MARKER, build_parser, config_from_args, main
 from polyvec.reporting import Report
+from polyvec.superpoly import SuperPoly
 from polyvec import suites
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 DEFAULT_ARGS = ["--d", "3", "--variant", "mbcov", "--deg", "3", "--trials", "25", "--seed", "42"]
+POTENTIAL_D4_ARGS = ["--d", "4", "--variant", "potential", "--k", "2",
+                     "--deg", "3", "--trials", "10", "--seed", "42"]
 
 
 def _summary_head(path: Path) -> str:
@@ -91,26 +94,30 @@ def test_json_format(capsys):
 
 
 def test_report_determinism(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(DEFAULT_ARGS + ["--out", str(out1), "--export-tables"]) == 0
-    assert main(DEFAULT_ARGS + ["--out", str(out2), "--export-tables"]) == 0
-    assert (out1 / "report.jsonl").read_bytes() == (out2 / "report.jsonl").read_bytes()
-    assert _summary_head(out1 / "summary.txt") == _summary_head(out2 / "summary.txt")
-    t1 = sorted((out1 / "tables").glob("*.json"))
-    t2 = sorted((out2 / "tables").glob("*.json"))
-    assert [p.name for p in t1] == [p.name for p in t2]
-    for a, b in zip(t1, t2):
-        assert a.read_bytes() == b.read_bytes()
+    # the potential campaign's bracket table carries the central slot "c"
+    for name, args in (("mbcov", DEFAULT_ARGS), ("central", POTENTIAL_D4_ARGS)):
+        out1, out2 = tmp_path / name / "a", tmp_path / name / "b"
+        assert main(args + ["--out", str(out1), "--export-tables"]) == 0
+        assert main(args + ["--out", str(out2), "--export-tables"]) == 0
+        assert (out1 / "report.jsonl").read_bytes() == (out2 / "report.jsonl").read_bytes()
+        assert _summary_head(out1 / "summary.txt") == _summary_head(out2 / "summary.txt")
+        t1 = sorted((out1 / "tables").glob("*.json"))
+        t2 = sorted((out2 / "tables").glob("*.json"))
+        assert t1 and [p.name for p in t1] == [p.name for p in t2]
+        for a, b in zip(t1, t2):
+            assert a.read_bytes() == b.read_bytes()
+    rows = json.loads((out1 / "tables" / "brackets_potential_2_d4.json").read_text())
+    central = [x["c"] for row in rows for x in row["inputs"] + [row["output"]] if "c" in x]
+    assert central and all(SuperPoly.parse(4, text).xi_degrees() == {4} for text in central)
 
 
 # golden report name -> campaign arguments; the potential campaigns reach
-# the pot, quot and scalar slots, which the default campaign never does
+# the pot, quot and central slots, which the default campaign never does
 GOLDEN_CAMPAIGNS = {
     "report": DEFAULT_ARGS,
     "report_potential_d3_k2": ["--d", "3", "--variant", "potential", "--k", "2",
                                "--deg", "3", "--trials", "10", "--seed", "42"],
-    "report_potential_d4_k2": ["--d", "4", "--variant", "potential", "--k", "2",
-                               "--deg", "3", "--trials", "10", "--seed", "42"],
+    "report_potential_d4_k2": POTENTIAL_D4_ARGS,
 }
 
 

@@ -110,10 +110,25 @@ def test_cohomology_model_membership():
     assert model.membership(("pv", 1), SuperPoly.x(3, 1) * xi(2))  # divergence free
     assert not model.membership(("pv", 1), SuperPoly.x(3, 1) * xi(1))
     assert not model.membership(("pv", 1), xi(1) * xi(2))  # wrong degree
-    # the scalar slot of a central carrier holds no polyvector
-    central = cohomology_model(4, Variant.potential(2))
-    assert not central.membership(("c",), SuperPoly.const(4, 1))
-    assert not central.membership(("c",), SuperPoly.zero(4))
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_central_slot_is_an_ordinary_slot(d):
+    # the central line holds the constant top polyvectors at its home
+    model = cohomology_model(d, Variant.potential(2))
+    assert model.membership(("c",), SuperPoly.top(d, 5))
+    assert not model.membership(("c",), SuperPoly.const(d, 1))
+    assert not model.membership(("c",), SuperPoly.x(d, 1) * SuperPoly.top(d, 1))
+    # p iota = id and the text round trip on an element with every slot filled
+    v = model.zero()
+    for i, slot in enumerate(model.slots):
+        v = v + model.random_element(slot, 4, seed=60 + i)
+    assert set(v.parts) == set(model.slots)
+    assert model.project(model.include(v)) == v
+    text = v.to_dict()
+    assert model.membership(("c",), SuperPoly.parse(d, text["c"]))
+    for slot, poly in v.parts.items():
+        assert SuperPoly.parse(d, text["/".join(map(str, slot))]) == poly
 
 
 def test_cohomology_model_slots():
@@ -140,7 +155,7 @@ def test_quotient_canonicalization():
 def test_scalar_slot_requires_central_carrier():
     model = cohomology_model(3, Variant.mbcov())
     with pytest.raises(ValueError):
-        model.element({}, scalar=1)
+        model.element({("c",): SuperPoly.top(3, 1)})
 
 
 def test_random_elements_live_in_carrier():
@@ -161,7 +176,7 @@ def _slot_table(d, variant, slot):
         return (d - 1) & 1, d
     if slot[0] == "quot":
         return k & 1, k + 1
-    return (d - 1) & 1, None
+    return (d - 1) & 1, d
 
 
 def test_slot_homes_give_parity_and_degree():
@@ -174,11 +189,7 @@ def test_slot_homes_give_parity_and_degree():
                 assert model.home(slot) in keys
                 parity, degree = _slot_table(d, variant, slot)
                 assert model.parity(slot) == parity
-                if degree is None:
-                    with pytest.raises(ValueError):
-                        model.slot_xi_degree(slot)
-                else:
-                    assert model.slot_xi_degree(slot) == degree
+                assert model.slot_xi_degree(slot) == degree
                 count += 1
     assert count == 76
     central = cohomology_model(4, Variant.potential(2))

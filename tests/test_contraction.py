@@ -80,25 +80,25 @@ def test_top_partial_inverse_identity():
 def test_projection_kills_positive_t_power():
     datum = build_datum(3, Variant.mbcov())
     psi = DescendantField.single(3, Variant.mbcov(), ("f", 1, 0), SuperPoly.x(3, 1))
-    assert datum.project(psi).is_zero()
+    assert datum.carrier.project(psi).is_zero()
 
 
 def test_p_iota_identity_on_divergence_free():
     datum = build_datum(3, Variant.mbcov())
     carrier = datum.carrier
     v = carrier.element({("pv", 2): SuperPoly.xi(3, 1) * SuperPoly.xi(3, 2)})
-    assert datum.project(datum.include(v)) == v
+    assert carrier.project(carrier.include(v)) == v
 
 
 def test_potential_scalar_slot_projection():
-    datum = build_datum(4, Variant.potential(2))
+    carrier = build_datum(4, Variant.potential(2)).carrier
     top = SuperPoly.monomial(4, (0,) * 4, (1, 2, 3, 4), 5)
-    psi = DescendantField.single(4, Variant.potential(2), ("p", 1), top)
-    out = datum.project(psi)
-    assert out.scalar == 5 and not out.parts
-    # and iota embeds the scalar back as a constant top polyvector
-    back = datum.include(datum.carrier.element({}, scalar=5))
-    assert back.part(("p", 1)) == top
+    psi = DescendantField.single(4, Variant.potential(2), ("p", 1), top + SuperPoly.x(4, 1) * top)
+    out = carrier.project(psi)
+    assert out.parts == {("c",): top} and out.part(("c",)).top_constant() == 5
+    # and iota puts the constant top polyvector back at its home
+    back = carrier.include(carrier.element({("c",): top}))
+    assert back.parts == {("p", 1): top}
 
 
 @pytest.mark.parametrize("d,variant", [
@@ -123,16 +123,16 @@ def test_datum_relations(d, variant):
     singles = [random_field(d, variant, key, 3, seed=i) for i, key in enumerate(keys)]
     psi = reduce(add, singles)
     assert set(psi.parts) == set(keys)
-    maps = [differential, datum.homotopy, datum.project]
+    carrier = datum.carrier
+    maps = [differential, datum.homotopy, carrier.project]
     if variant.kind == "potential":
         maps.append(phi_map)
     for f in maps:
         assert f(psi) == reduce(add, map(f, singles)), f
-    carrier = datum.carrier
     elements = [carrier.random_element(slot, 5, seed=40 + i) for i, slot in enumerate(carrier.slots)]
     v = reduce(add, elements)
-    assert set(v.parts) | ({("c",)} if v.scalar else set()) == set(carrier.slots)
-    assert datum.include(v) == reduce(add, map(datum.include, elements))
+    assert set(v.parts) == set(carrier.slots)
+    assert carrier.include(v) == reduce(add, map(carrier.include, elements))
 
     # the field bracket is bilinear over summands; summand pairs of total
     # degree at most d keep its output in the complex, and several pairs
@@ -179,9 +179,9 @@ def test_witness_text_of_carrier_element():
     xi = lambda i: SuperPoly.xi(d, i)
     carrier = cohomology_model(d, Variant.potential(2))
     v = carrier.element({("pv", 1): xi(1), ("pv", 3): xi(1) * xi(2) * xi(3),
-                         ("quot",): contraction_K(xi(3) * xi(4))}, scalar=2)
-    assert _el_str(v) == ("{'pv/1': 'xi1', 'pv/3': 'xi1*xi2*xi3', "
-                          "'quot': '1/2*x2*xi2*xi3*xi4 + 1/2*x1*xi1*xi3*xi4', 'c': '2'}")
+                         ("quot",): contraction_K(xi(3) * xi(4)), ("c",): SuperPoly.top(d, 2)})
+    assert _el_str(v) == ("{'c': '2*xi1*xi2*xi3*xi4', 'pv/1': 'xi1', 'pv/3': 'xi1*xi2*xi3', "
+                          "'quot': '1/2*x2*xi2*xi3*xi4 + 1/2*x1*xi1*xi3*xi4'}")
 
 
 def test_side_conditions_probe():
@@ -192,3 +192,17 @@ def test_side_conditions_probe():
                              seed=2, max_degree=3)
     assert list(broken) == ["H_squared", "p_H", "H_iota"]
     assert not broken["p_H"] and not broken["H_iota"]
+
+
+def test_datum_is_carrier_plus_homotopy():
+    from dataclasses import fields
+
+    from polyvec.complexes import ModelElement
+    from polyvec.contraction import HomotopyDatum
+
+    assert [f.name for f in fields(HomotopyDatum)] == ["carrier", "homotopy"]
+    assert "scalar" not in [f.name for f in fields(ModelElement)]
+    datum = build_datum(3, Variant.mbcov())
+    for derived in (scale_homotopy(datum, 2), perturb_side_conditions(datum),
+                    normalize_homotopy(datum)):
+        assert derived.carrier is datum.carrier and derived.homotopy is not datum.homotopy

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -12,10 +11,7 @@ from polyvec.linf import (
     field_structure,
     jacobi_defect,
     koszul_reorder_sign,
-    mbcov_minimal_l2,
     minimal_model_structure,
-    potential_d_brackets,
-    potential_k_brackets,
     schouten_structure,
     symmetry_defects,
     transfer,
@@ -146,7 +142,6 @@ def test_transfer_example_equals_schouten():
     want = pvcalc.schouten(a, b).scale(-1 if (2 - 1) & 1 else 1)
     got = sum((p for p in out.parts.values()), SuperPoly.zero(d))
     assert got == want
-    assert mbcov_minimal_l2(a, b) == pvcalc.schouten(a, b)
 
 
 def test_transfer_with_normalized_homotopy():
@@ -304,12 +299,10 @@ def test_transfer_rejects_small_cap():
 
 def test_mbcov_minimal_l2_examples():
     d = 3
-    assert mbcov_minimal_l2(xi(d, 1), x(d, 1) * xi(d, 2)) == xi(d, 2)
+    assert pvcalc.schouten(xi(d, 1), x(d, 1) * xi(d, 2)) == xi(d, 2)
     c = SuperPoly.const(d, 4)
     beta = _div_free(d, 3, 2, seed=3)
-    assert mbcov_minimal_l2(c, beta).is_zero()
-    with pytest.raises(ValueError):
-        mbcov_minimal_l2(x(d, 1) * xi(d, 1), xi(d, 2))
+    assert pvcalc.schouten(c, beta).is_zero()
 
 
 def test_mbcov_minimal_l2_shifted_antisymmetry():
@@ -318,12 +311,12 @@ def test_mbcov_minimal_l2_shifted_antisymmetry():
         a = _div_free(d, 3, seed % 3, seed)
         b = _div_free(d, 3, (seed + 1) % 3, seed + 40)
         sign = -1 if ((a.xi_degree() - 1) * (b.xi_degree() - 1)) & 1 else 1
-        assert mbcov_minimal_l2(a, b) == mbcov_minimal_l2(b, a).scale(-sign)
+        assert pvcalc.schouten(a, b) == pvcalc.schouten(b, a).scale(-sign)
 
 
 def test_potential_d_bracket_families():
     d = 3
-    S = potential_d_brackets(d)
+    S = minimal_model_structure(d, Variant.potential(d - 1))
     carrier = cohomology_model(d, Variant.potential(2))
     # wedge family via a potential input: (xi1, potential of xi2 xi3)
     pot = carrier.element({("pot",): contraction_K(xi(d, 2) * xi(d, 3))})
@@ -342,7 +335,7 @@ def test_potential_d_bracket_families():
 
 def test_potential_d_wedge_family_at_d4():
     d = 4
-    S = potential_d_brackets(d)
+    S = minimal_model_structure(d, Variant.potential(d - 1))
     carrier = cohomology_model(d, Variant.potential(3))
     a = carrier.element({("pv", 2): xi(d, 1) * xi(d, 2)})
     b = carrier.element({("pv", 2): xi(d, 3) * xi(d, 4)})
@@ -352,7 +345,7 @@ def test_potential_d_wedge_family_at_d4():
 
 @pytest.mark.parametrize("d", [3, 4])
 def test_potential_d_super_jacobi(d):
-    S = potential_d_brackets(d)
+    S = minimal_model_structure(d, Variant.potential(d - 1))
     carrier = cohomology_model(d, Variant.potential(d - 1))
     slots = carrier.slots
     for t in range(25):
@@ -363,15 +356,15 @@ def test_potential_d_super_jacobi(d):
 
 def test_potential_k_nary_examples():
     d, k = 4, 2
-    S = potential_k_brackets(d, k)
+    S = minimal_model_structure(d, Variant.potential(k))
     carrier = cohomology_model(d, Variant.potential(k))
     a = carrier.element({("pv", 1): xi(d, 1)})
     b = carrier.element({("pv", 1): xi(d, 3)})
     q = carrier.element({("quot",): x(d, 3) * xi(d, 2) * xi(d, 3) * xi(d, 4)})
-    assert S.brackets[3](a, b, q).scalar == 1
+    assert S.brackets[3](a, b, q).part(("c",)).top_constant() == 1
     c = carrier.element({("quot",): contraction_K(xi(d, 3) * xi(d, 4))})
     out = S.brackets[3](a, carrier.element({("pv", 1): xi(d, 2)}), c)
-    assert out.scalar == 1 and not out.parts
+    assert out.parts == {("c",): SuperPoly.top(d, 1)}
     killed = S.brackets[3](carrier.element({("pv", 1): x(d, 1) * xi(d, 1)}),
                            carrier.element({("pv", 1): xi(d, 2)}), c)
     assert killed.is_zero()
@@ -379,7 +372,7 @@ def test_potential_k_nary_examples():
 
 @pytest.mark.parametrize("d,k,arities", [(4, 2, (2, 3, 4)), (5, 2, (2, 3, 4, 5))])
 def test_potential_k_generalized_jacobi(d, k, arities):
-    S = potential_k_brackets(d, k)
+    S = minimal_model_structure(d, Variant.potential(k))
     carrier = cohomology_model(d, Variant.potential(k))
     slots = carrier.slots
     for n in arities:
@@ -392,26 +385,21 @@ def test_potential_k_generalized_jacobi(d, k, arities):
 
 def test_potential_k_centrality():
     d, k = 4, 2
-    S = potential_k_brackets(d, k)
+    S = minimal_model_structure(d, Variant.potential(k))
     carrier = cohomology_model(d, Variant.potential(k))
-    center = carrier.element({}, scalar=Fraction(3))
+    center = carrier.element({("c",): SuperPoly.top(d, 3)})
     for slot in carrier.slots:
         v = carrier.random_element(slot, 3, seed=5)
         assert S.brackets[2](center, v).is_zero()
         assert S.brackets[2](v, center).is_zero()
     out = S.brackets[3](*[carrier.random_element(carrier.slots[i % 3], 3, seed=i)
                           for i in range(3)])
-    assert not out.parts  # outputs are purely central
-
-
-def test_potential_k_rejects_top_k():
-    with pytest.raises(ValueError):
-        potential_k_brackets(4, 3)
+    assert set(out.parts) <= {("c",)}  # outputs are purely central
 
 
 def test_minimal_model_symmetry():
     d = 3
-    S = potential_d_brackets(d)
+    S = minimal_model_structure(d, Variant.potential(d - 1))
     carrier = cohomology_model(d, Variant.potential(2))
     for t in range(6):
         a = carrier.random_element(carrier.slots[t % 3], 3, seed=t)

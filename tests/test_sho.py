@@ -177,6 +177,21 @@ def test_ext_bracket_examples():
     assert out.is_zero()
 
 
+def test_ext_bracket_keeps_integral_central_coordinates_int():
+    # integral generators: the divergence-free monomials of degree <= 2
+    # (the constant and the top monomial would only feed the center)
+    gens = [SuperPoly(3, {m: 2}) for m in monomial_basis(3, 2)
+            if 0 < m.degree and len(m.odd) < 3 and pvcalc.divergence(SuperPoly(3, {m: 1})).is_zero()]
+    seen = set()
+    for f in gens:
+        for g in gens:
+            out = ext_bracket_d3(ext_element(f), ext_element(g, c1=1)).scale(3)
+            assert type(out.c1) is int and type(out.c2) is int, (f, g, out)
+            seen |= {"c1"} if out.c1 else set()
+            seen |= {"c2"} if out.c2 else set()
+    assert seen == {"c1", "c2"}
+
+
 def test_ext_bracket_super_jacobi():
     for t in range(30):
         a = ext_element(random_sho_generator(4, seed=3 * t))
@@ -204,11 +219,11 @@ def test_principal_grading_is_a_lie_grading():
     for t in range(15):
         f = random_sho_generator(4, seed=100 + t)
         g = random_sho_generator(4, seed=200 + t)
-        fd = set(f.homogeneous_components("principal"))
-        gd = set(g.homogeneous_components("principal"))
+        fd = set(f.principal_components())
+        gd = set(g.principal_components())
         br = pvcalc.schouten(f, g)
         if len(fd) == 1 and len(gd) == 1 and not br.is_zero():
-            assert set(br.homogeneous_components("principal")) == {fd.pop() + gd.pop()}
+            assert set(br.principal_components()) == {fd.pop() + gd.pop()}
 
 
 def test_cocycle_check_pass_and_fail():

@@ -8,9 +8,7 @@ from polyvec.contraction import contraction_K
 from polyvec.sho import ExtElement, ext_bracket_d3, ext_element, random_sho_generator
 from polyvec.sl2 import (
     OutsideVerifiedDomain,
-    Sl2Element,
     ZTwoField,
-    act,
     act_e,
     act_f,
     act_h,
@@ -103,7 +101,7 @@ def test_f_agrees_with_contraction_lift():
         raw = random_poly(3, 3, xi_degree_filter=2, seed=seed)
         gen = raw - contraction_K(pvcalc.divergence(raw))
         v = ext_element(gen)
-        if any(deg > 1 for deg in v.gen.homogeneous_components("principal")):
+        if any(deg > 1 for deg in v.gen.principal_components()):
             continue
         want = -pvcalc.vee_omega(contraction_K(v.gen))
         assert act_f(v).gen == want
@@ -125,12 +123,6 @@ def test_extend_f_solver():
     # agrees with the table on the verified domain
     w = ext_element(xi(1) * xi(2))
     assert extend_f(w) == act_f(w)
-
-
-def test_linear_combinations():
-    v = ext_element(xi(1) * xi(2))
-    out = act(Sl2Element(a_h=Fraction(2), a_f=Fraction(1)), v)
-    assert out == act_h(v).scale(2) + act_f(v)
 
 
 def test_sl2_relations_report():
