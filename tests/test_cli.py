@@ -130,6 +130,23 @@ def test_golden_default_campaign(tmp_path, name):
     assert (out / "report.jsonl").read_bytes() == golden.read_bytes()
 
 
+# golden bracket table -> campaign arguments; the potential table carries
+# quot and central parts, so it pins the text of every slot kind
+GOLDEN_TABLES = {
+    "brackets_mbcov_d3": DEFAULT_ARGS,
+    "brackets_potential_2_d4": POTENTIAL_D4_ARGS,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TABLES))
+def test_golden_bracket_table(tmp_path, name):
+    out = tmp_path / "run"
+    assert main(GOLDEN_TABLES[name] + ["--check", "contraction", "--out", str(out),
+                                       "--export-tables"]) == 0
+    golden = GOLDEN / f"{name}.json"
+    assert (out / "tables" / golden.name).read_bytes() == golden.read_bytes()
+
+
 def test_extension_table_contains_pairing_row(tmp_path):
     out = tmp_path / "run"
     assert main(DEFAULT_ARGS + ["--out", str(out), "--export-tables"]) == 0
