@@ -32,7 +32,7 @@ datum = build_datum(4, Variant.potential(2))
 top = SuperPoly.monomial(4, (0, 0, 0, 0), (1, 2, 3, 4), 5)
 psi = DescendantField.single(4, Variant.potential(2), ("p", 1), top)
 print("p(5 * xi1 xi2 xi3 xi4 at the tower tail) =",
-      datum.carrier.project(psi).part(("c",)).top_constant())
+      datum.carrier.project(psi).part(datum.carrier.home(("c",))).top_constant())
 
 print("\n# corrupted homotopies are rejected")
 bad = verify_datum(scale_homotopy(datum, 2), sample_budget=30, seed=0)

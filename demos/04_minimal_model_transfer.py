@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Homotopy transfer onto the divergence-free carrier, against the oracle.
 
-The transfer engine sums over rooted trees (leaves iota, internal edges
-the homotopy, root the projection).  For the minimal theory every tree
+The transfer engine sums over rooted trees (leaves the carrier elements,
+which are fields, internal edges the homotopy, root the projection).  For the minimal theory every tree
 with an internal edge dies, the transferred differential vanishes, and
 the binary bracket is the Schouten bracket: the minimal model is a Lie
 superalgebra on divergence-free polyvectors.
@@ -26,8 +26,8 @@ b = carrier.element({("pv", 1): x1 * x2 * SuperPoly.xi(d, 3)})
 
 print("# transferred binary bracket vs the closed form")
 got = transferred.brackets[2](a, b)
-print("transferred l2:", {s: str(p) for s, p in got.parts.items()})
-print("closed form   :", {s: str(p) for s, p in model.brackets[2](a, b).parts.items()})
+print("transferred l2:", carrier.to_dict(got))
+print("closed form   :", carrier.to_dict(model.brackets[2](a, b)))
 print("the Lie-convention value is the Schouten bracket:",
       schouten(xi1 * xi2, x1 * x2 * SuperPoly.xi(d, 3)))
 
@@ -44,4 +44,4 @@ car4 = cohomology_model(4, Variant.potential(2))
 xs = [car4.element({("pv", 1): SuperPoly.xi(4, 1)}),
       car4.element({("pv", 1): SuperPoly.xi(4, 3)}),
       car4.element({("quot",): SuperPoly.x(4, 3) * SuperPoly.xi(4, 2) * SuperPoly.xi(4, 3) * SuperPoly.xi(4, 4)})]
-print("ternary bracket into the center:", S.brackets[3](*xs).part(("c",)).top_constant())
+print("ternary bracket into the center:", S.brackets[3](*xs).part(car4.home(("c",))).top_constant())

@@ -16,7 +16,6 @@ from .pvcalc import (
 from .complexes import (
     CarrierModel,
     DescendantField,
-    ModelElement,
     Variant,
     cohomology_model,
     differential,

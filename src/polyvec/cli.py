@@ -94,8 +94,8 @@ def export_tables(cfg: CampaignConfig, out_dir: Path) -> list[Path]:
             out = structure.brackets[n](*xs)
             samples.append({
                 "arity": n,
-                "inputs": [x.to_dict() for x in xs],
-                "output": out.to_dict(),
+                "inputs": [carrier.to_dict(x) for x in xs],
+                "output": carrier.to_dict(out),
             })
     path = tables / f"brackets_{cfg.variant.label.replace('(', '_').replace(')', '')}_d{cfg.d}.json"
     path.write_text(json.dumps(samples, indent=1, sort_keys=True) + "\n")

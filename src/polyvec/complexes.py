@@ -173,6 +173,13 @@ class DescendantField:
     def part(self, key: FieldKey) -> SuperPoly:
         return self.parts.get(key, SuperPoly.zero(self.d))
 
+    def parity(self) -> int:
+        """The Koszul parity of a parity-homogeneous field (0 for zero)."""
+        pars = {parity_of(key, self.variant) for key in self.parts}
+        if len(pars) > 1:
+            raise ValueError("field is not parity-homogeneous")
+        return pars.pop() if pars else 0
+
     def to_dict(self) -> dict:
         return {
             "d": self.d,
@@ -236,48 +243,15 @@ def phi_map(psi: DescendantField) -> DescendantField:
 # -- cohomology carriers ----------------------------------------------
 
 
-@dataclass
-class ModelElement:
-    """Element of a minimal-model carrier: slot-indexed polyvector parts,
-    each stored by its slot's canonical representative (a quotient class
-    by its K Delta representative, the central line by its constant top
-    polyvector)."""
-
-    d: int
-    variant: Variant
-    parts: dict[SlotKey, SuperPoly] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.parts = {k: p for k, p in self.parts.items() if not p.is_zero()}
-
-    def __add__(self, other: "ModelElement") -> "ModelElement":
-        if (self.d, self.variant) != (other.d, other.variant):
-            raise ValueError("carrier mismatch")
-        return ModelElement(self.d, self.variant,
-                            collect(chain(self.parts.items(), other.parts.items())))
-
-    def __neg__(self) -> "ModelElement":
-        return ModelElement(self.d, self.variant, {k: -p for k, p in self.parts.items()})
-
-    def __sub__(self, other: "ModelElement") -> "ModelElement":
-        return self + (-other)
-
-    def is_zero(self) -> bool:
-        return not self.parts
-
-    def part(self, key: SlotKey) -> SuperPoly:
-        return self.parts.get(key, SuperPoly.zero(self.d))
-
-    def to_dict(self) -> dict:
-        """Slot id -> polyvector text in sorted slot order; SuperPoly.parse
-        reads each value back."""
-        return {"/".join(map(str, slot)): str(self.parts[slot]) for slot in sorted(self.parts)}
-
-
 @dataclass(frozen=True)
 class CarrierModel:
     """A minimal-model carrier: each slot is a subspace of one summand of
-    the field complex (its home), cut out by a canonical representative."""
+    the field complex (its home), cut out by a canonical representative.
+
+    No two slots share a home, so a carrier element is a DescendantField
+    whose parts sit at the slots' homes in canonical form; the inclusion
+    iota is the identity.
+    """
 
     d: int
     variant: Variant
@@ -310,9 +284,6 @@ class CarrierModel:
             return SuperPoly.top(self.d, poly.top_constant())
         return poly
 
-    def parity(self, slot: SlotKey) -> int:
-        return parity_of(self.home(slot), self.variant)
-
     def slot_xi_degree(self, slot: SlotKey) -> int:
         return xi_degree_of(self.home(slot), self.variant)
 
@@ -324,38 +295,33 @@ class CarrierModel:
             return False
         return poly == self.canonical(slot, poly)
 
-    def project(self, psi: DescendantField) -> ModelElement:
+    def project(self, psi: DescendantField) -> DescendantField:
         """p: each slot reads its home summand and canonicalizes it."""
         homes = ((slot, self.home(slot)) for slot in self.slots)
-        return ModelElement(self.d, self.variant, {
-            slot: self.canonical(slot, psi.parts[key]) for slot, key in homes if key in psi.parts})
+        return DescendantField(self.d, self.variant, {
+            key: self.canonical(slot, psi.parts[key]) for slot, key in homes if key in psi.parts})
 
-    def include(self, v: ModelElement) -> DescendantField:
-        """iota: each part at its home as it is (canonical quotient
-        representatives satisfy rep = K Delta rep)."""
-        return DescendantField(self.d, self.variant,
-                               collect((self.home(slot), poly) for slot, poly in v.parts.items()))
+    def element(self, parts: dict) -> DescendantField:
+        """The projection of the field holding each slot's part at its home,
+        so every part is stored in canonical form; an unknown slot or a
+        part of the wrong xi-degree raises ValueError."""
+        return self.project(DescendantField(self.d, self.variant, {
+            self.home(slot): poly for slot, poly in parts.items()}))
 
-    def zero(self) -> ModelElement:
-        return ModelElement(self.d, self.variant, {})
-
-    def element(self, parts: dict | None = None) -> ModelElement:
-        """Build an element, canonicalizing quotient representatives."""
-        parts = dict(parts or {})
-        for slot, poly in list(parts.items()):
-            if slot not in self.slots:
-                raise ValueError(f"unknown slot {slot}")
-            if slot == ("quot",):
-                parts[slot] = self.canonical(slot, poly)
-        return ModelElement(self.d, self.variant, parts)
-
-    def random_element(self, slot: SlotKey, max_degree: int, seed: int) -> ModelElement:
+    def random_element(self, slot: SlotKey, max_degree: int, seed: int) -> DescendantField:
         """Seeded slot-homogeneous element in canonical form."""
         if slot == ("c",):
             value = SuperPoly.top(self.d, random.Random(seed).choice([-3, -2, -1, 1, 2, 3]))
-            return ModelElement(self.d, self.variant, {slot: value})
-        raw = random_poly(self.d, max_degree, xi_degree_filter=self.slot_xi_degree(slot), seed=seed)
-        return ModelElement(self.d, self.variant, {slot: self.canonical(slot, raw)})
+        else:
+            raw = random_poly(self.d, max_degree, xi_degree_filter=self.slot_xi_degree(slot), seed=seed)
+            value = self.canonical(slot, raw)
+        return DescendantField.single(self.d, self.variant, self.home(slot), value)
+
+    def to_dict(self, v: DescendantField) -> dict:
+        """Slot id -> polyvector text in sorted slot order; SuperPoly.parse
+        reads each value back."""
+        return {"/".join(map(str, slot)): str(v.parts[key])
+                for slot in sorted(self.slots) if (key := self.home(slot)) in v.parts}
 
 
 def cohomology_model(d: int, variant: Variant) -> CarrierModel:

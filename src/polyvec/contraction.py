@@ -7,12 +7,12 @@ polynomial de Rham complex through contraction with the volume element,
 with a per-degree sign fixed in conventions.py.
 
 Homotopy data relate a field complex to its cohomology carrier.  A
-datum is the carrier, which supplies p and iota (CarrierModel.project
-and include), plus a homotopy H; Q is complexes.differential.  The
-relations p iota = id and id - iota p = Q H + H Q are checked summand
-by summand by verify_datum.  The side conditions H^2 = 0, H iota = 0, p H = 0 are not
-required, only probed by side_conditions; normalize_homotopy arranges
-them when absent.
+datum is the carrier, which supplies p (CarrierModel.project), plus a
+homotopy H; a carrier element is a field, so iota is the identity, and
+Q is complexes.differential.  The relations p iota = id and
+id - iota p = Q H + H Q are checked summand by summand by verify_datum.
+The side conditions H^2 = 0, H iota = 0, p H = 0 are not required, only
+probed by side_conditions; normalize_homotopy arranges them when absent.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from . import conventions, pvcalc
 from .complexes import (
     CarrierModel,
     DescendantField,
-    ModelElement,
     Variant,
     cohomology_model,
     differential,
@@ -70,8 +69,8 @@ class HomotopyDatum:
     """A homotopy H between a field complex and its carrier.
 
     The complex is the carrier's (carrier.d, carrier.variant), Q is
-    complexes.differential, and p and iota are carrier.project and
-    carrier.include; only H varies between data.
+    complexes.differential, p is carrier.project and iota is the identity
+    (a carrier element is a field); only H varies between data.
     """
 
     carrier: CarrierModel
@@ -120,12 +119,12 @@ def perturb_side_conditions(datum: HomotopyDatum) -> HomotopyDatum:
     """
     carrier = datum.carrier
 
-    def lam(v: ModelElement) -> ModelElement:
-        c = sum((coeff for _, coeff in v.part(("pv", 0)).terms()), Fraction(0))
+    def lam(v: DescendantField) -> DescendantField:
+        c = sum((coeff for _, coeff in v.part(carrier.home(("pv", 0))).terms()), Fraction(0))
         return carrier.element({("pv", 1): SuperPoly.xi(carrier.d, 1).scale(c)})
 
     def homotopy(psi: DescendantField) -> DescendantField:
-        return datum.homotopy(psi) + carrier.include(lam(carrier.project(psi)))
+        return datum.homotopy(psi) + lam(carrier.project(psi))
 
     return HomotopyDatum(carrier, homotopy)
 
@@ -140,7 +139,7 @@ def normalize_homotopy(datum: HomotopyDatum) -> HomotopyDatum:
     carrier = datum.carrier
 
     def one_minus_ip(psi):
-        return psi - carrier.include(carrier.project(psi))
+        return psi - carrier.project(psi)
 
     h1 = lambda psi: datum.homotopy(one_minus_ip(psi))
     h2 = lambda psi: one_minus_ip(h1(psi))
@@ -168,9 +167,10 @@ def verify_datum(datum: HomotopyDatum, sample_budget: int = 50, seed: int = 0,
     def p_iota(slot):
         for t in range(per_slot):
             v = carrier.random_element(slot, max_degree, seed=sample_seed(seed, slot, t))
-            got = carrier.project(carrier.include(v))
+            got = carrier.project(v)
             if got != v:
-                yield {"slot": list(slot), "element": _el_str(v), "projected": _el_str(got)}
+                yield {"slot": list(slot), "element": repr(carrier.to_dict(v)),
+                       "projected": repr(carrier.to_dict(got))}
 
     for slot in slots:
         report.check(f"datum.{label}.d{d}.p_iota.{_key_id(slot)}", p_iota(slot))
@@ -178,7 +178,7 @@ def verify_datum(datum: HomotopyDatum, sample_budget: int = 50, seed: int = 0,
     def homotopy(key):
         for t in range(per_key):
             psi = random_field(d, variant, key, max_degree, seed=sample_seed(seed, key, t))
-            lhs = psi - carrier.include(carrier.project(psi))
+            lhs = psi - carrier.project(psi)
             rhs = differential(datum.homotopy(psi)) + datum.homotopy(differential(psi))
             if lhs != rhs:
                 yield {"summand": list(key), "field": psi.to_dict()}
@@ -207,15 +207,11 @@ def side_conditions(datum: HomotopyDatum, seed: int, max_degree: int) -> dict[st
         "H_squared": all(datum.homotopy(datum.homotopy(psi)).is_zero() for psi in fields("H_squared")),
         "p_H": all(carrier.project(datum.homotopy(psi)).is_zero() for psi in fields("p_H")),
         "H_iota": all(
-            datum.homotopy(carrier.include(carrier.random_element(
-                slot, max_degree, seed=sample_seed(seed, "Hi", slot)))).is_zero()
+            datum.homotopy(carrier.random_element(
+                slot, max_degree, seed=sample_seed(seed, "Hi", slot))).is_zero()
             for slot in carrier.slots),
     }
 
 
 def _key_id(key) -> str:
     return "_".join(str(s) for s in key)
-
-
-def _el_str(v: ModelElement) -> str:
-    return repr(v.to_dict())

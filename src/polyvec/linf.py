@@ -12,10 +12,11 @@ graded Lie structure enters through decalage; in particular the
 symmetric form of the Schouten bracket is Delta(mu nu) on divergence
 free inputs.
 
-Homotopy transfer is the standard sum over rooted trees with
-iota on the leaves, the homotopy on internal edges, and the projection
-at the root, organized as a recursion over set partitions of the
-inputs; within one bracket call each input subset's subtree is
+Homotopy transfer is the standard sum over rooted trees with the
+carrier elements themselves on the leaves (a carrier element is a field,
+so iota is the identity), the homotopy on internal edges, and the
+projection at the root, organized as a recursion over set partitions of
+the inputs; within one bracket call each input subset's subtree is
 evaluated once.  It requires the side conditions (H^2 = 0, H iota = 0,
 p H = 0); data lacking them are normalized first.
 """
@@ -26,16 +27,7 @@ from itertools import combinations
 from typing import Any, Callable
 
 from . import pvcalc
-from .complexes import (
-    CarrierModel,
-    DescendantField,
-    ModelElement,
-    Variant,
-    cohomology_model,
-    collect,
-    parity_of,
-    t_power_of,
-)
+from .complexes import DescendantField, Variant, collect, t_power_of
 from .contraction import HomotopyDatum, contraction_K, normalize_homotopy, side_conditions
 from .superpoly import SuperPoly, koszul_sign
 
@@ -44,14 +36,12 @@ class LInftyStructure:
     """A differential (arity-1 bracket) plus finitely many multibrackets.
 
     Brackets not present in the table are zero.  Elements of the carrier
-    must support +, unary -, and is_zero(); parity_of must return the
-    Koszul parity of a (parity-homogeneous) element.
+    must support +, unary -, is_zero() and parity(), the Koszul parity of
+    a parity-homogeneous element.
     """
 
-    def __init__(self, zero: Callable[[], Any], parity_of: Callable[[Any], int],
-                 brackets: dict[int, Callable], name: str = ""):
+    def __init__(self, zero: Callable[[], Any], brackets: dict[int, Callable], name: str = ""):
         self.zero = zero
-        self.parity_of = parity_of
         self.brackets = dict(brackets)
         self.name = name
 
@@ -75,7 +65,7 @@ def jacobi_defect(structure: LInftyStructure, n: int, inputs) -> Any:
     inputs = tuple(inputs)
     if len(inputs) != n or n < 1:
         raise ValueError("need exactly n >= 1 inputs")
-    parities = [structure.parity_of(x) for x in inputs]
+    parities = [x.parity() for x in inputs]
     acc = structure.zero()
     for i in range(1, n + 1):
         inner_bracket = structure.bracket(i)
@@ -92,7 +82,7 @@ def jacobi_defect(structure: LInftyStructure, n: int, inputs) -> Any:
 def symmetry_defects(structure: LInftyStructure, n: int, inputs) -> list:
     """Defects of graded symmetry under adjacent transpositions."""
     inputs = list(inputs)
-    parities = [structure.parity_of(x) for x in inputs]
+    parities = [x.parity() for x in inputs]
     bracket = structure.bracket(n)
     base = bracket(*inputs)
     out = []
@@ -115,7 +105,6 @@ def schouten_structure(d: int, with_differential: bool = True) -> LInftyStructur
         brackets[1] = pvcalc.divergence
     return LInftyStructure(
         zero=lambda: SuperPoly.zero(d),
-        parity_of=lambda p: p.parity(),
         brackets=brackets,
         name=f"schouten(d={d})",
     )
@@ -149,41 +138,27 @@ def field_structure(d: int) -> LInftyStructure:
 
     return LInftyStructure(
         zero=lambda: DescendantField.zero(d, variant),
-        parity_of=lambda psi: field_parity(psi),
         brackets={1: Q, 2: b2},
         name=f"fields(mbcov, d={d})",
     )
 
 
-def field_parity(psi: DescendantField) -> int:
-    pars = {parity_of(key, psi.variant) for key in psi.parts}
-    if len(pars) > 1:
-        raise ValueError("field is not parity-homogeneous")
-    return pars.pop() if pars else 0
-
-
-def model_parity(carrier: CarrierModel, v: ModelElement) -> int:
-    pars = {carrier.parity(slot) for slot in v.parts}
-    if len(pars) > 1:
-        raise ValueError("element is not parity-homogeneous")
-    return pars.pop() if pars else 0
-
-
 # -- minimal models ----------------------------------------------------
 
 
-def _content(v: ModelElement) -> SuperPoly:
+def _content(v: DescendantField) -> SuperPoly:
     """Flatten a carrier element to a divergence-free polyvector.
 
-    Divergence-free slots contribute as they are; every other slot
-    contributes through the divergence of its representative, so the
-    central line (constant top polyvectors) contributes nothing.
+    The divergence-free slots (homes ("f", 0, j)) contribute as they are
+    and the head of the potential tower ("p", 0) through the divergence
+    of its representative; the central line at the tower's tail (constant
+    top polyvectors) contributes nothing and is skipped.
     """
     acc = SuperPoly.zero(v.d)
-    for slot, poly in v.parts.items():
-        if slot[0] == "pv":
+    for key, poly in v.parts.items():
+        if key[0] == "f":
             acc = acc + poly
-        else:
+        elif key == ("p", 0):
             acc = acc + pvcalc.divergence(poly)
     return acc
 
@@ -198,38 +173,40 @@ def minimal_model_structure(d: int, variant: Variant) -> LInftyStructure:
     * k < d-1 potentials: b2 as above with xi-degree k output lifted to a
       quotient class, plus the (d-k+1)-ary bracket into the central slot
       c: the constant top part of the content product.
+
+    Inputs and outputs are carrier elements: fields whose parts sit at
+    the slots' homes, ("f", 0, j) for pv j, ("p", 0) for quot and pot,
+    and ("p", d-k-1) for c.
     """
     variant.validate(d)
-    carrier = cohomology_model(d, variant)
     k = variant.k if variant.kind == "potential" else None
 
-    def b2(v: ModelElement, w: ModelElement) -> ModelElement:
+    def b2(v: DescendantField, w: DescendantField) -> DescendantField:
         prod = _content(v) * _content(w)
-        lifted = ("pot",) if k == d - 1 else ("quot",)
-        pairs = [(("pv", j), comp) if j != k else (lifted, contraction_K(comp))
+        pairs = [(("f", 0, j), comp) if j != k else (("p", 0), contraction_K(comp))
                  for j, comp in pvcalc.divergence(prod).xi_components().items()]
         if k == d - 1:
-            pairs.append((("pot",), SuperPoly.top(d, prod.top_constant())))
-        return ModelElement(d, variant, collect(pairs))
+            pairs.append((("p", 0), SuperPoly.top(d, prod.top_constant())))
+        return DescendantField(d, variant, collect(pairs))
 
     brackets: dict[int, Callable] = {2: b2}
 
     if variant.kind == "potential" and k != d - 1:
         arity = d - k + 1
 
-        def l_top(*vs: ModelElement) -> ModelElement:
+        def l_top(*vs: DescendantField) -> DescendantField:
             if len(vs) != arity:
                 raise ValueError(f"bracket has arity {arity}")
             prod = SuperPoly.const(d, 1)
             for v in vs:
                 prod = prod * _content(v)
-            return ModelElement(d, variant, {("c",): SuperPoly.top(d, prod.top_constant())})
+            central = SuperPoly.top(d, prod.top_constant())
+            return DescendantField.single(d, variant, ("p", d - k - 1), central)
 
         brackets[arity] = l_top
 
     return LInftyStructure(
-        zero=carrier.zero,
-        parity_of=lambda v: model_parity(carrier, v),
+        zero=lambda: DescendantField.zero(d, variant),
         brackets=brackets,
         name=f"minimal({variant.label}, d={d})",
     )
@@ -255,23 +232,23 @@ def _set_partitions(n: int):
         yield [sorted(b) for b in sorted(part, key=min)]
 
 
-def tree_sum(structure: LInftyStructure, include: Callable, homotopy: Callable, inputs) -> Any:
-    """Sum over rooted trees with one leaf per (element, parity) input,
-    leaves decorated by include, internal edges by homotopy and vertices
-    by the source brackets, with Koszul signs; the transferred bracket
-    before the projection.
+def tree_sum(structure: LInftyStructure, homotopy: Callable, inputs) -> Any:
+    """Sum over rooted trees with one leaf per input, each leaf the input
+    itself, internal edges decorated by homotopy and vertices by the
+    source brackets, with Koszul signs; the transferred bracket before
+    the projection.
 
     A recursion over set partitions of the input indices, in which the
     subtree over each index subset is evaluated once per call.
     """
     inputs = tuple(inputs)
-    parities = [p for _, p in inputs]
+    parities = [x.parity() for x in inputs]
     vertex_arities = {n for n in structure.arities() if n >= 2}
     thetas: dict[tuple[int, ...], Any] = {}
 
     def theta(idx):
         if idx not in thetas:
-            thetas[idx] = include(inputs[idx[0]][0]) if len(idx) == 1 else homotopy(big_b(idx))
+            thetas[idx] = inputs[idx[0]] if len(idx) == 1 else homotopy(big_b(idx))
         return thetas[idx]
 
     def big_b(idx):
@@ -294,9 +271,10 @@ def tree_sum(structure: LInftyStructure, include: Callable, homotopy: Callable, 
 def transfer(structure: LInftyStructure, datum: HomotopyDatum, arity_cap: int) -> LInftyStructure:
     """Transferred structure on the cohomology carrier up to arity_cap.
 
-    The n-ary bracket is the projection of tree_sum with iota on the
-    leaves and the homotopy on internal edges; each input subset's
-    subtree is evaluated once per bracket call.
+    The n-ary bracket is the projection of tree_sum, whose leaves are the
+    carrier elements themselves (iota is the identity) and whose internal
+    edges carry the homotopy; each input subset's subtree is evaluated
+    once per bracket call.
     """
     if arity_cap < 2:
         raise ValueError("arity_cap must be at least 2")
@@ -306,21 +284,19 @@ def transfer(structure: LInftyStructure, datum: HomotopyDatum, arity_cap: int) -
 
     def make_bracket(n: int) -> Callable:
         if n == 1:
-            def b1(v: ModelElement) -> ModelElement:
-                return carrier.project(structure.bracket(1)(carrier.include(v)))
+            def b1(v: DescendantField) -> DescendantField:
+                return carrier.project(structure.bracket(1)(v))
             return b1
 
-        def bn(*vs: ModelElement) -> ModelElement:
+        def bn(*vs: DescendantField) -> DescendantField:
             if len(vs) != n:
                 raise ValueError(f"expected {n} inputs")
-            inputs = [(v, model_parity(carrier, v)) for v in vs]
-            return carrier.project(tree_sum(structure, carrier.include, datum.homotopy, inputs))
+            return carrier.project(tree_sum(structure, datum.homotopy, vs))
 
         return bn
 
     return LInftyStructure(
-        zero=carrier.zero,
-        parity_of=lambda v: model_parity(carrier, v),
+        zero=lambda: DescendantField.zero(carrier.d, carrier.variant),
         brackets={n: make_bracket(n) for n in range(1, arity_cap + 1)},
         name=f"transferred({structure.name})",
     )

@@ -120,15 +120,15 @@ def test_central_slot_is_an_ordinary_slot(d):
     assert not model.membership(("c",), SuperPoly.const(d, 1))
     assert not model.membership(("c",), SuperPoly.x(d, 1) * SuperPoly.top(d, 1))
     # p iota = id and the text round trip on an element with every slot filled
-    v = model.zero()
+    v = DescendantField.zero(d, model.variant)
     for i, slot in enumerate(model.slots):
         v = v + model.random_element(slot, 4, seed=60 + i)
-    assert set(v.parts) == set(model.slots)
-    assert model.project(model.include(v)) == v
-    text = v.to_dict()
+    assert set(v.parts) == {model.home(slot) for slot in model.slots}
+    assert model.project(v) == v
+    text = model.to_dict(v)
     assert model.membership(("c",), SuperPoly.parse(d, text["c"]))
-    for slot, poly in v.parts.items():
-        assert SuperPoly.parse(d, text["/".join(map(str, slot))]) == poly
+    for slot in model.slots:
+        assert SuperPoly.parse(d, text["/".join(map(str, slot))]) == v.part(model.home(slot))
 
 
 def test_cohomology_model_slots():
@@ -144,12 +144,30 @@ def test_quotient_canonicalization():
     model = cohomology_model(4, Variant.potential(2))
     nu = random_poly(4, 4, xi_degree_filter=3, seed=8)
     v = model.element({("quot",): nu})
-    rep = v.part(("quot",))
+    rep = v.part(model.home(("quot",)))
     assert rep == contraction_K(pvcalc.divergence(rep))
     # representatives of the same class agree after canonicalization
     shift = pvcalc.divergence(random_poly(4, 4, xi_degree_filter=4, seed=9))
     w = model.element({("quot",): nu + shift})
     assert w == v
+
+
+def test_element_canonicalizes_every_part():
+    # element is p of the field holding each part at its slot's home, so a
+    # part that is not its own canonical form is stored canonicalized
+    d = 4
+    model = cohomology_model(d, Variant.potential(2))
+    xi = lambda i: SuperPoly.xi(d, i)
+    x1 = SuperPoly.x(d, 1)
+    for slot, poly in [(("c",), x1 * xi(1) * xi(2) * xi(3) * xi(4)), (("pv", 1), x1 * xi(1))]:
+        assert not model.membership(slot, poly)
+        v = model.element({slot: poly})
+        assert model.project(v) == v
+        assert model.membership(slot, v.part(model.home(slot)))
+    assert model.element({("c",): x1 * SuperPoly.top(d, 1) + SuperPoly.top(d, 2)}).parts == {
+        ("p", 1): SuperPoly.top(d, 2)}
+    with pytest.raises(ValueError):
+        model.element({("pv", 1): xi(1) * xi(2)})  # wrong xi-degree
 
 
 def test_scalar_slot_requires_central_carrier():
@@ -163,8 +181,9 @@ def test_random_elements_live_in_carrier():
         model = cohomology_model(d, v)
         for slot in model.slots:
             el = model.random_element(slot, 3, seed=5)
-            for s, poly in el.parts.items():
-                assert model.membership(s, poly)
+            assert set(el.parts) <= {model.home(slot)}
+            for poly in el.parts.values():
+                assert model.membership(slot, poly)
 
 
 def _slot_table(d, variant, slot):
@@ -188,7 +207,7 @@ def test_slot_homes_give_parity_and_degree():
             for slot in model.slots:
                 assert model.home(slot) in keys
                 parity, degree = _slot_table(d, variant, slot)
-                assert model.parity(slot) == parity
+                assert parity_of(model.home(slot), variant) == parity
                 assert model.slot_xi_degree(slot) == degree
                 count += 1
     assert count == 76
@@ -197,6 +216,23 @@ def test_slot_homes_give_parity_and_degree():
     for slot in [("pv", 2), ("pot",), ("x",)]:
         with pytest.raises(ValueError):
             central.home(slot)
+
+
+def test_slots_have_distinct_homes_and_p_is_idempotent():
+    # a carrier element is a field holding each slot's part at its home, so
+    # no two slots may share one, and p fixes every field it returns
+    slots = nonzero = 0
+    for d in range(2, 8):
+        for variant in [Variant.mbcov()] + [Variant.potential(k) for k in range(2, d)]:
+            model = cohomology_model(d, variant)
+            homes = [model.home(slot) for slot in model.slots]
+            assert len(set(homes)) == len(homes)
+            slots += len(homes)
+            for i, key in enumerate(summands(d, variant)):
+                p = model.project(random_field(d, variant, key, 3, seed=700 + i))
+                assert model.project(p) == p
+                nonzero += not p.is_zero()
+    assert (slots, nonzero) == (122, 112)
 
 
 def test_membership_is_canonical_form():

@@ -117,7 +117,6 @@ def test_transfer_of_zero_brackets_is_zero():
 
     S = LInftyStructure(
         zero=lambda: DescendantField.zero(d, Variant.mbcov()),
-        parity_of=field_structure(d).parity_of,
         brackets={1: differential},
     )
     transferred = transfer(S, datum, arity_cap=3)
@@ -163,20 +162,20 @@ def test_transfer_with_normalized_homotopy():
         assert transferred.brackets[3](a, b, c).is_zero()
 
 
-def _reference_tree_sum(structure, include, homotopy, inputs):
+def _reference_tree_sum(structure, homotopy, inputs):
     """The unmemoized tree sum: every set partition re-evaluates each of
     its blocks' subtrees from the elements themselves."""
     vertex_arities = [n for n in structure.arities() if n >= 2]
 
     def theta(xs):
         if len(xs) == 1:
-            return include(xs[0][0])
+            return xs[0]
         return homotopy(big_b(xs))
 
     def big_b(xs):
         acc = structure.zero()
         n = len(xs)
-        parities = [p for _, p in xs]
+        parities = [x.parity() for x in xs]
         for blocks in _set_partitions(n):
             if len(blocks) < 2 or len(blocks) not in vertex_arities:
                 continue
@@ -194,16 +193,14 @@ def _toy_source(d):
     """Schouten plus the ternary product: vertices of arity 2 and 3, so
     trees of every shape contribute."""
     base = schouten_structure(d, with_differential=False)
-    return LInftyStructure(base.zero, base.parity_of,
-                           {**base.brackets, 3: lambda a, b, c: a * b * c}, name="toy")
+    return LInftyStructure(base.zero, {**base.brackets, 3: lambda a, b, c: a * b * c}, name="toy")
 
 
 def _toy_tree_sums(polys):
-    """(memoized, reference) tree sums with iota = 1 and H = x1 *."""
+    """(memoized, reference) tree sums with H = x1 *."""
     d = polys[0].d
     source = _toy_source(d)
-    inputs = [(p, p.parity()) for p in polys]
-    args = (source, lambda v: v, lambda v: x(d, 1) * v, inputs)
+    args = (source, lambda v: x(d, 1) * v, polys)
     return tree_sum(*args), _reference_tree_sum(*args)
 
 
@@ -238,19 +235,16 @@ def test_tree_sum_matches_reference_on_seeded_inputs(n):
 
 def test_tree_sum_evaluates_each_subtree_once():
     d, n = 3, 5
-    calls = {"include": 0, "homotopy": 0}
+    calls = 0
 
-    def counted(name, fn):
-        def call(v):
-            calls[name] += 1
-            return fn(v)
-        return call
+    def homotopy(v):
+        nonlocal calls
+        calls += 1
+        return x(d, 1) * v
 
-    polys = _named_toy_inputs(d)[-1]
-    tree_sum(_toy_source(d), counted("include", lambda v: v),
-             counted("homotopy", lambda v: x(d, 1) * v), [(p, p.parity()) for p in polys])
+    tree_sum(_toy_source(d), homotopy, _named_toy_inputs(d)[-1])
     # one homotopy per input subset strictly between a singleton and the whole
-    assert calls == {"include": n, "homotopy": 2**n - n - 2}
+    assert calls == 2**n - n - 2
 
 
 def _parse_model_element(carrier, body):
@@ -321,16 +315,16 @@ def test_potential_d_bracket_families():
     # wedge family via a potential input: (xi1, potential of xi2 xi3)
     pot = carrier.element({("pot",): contraction_K(xi(d, 2) * xi(d, 3))})
     out = S.brackets[2](carrier.element({("pv", 1): xi(d, 1)}), pot)
-    assert out.parts == {("pot",): xi(d, 1) * xi(d, 2) * xi(d, 3)}
+    assert out.parts == {carrier.home(("pot",)): xi(d, 1) * xi(d, 2) * xi(d, 3)}
     # wedge-of-divergence family: (x2 xi1, x1 xi1 xi2 xi3)
     a = carrier.element({("pv", 1): x(d, 2) * xi(d, 1)})
     g = carrier.element({("pot",): x(d, 1) * xi(d, 1) * xi(d, 2) * xi(d, 3)})
     out = S.brackets[2](a, g)
-    assert out.parts == {("pot",): x(d, 2) * xi(d, 1) * xi(d, 2) * xi(d, 3)}
+    assert out.parts == {carrier.home(("pot",)): x(d, 2) * xi(d, 1) * xi(d, 2) * xi(d, 3)}
     # divergence family: (xi1, x1 xi2) as in the minimal theory
     out = S.brackets[2](carrier.element({("pv", 1): xi(d, 1)}),
                         carrier.element({("pv", 1): x(d, 1) * xi(d, 2)}))
-    assert out.parts == {("pv", 1): xi(d, 2)}
+    assert out.parts == {carrier.home(("pv", 1)): xi(d, 2)}
 
 
 def test_potential_d_wedge_family_at_d4():
@@ -340,7 +334,7 @@ def test_potential_d_wedge_family_at_d4():
     a = carrier.element({("pv", 2): xi(d, 1) * xi(d, 2)})
     b = carrier.element({("pv", 2): xi(d, 3) * xi(d, 4)})
     out = S.brackets[2](a, b)
-    assert out.parts == {("pot",): xi(d, 1) * xi(d, 2) * xi(d, 3) * xi(d, 4)}
+    assert out.parts == {carrier.home(("pot",)): xi(d, 1) * xi(d, 2) * xi(d, 3) * xi(d, 4)}
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -361,10 +355,10 @@ def test_potential_k_nary_examples():
     a = carrier.element({("pv", 1): xi(d, 1)})
     b = carrier.element({("pv", 1): xi(d, 3)})
     q = carrier.element({("quot",): x(d, 3) * xi(d, 2) * xi(d, 3) * xi(d, 4)})
-    assert S.brackets[3](a, b, q).part(("c",)).top_constant() == 1
+    assert S.brackets[3](a, b, q).part(carrier.home(("c",))).top_constant() == 1
     c = carrier.element({("quot",): contraction_K(xi(d, 3) * xi(d, 4))})
     out = S.brackets[3](a, carrier.element({("pv", 1): xi(d, 2)}), c)
-    assert out.parts == {("c",): SuperPoly.top(d, 1)}
+    assert out.parts == {carrier.home(("c",)): SuperPoly.top(d, 1)}
     killed = S.brackets[3](carrier.element({("pv", 1): x(d, 1) * xi(d, 1)}),
                            carrier.element({("pv", 1): xi(d, 2)}), c)
     assert killed.is_zero()
@@ -394,7 +388,7 @@ def test_potential_k_centrality():
         assert S.brackets[2](v, center).is_zero()
     out = S.brackets[3](*[carrier.random_element(carrier.slots[i % 3], 3, seed=i)
                           for i in range(3)])
-    assert set(out.parts) <= {("c",)}  # outputs are purely central
+    assert set(out.parts) <= {carrier.home(("c",))}  # outputs are purely central
 
 
 def test_minimal_model_symmetry():
