@@ -2,10 +2,13 @@
 """The sl2 action: outer derivations of SHO(3|3) against the field theory.
 
 h is diagonal in the xi-degree, e is the adjoint of an element that is
-symplectic but outside the derived subalgebra, f is a table on low
-principal degrees.  On the center the action is the standard
-representation, and the embedding into the Z/2 field complex intertwines
-it with the linear action on the even function pair.
+symplectic but outside the derived subalgebra, f lifts the 2-polyvector
+part by the Euler homotopy K and contracts it with the volume form, on
+every principal degree.  On the center the action is the standard
+representation, and the embedding into the d = 3 potential(2) field
+complex intertwines it with the linear action on the even pair: the
+potential summand ("p", 0), which holds PV^3, and the function summand
+("f", 0, 0).
 """
 
 from fractions import Fraction
@@ -23,6 +26,7 @@ print("h(gen xi1)         =", act_h(ext_element(xi(1))))
 print("e(gen -x1)         =", act_e(ext_element(-x(1))))
 print("f(gen xi1 xi2)     =", act_f(ext_element(xi(1) * xi(2))))
 print("f(gen x1 xi2 xi3)  =", act_f(ext_element(x(1) * xi(2) * xi(3))))
+print("f(gen x2^2 xi1 xi3) =", act_f(ext_element(x(2) * x(2) * xi(1) * xi(3))))
 
 print("\n# the standard representation on the center")
 e1 = ExtElement(SuperPoly.zero(3), Fraction(1), Fraction(0))
@@ -36,8 +40,8 @@ print(sl2_relations_check(truncation=3, trials=15, seed=0).summary_text())
 print("\n# the embedding into the field complex is equivariant")
 v = ext_element(xi(1) * xi(2))
 psi = embed(v)
-print("embed(gen xi1 xi2): phi1 =", psi.phi1, ", phi2 =", psi.phi2)
-print("field f moves phi1 to phi2:", field_action("f", psi).phi2)
-print("matches embed(f . v)      :", embed(act_f(v)).phi2)
+print("embed(gen xi1 xi2): p_0 =", psi.part(("p", 0)), ", f_0_0 =", psi.part(("f", 0, 0)))
+print("field f moves p_0 to f_0_0:", field_action("f", psi).part(("f", 0, 0)))
+print("matches embed(f . v)      :", embed(act_f(v)).part(("f", 0, 0)))
 print()
 print(equivariance_compare_theorem(truncation=3, trials=15, seed=0).summary_text())

@@ -49,7 +49,6 @@ from .sho import (
     vf_bracket,
 )
 from .sl2 import (
-    ZTwoField,
     act_e,
     act_f,
     act_h,

@@ -57,20 +57,17 @@ EXT_C2_SIGN = 1
 # h is diagonal with eigenvalue (xi-degree - 1).
 E_GENERATOR_COEFF = -1
 
-# The f-operator table on the principal-degree 0 and 1 pieces:
-#   f(xi_i xi_j)                        = F_TABLE_QUADRATIC * eps_{ijk} x_k
-#   f(x_i xi_j xi_k), i,j,k distinct    = F_TABLE_CUBIC * (1/2) eps_{ijk} x_i^2
-#   f(x_i xi_i xi_j - x_k xi_k xi_j)    = F_TABLE_DIAGONAL * eps_{ijk} x_i x_k
-# The middle sign is forced by [e, f] = h together with the derivation
-# property in the left-derivative convention (probes: [e,f] on x1^2 and on
-# x1 xi1 xi2 - x3 xi3 xi2).
-F_TABLE_QUADRATIC = -1
-F_TABLE_CUBIC = -1
-F_TABLE_DIAGONAL = -1
+# f lifts the xi-degree-2 part of a generator to PV^3 by the Euler homotopy
+# K and contracts it with the volume form:
+#   f(v) = F_SIGN * vee_omega(K(v_2)),  f e1 = e2,  f e2 = 0.
+# The sign is forced by [e, f] = h (probe: [e,f] on x1^2, where h gives
+# -x1^2).
+F_SIGN = -1
 
-# Embedding of the minimal-model carrier into the Z/2 field complex used by
-# the equivariance comparison: the 2-polyvector part of a generator embeds
-# through -K (the Euler homotopy), the e1 center through +xi1 xi2 xi3.
+# Embedding of the extension into the d = 3 potential(2) field complex used
+# by the equivariance comparison: the 2-polyvector part of a generator
+# embeds into the potential summand PV^3 through -K (the Euler homotopy),
+# the e1 center through +xi1 xi2 xi3.
 EMBED_K_SIGN = -1
 
 # Identity at d = 3 relating the wedge against a lifted function to the
@@ -91,7 +88,7 @@ def snapshot() -> dict:
         "ext_c1_sign": EXT_C1_SIGN,
         "ext_c2_sign": EXT_C2_SIGN,
         "e_generator_coeff": E_GENERATOR_COEFF,
-        "f_table_signs": [F_TABLE_QUADRATIC, F_TABLE_CUBIC, F_TABLE_DIAGONAL],
+        "f_sign": F_SIGN,
         "embed_k_sign": EMBED_K_SIGN,
         "lift_sign": LIFT_SIGN,
     }

@@ -312,17 +312,15 @@ def lie_jacobi_defect(a: ExtElement, b: ExtElement, c: ExtElement) -> ExtElement
     return first - second - third
 
 
-def random_sho_generator(max_degree: int, seed: int, d: int = 3,
-                         xi_degree: int | None = None) -> SuperPoly:
+def random_sho_generator(max_degree: int, seed: int, d: int = 3) -> SuperPoly:
     """Seeded divergence-free generator with constants and top carved off.
 
     The output is xi-homogeneous (the divergence-free projection
     preserves xi-degree), hence parity-homogeneous.
     """
-    if xi_degree is None:
-        # the top xi-degree d has no SHO part: its divergence-free part is
-        # the constant top monomial, which the carving removes
-        xi_degree = sample_seed(seed, "xi_degree") % d
+    # the top xi-degree d has no SHO part: its divergence-free part is
+    # the constant top monomial, which the carving removes
+    xi_degree = sample_seed(seed, "xi_degree") % d
     raw = random_poly(d, max_degree, xi_degree_filter=xi_degree, seed=seed, n_terms=5)
     return _sho_part(raw)
 

@@ -179,10 +179,10 @@ def _run_verify(argv, out: Path, hash_seed: str, patch: str = "") -> int:
 
 
 def test_failing_report_identical_across_hash_seeds(tmp_path):
-    # a corrupted f table makes sl2 fail; the failing records carry
+    # a flipped f sign makes sl2 fail; the failing records carry
     # witnesses, so equal bytes mean equal samples in both processes
     argv = ["--d", "3", "--deg", "3", "--trials", "10", "--check", "sl2"]
-    patch = "F_TABLE_QUADRATIC = 1"
+    patch = "F_SIGN = 1"
     codes = [_run_verify(argv, tmp_path / seed, seed, patch) for seed in ("1", "2")]
     assert codes == [1, 1]
     first, second = ((tmp_path / seed / "report.jsonl").read_bytes() for seed in ("1", "2"))

@@ -1,25 +1,25 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
-import pytest
-
-from polyvec import pvcalc
-from polyvec.contraction import contraction_K
-from polyvec.sho import ExtElement, ext_bracket_d3, ext_element, random_sho_generator
+from polyvec import conventions, pvcalc
+from polyvec.complexes import DescendantField, Variant
+from polyvec.contraction import contraction_K, divergence_free_part
+from polyvec.sho import ExtElement, ext_bracket_d3, ext_element, levi_civita, sho_basis
 from polyvec.sl2 import (
-    OutsideVerifiedDomain,
-    ZTwoField,
     act_e,
     act_f,
     act_h,
     embed,
     equivariance_check_cocycle,
     equivariance_compare_theorem,
+    extend_f,
     field_action,
     sl2_relations_check,
-    symplectic_pair,
 )
+from polyvec.suites import CampaignConfig, suite_sl2
 from polyvec.superpoly import SuperPoly, random_poly
+
+POT2 = Variant.potential(2)
 
 
 def xi(i):
@@ -89,40 +89,86 @@ def test_act_f_table():
     assert out == ExtElement(SuperPoly.zero(3), Fraction(0), Fraction(4))
 
 
-def test_act_f_outside_domain():
-    with pytest.raises(OutsideVerifiedDomain):
-        act_f(ext_element(x(1) * x(1) * xi(2) * xi(3)))
-
-
-def test_f_agrees_with_contraction_lift():
-    # on its verified xi-degree-2 domain the table equals the negative of
-    # the K-lift contracted with the volume element
-    for seed in range(10):
-        raw = random_poly(3, 3, xi_degree_filter=2, seed=seed)
-        gen = raw - contraction_K(pvcalc.divergence(raw))
-        v = ext_element(gen)
-        if any(deg > 1 for deg in v.gen.principal_components()):
+def _table_f(v):
+    """Reference f on principal degrees -1, 0 and 1, by its three-branch
+    table (each branch with sign -1):
+      f(xi_i xi_j)                     = -eps_{ijk} x_k
+      f(x_i xi_j xi_k), i,j,k distinct = -(1/2) eps_{ijk} x_i^2
+      f(x_i xi_i xi_j - x_k xi_k xi_j) = -eps_{ijk} x_i x_k
+    and zero on the other xi-degrees; f e1 = e2, f e2 = 0."""
+    assert all(deg <= 1 for deg in v.gen.principal_components())
+    gen = SuperPoly.zero(3)
+    for mono, coeff in v.gen.xi_component(2)._terms.items():
+        a, b = mono.odd
+        if sum(mono.exps) == 0:
+            k = ({1, 2, 3} - {a, b}).pop()
+            gen = gen - x(k).scale(levi_civita(a, b, k) * coeff)
             continue
-        want = -pvcalc.vee_omega(contraction_K(v.gen))
-        assert act_f(v).gen == want
+        l = next(idx + 1 for idx, e in enumerate(mono.exps) if e)
+        if l not in (a, b):
+            gen = gen - (x(l) * x(l)).scale(Fraction(levi_civita(l, a, b), 2) * coeff)
+        else:
+            # divergence freeness pairs the diagonal terms x_i xi_i xi_j and
+            # x_k xi_k xi_j with opposite coefficients, so each monomial
+            # takes half of its difference's value
+            j = b if l == a else a
+            k = ({1, 2, 3} - {l, j}).pop()
+            t = coeff if l == a else -coeff  # coefficient of x_l xi_l xi_j
+            gen = gen - (x(l) * x(k)).scale(Fraction(levi_civita(l, j, k) * t, 2))
+    return ExtElement(gen, 0, v.c1)
+
+
+def test_act_f_equals_table_on_degree_one_basis():
+    basis = [ext_element(g) for g in sho_basis(3, 1)]
+    assert len(basis) == 54
+    for v in basis + [ExtElement(SuperPoly.zero(3), 1, 0), ExtElement(SuperPoly.zero(3), 0, 1)]:
+        assert act_f(v) == _table_f(v), str(v)
+
+
+def test_act_f_is_derivation_on_degree_two_basis():
+    center = [ExtElement(SuperPoly.zero(3), 1, 0), ExtElement(SuperPoly.zero(3), 0, 1)]
+    elements = [ext_element(g) for g in sho_basis(3, 2)] + center
+    nontrivial = 0
+    for a, b in combinations_with_replacement(elements, 2):
+        ab = ext_bracket_d3(a, b)
+        lhs = act_f(ab)
+        assert lhs == ext_bracket_d3(act_f(a), b) + ext_bracket_d3(a, act_f(b)), (str(a), str(b))
+        nontrivial += not lhs.is_zero()
+    assert (len(elements), nontrivial) == (105, 670)
+
+
+def test_f_relations_on_degree_four_basis():
+    basis = [ext_element(g) for g in sho_basis(3, 4)]
+    assert len(basis) == 271
+    for v in basis:
+        assert act_e(act_f(v)) - act_f(act_e(v)) == act_h(v), str(v)
+        assert act_h(act_f(v)) - act_f(act_h(v)) == act_f(v).scale(-2), str(v)
 
 
 def test_extend_f_solver():
-    from polyvec.sl2 import extend_f
-
     # a principal-degree-2 element reached by e from degree 1
     v = ext_element(x(1) * x(1) * x(1))
     ev = act_e(v)
-    with pytest.raises(OutsideVerifiedDomain):
-        act_f(ev)
     out = extend_f(ev)
     assert out is not None
     # consistent with the operator relation [e, f] = h extended upward:
     # f(e(x1^3)) = e(f(x1^3)) - h(x1^3) = x1^3
     assert out.gen == x(1) * x(1) * x(1)
-    # agrees with the table on the verified domain
-    w = ext_element(xi(1) * xi(2))
-    assert extend_f(w) == act_f(w)
+    # propagated through the derivation rule, f equals its closed form on
+    # principal degree 2, and on the low degrees it starts from
+    diagonal = divergence_free_part(x(1) * x(2) * xi(1) * xi(3))
+    named = [ev, ext_element(x(2) * x(2) * xi(1) * xi(3)), ext_element(x(3) * x(3) * xi(1) * xi(2)),
+             ext_element(diagonal), ext_element(x(1) * x(1) * x(2) * xi(3))]
+    assert all(set(w.gen.principal_components()) == {2} for w in named)
+    for w in named + [ext_element(xi(1) * xi(2))]:
+        assert extend_f(w) == act_f(w), str(w)
+
+
+def test_f_sign_is_pinned(monkeypatch):
+    monkeypatch.setattr(conventions, "F_SIGN", 1)
+    report = suite_sl2(CampaignConfig(d=3, max_degree=3, trials=10))
+    failed = {r.check_id for r in report.failures()}
+    assert {"sl2.relation.e_f", "sl2.field_equivariance.seeded.f"} <= failed
 
 
 def test_sl2_relations_report():
@@ -135,46 +181,60 @@ def test_named_cocycle_equivariance_bullets():
     assert report.ok, report.summary_text()
 
 
+def _pair(phi1, phi2):
+    """The field with phi1 at the potential summand ("p", 0) (PV^3) and
+    phi2 at the function summand ("f", 0, 0)."""
+    return DescendantField(3, POT2, {("p", 0): phi1, ("f", 0, 0): phi2})
+
+
+def _top(g):
+    return pvcalc.vee_omega_inv(g)
+
+
 def test_field_action_examples():
     alpha = random_poly(3, 2, xi_degree_filter=0, seed=1)
     beta = random_poly(3, 2, xi_degree_filter=0, seed=2)
     z = SuperPoly.zero(3)
-    psi = ZTwoField(alpha, beta, z, z)
-    assert field_action("h", psi) == ZTwoField(alpha, -beta, z, z)
-    assert field_action("e", ZTwoField(z, beta, z, z)) == ZTwoField(beta, z, z, z)
-    assert field_action("f", ZTwoField(alpha, z, z, z)) == ZTwoField(z, alpha, z, z)
+    psi = _pair(_top(alpha), beta)
+    assert field_action("h", psi) == _pair(_top(alpha), -beta)
+    assert field_action("e", _pair(z, beta)) == _pair(_top(beta), z)
+    assert field_action("f", _pair(_top(alpha), z)) == _pair(z, alpha)
     # zero on the odd fields
     mu = random_poly(3, 2, xi_degree_filter=1, seed=3)
     nu = random_poly(3, 2, xi_degree_filter=0, seed=4)
-    assert field_action("e", ZTwoField(z, z, mu, nu)).is_zero()
+    odd = DescendantField(3, POT2, {("f", 0, 1): mu, ("f", 1, 0): nu})
+    for name in ("e", "h", "f"):
+        assert field_action(name, odd).is_zero()
+
+
+def _symplectic_pair(psi, chi):
+    """The antisymmetric pairing on the even pair, valued in PV^3:
+    w(psi, chi) = phi1 phi2' - phi2 phi1'."""
+    p, f = ("p", 0), ("f", 0, 0)
+    return psi.part(p) * chi.part(f) - psi.part(f) * chi.part(p)
 
 
 def test_field_action_preserves_symplectic_pairing():
-    z = SuperPoly.zero(3)
     for seed in range(10):
-        psi = ZTwoField(random_poly(3, 2, 0, seed=seed), random_poly(3, 2, 0, seed=seed + 9), z, z)
-        chi = ZTwoField(random_poly(3, 2, 0, seed=seed + 17), random_poly(3, 2, 0, seed=seed + 23), z, z)
+        psi = _pair(_top(random_poly(3, 2, 0, seed=seed)), random_poly(3, 2, 0, seed=seed + 9))
+        chi = _pair(_top(random_poly(3, 2, 0, seed=seed + 17)), random_poly(3, 2, 0, seed=seed + 23))
         for name in ("e", "h", "f"):
-            total = symplectic_pair(field_action(name, psi), chi) + symplectic_pair(
+            total = _symplectic_pair(field_action(name, psi), chi) + _symplectic_pair(
                 psi, field_action(name, chi))
             assert total.is_zero()
 
 
 def test_embed_slots():
     v = ext_element(x(1) + xi(1) * xi(2), c1=2, c2=3)
-    psi = embed(v + ExtElement(SuperPoly.zero(3), Fraction(0), Fraction(0)))
-    assert psi.phi2 == x(1) + SuperPoly.const(3, 3)
-    assert psi.mu.is_zero()
-    assert psi.nu.is_zero()
-    # phi1 carries the potential lift of the 2-polyvector part and e1
+    psi = embed(v)
+    assert (psi.d, psi.variant) == (3, POT2)
+    assert psi.part(("f", 0, 0)) == x(1) + SuperPoly.const(3, 3)
+    assert psi.part(("f", 0, 1)).is_zero()
+    assert psi.part(("f", 1, 0)).is_zero()
+    # the potential summand carries the lift of the 2-polyvector part and e1
     pot = SuperPoly.monomial(3, (0, 0, 0), (1, 2, 3), 2) - contraction_K(xi(1) * xi(2))
-    assert psi.phi1 == pvcalc.vee_omega(pot)
-
-
-def test_zt_field_degree_validation():
-    z = SuperPoly.zero(3)
-    with pytest.raises(ValueError):
-        ZTwoField(xi(1), z, z, z)
+    assert psi.part(("p", 0)) == pot
+    assert set(psi.parts) == {("p", 0), ("f", 0, 0)}
 
 
 def test_equivariance_comparison_passes():
