@@ -20,6 +20,7 @@ from polyvec.suites import CampaignConfig, suite_sl2
 from polyvec.superpoly import SuperPoly, random_poly
 
 POT2 = Variant.potential(2)
+CENTER = [ExtElement(SuperPoly.zero(3), 1, 0), ExtElement(SuperPoly.zero(3), 0, 1)]
 
 
 def xi(i):
@@ -121,17 +122,15 @@ def _table_f(v):
 def test_act_f_equals_table_on_degree_one_basis():
     basis = [ext_element(g) for g in sho_basis(3, 1)]
     assert len(basis) == 54
-    for v in basis + [ExtElement(SuperPoly.zero(3), 1, 0), ExtElement(SuperPoly.zero(3), 0, 1)]:
+    for v in basis + CENTER:
         assert act_f(v) == _table_f(v), str(v)
 
 
 def test_act_f_is_derivation_on_degree_two_basis():
-    center = [ExtElement(SuperPoly.zero(3), 1, 0), ExtElement(SuperPoly.zero(3), 0, 1)]
-    elements = [ext_element(g) for g in sho_basis(3, 2)] + center
+    elements = [ext_element(g) for g in sho_basis(3, 2)] + CENTER
     nontrivial = 0
     for a, b in combinations_with_replacement(elements, 2):
-        ab = ext_bracket_d3(a, b)
-        lhs = act_f(ab)
+        lhs = act_f(ext_bracket_d3(a, b))
         assert lhs == ext_bracket_d3(act_f(a), b) + ext_bracket_d3(a, act_f(b)), (str(a), str(b))
         nontrivial += not lhs.is_zero()
     assert (len(elements), nontrivial) == (105, 670)
