@@ -33,5 +33,5 @@ v = ext_element(xi(1) * xi(2) + SuperPoly.const(3, 2)
 print("carved:", v)
 
 print("\n# a few structure-constant rows (principal degree <= 0 basis)")
-for row in structure_constants(3, 0)[:6]:
+for row in structure_constants(0)[:6]:
     print(" ", row)

@@ -80,7 +80,7 @@ def export_tables(cfg: CampaignConfig, out_dir: Path) -> list[Path]:
 
     if cfg.d == 3:
         path = tables / "extension_structure_constants.json"
-        path.write_text(json.dumps(structure_constants(3, 1), indent=1, sort_keys=True) + "\n")
+        path.write_text(json.dumps(structure_constants(1), indent=1, sort_keys=True) + "\n")
         written.append(path)
 
     structure = minimal_model_structure(cfg.d, cfg.variant)

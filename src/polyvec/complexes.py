@@ -180,30 +180,6 @@ class DescendantField:
             raise ValueError("field is not parity-homogeneous")
         return pars.pop() if pars else 0
 
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "variant": self.variant.label,
-            "summands": [
-                {"key": list(key), "poly": str(poly)}
-                for key, poly in sorted(self.parts.items())
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DescendantField":
-        label = data["variant"]
-        if label == "mbcov":
-            variant = Variant.mbcov()
-        else:
-            variant = Variant.potential(int(label[len("potential("):-1]))
-        d = data["d"]
-        parts = {}
-        for item in data["summands"]:
-            key = tuple(item["key"][:1]) + tuple(int(v) for v in item["key"][1:])
-            parts[key] = SuperPoly.parse(d, item["poly"])
-        return cls(d, variant, parts)
-
 
 def differential(psi: DescendantField) -> DescendantField:
     """Q = t * Delta, acting summand-wise.

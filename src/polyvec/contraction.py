@@ -169,8 +169,7 @@ def verify_datum(datum: HomotopyDatum, sample_budget: int = 50, seed: int = 0,
             v = carrier.random_element(slot, max_degree, seed=sample_seed(seed, slot, t))
             got = carrier.project(v)
             if got != v:
-                yield {"slot": list(slot), "element": repr(carrier.to_dict(v)),
-                       "projected": repr(carrier.to_dict(got))}
+                yield {"slot": list(slot), "element": carrier.to_dict(v), "projected": carrier.to_dict(got)}
 
     for slot in slots:
         report.check(f"datum.{label}.d{d}.p_iota.{_key_id(slot)}", p_iota(slot))
@@ -181,7 +180,7 @@ def verify_datum(datum: HomotopyDatum, sample_budget: int = 50, seed: int = 0,
             lhs = psi - carrier.project(psi)
             rhs = differential(datum.homotopy(psi)) + datum.homotopy(differential(psi))
             if lhs != rhs:
-                yield {"summand": list(key), "field": psi.to_dict()}
+                yield {"summand": list(key), "poly": str(psi.part(key))}
 
     for key in keys:
         report.check(f"datum.{label}.d{d}.homotopy.{_key_id(key)}", homotopy(key))

@@ -36,10 +36,11 @@ KAPPA_EVEN = Fraction(2)
 KAPPA_ODD = Fraction(-2)
 
 # Ham is a Lie anti-map for the Schouten bracket in these conventions:
-# [Ham f, Ham g] = sigma(|f|,|g|) * Ham([f,g]_SN) with sigma = -1 for every
-# parity pair.  Equivalently f -> -Ham(f) is a Lie map.  Probes: (x1^2, xi1),
-# (x1^2, x1*xi1*xi2), (x2*xi1, x1*xi2), (xi1, x1^2).
-SIGMA_TABLE = {(0, 0): -1, (0, 1): -1, (1, 0): -1, (1, 1): -1}
+# [Ham f, Ham g] = SIGMA * Ham([f,g]_SN), one sign for every parity pair
+# (each of the four pairs was probed separately and gave -1).  Equivalently
+# f -> -Ham(f) is a Lie map.  Probes: (x1^2, xi1), (x1^2, x1*xi1*xi2),
+# (x2*xi1, x1*xi2), (xi1, x1^2).
+SIGMA = -1
 
 # Extension cocycle normalizations on Hamiltonian generators (d = 3).
 # The generator-level bracket is the Schouten bracket; vector fields are
@@ -84,7 +85,7 @@ def snapshot() -> dict:
         "euler_homotopy_sign_per_degree": {k: euler_homotopy_sign(k) for k in range(5)},
         "kappa_even": str(KAPPA_EVEN),
         "kappa_odd": str(KAPPA_ODD),
-        "sigma_table": {f"{a}{b}": s for (a, b), s in sorted(SIGMA_TABLE.items())},
+        "sigma": SIGMA,
         "ext_c1_sign": EXT_C1_SIGN,
         "ext_c2_sign": EXT_C2_SIGN,
         "e_generator_coeff": E_GENERATOR_COEFF,

@@ -62,94 +62,49 @@ class SuperVectorField:
             tuple(a + b for a, b in zip(self.mu_xi, other.mu_xi)),
         )
 
-    def __neg__(self) -> "SuperVectorField":
-        return SuperVectorField(self.d, tuple(-a for a in self.mu_x), tuple(-a for a in self.mu_xi))
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, c) -> "SuperVectorField":
         return SuperVectorField(self.d, tuple(a.scale(c) for a in self.mu_x),
                                 tuple(a.scale(c) for a in self.mu_xi))
 
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.mu_x) and all(a.is_zero() for a in self.mu_xi)
-
-    def parity_components(self) -> dict[int, "SuperVectorField"]:
-        """Split into parity-homogeneous vector fields.
-
-        A coefficient on d/dx_i contributes its own parity; a coefficient
-        on d/dxi_i contributes the opposite one.
-        """
-        z = SuperPoly.zero(self.d)
-        comps = {0: [list([z] * self.d), list([z] * self.d)],
-                 1: [list([z] * self.d), list([z] * self.d)]}
-        for i in range(self.d):
-            for p in (0, 1):
-                comps[p][0][i] = comps[p][0][i] + self.mu_x[i].parity_component(p)
-                comps[p ^ 1][1][i] = comps[p ^ 1][1][i] + self.mu_xi[i].parity_component(p)
-        out = {}
-        for p, (mx, mxi) in comps.items():
-            vf = SuperVectorField(self.d, tuple(mx), tuple(mxi))
-            if not vf.is_zero():
-                out[p] = vf
-        return out
-
-    def __str__(self) -> str:
-        pieces = []
-        for i, c in enumerate(self.mu_x):
-            if not c.is_zero():
-                pieces.append(f"({c})*d/dx{i + 1}")
-        for i, c in enumerate(self.mu_xi):
-            if not c.is_zero():
-                pieces.append(f"({c})*d/dxi{i + 1}")
-        return " + ".join(pieces) if pieces else "0"
+    def parity(self) -> int:
+        """Parity of a parity-homogeneous field (0 for zero): a coefficient
+        on d/dx_i contributes its own parity, one on d/dxi_i the opposite."""
+        pars = {m.parity for c in self.mu_x for m in c._terms}
+        pars |= {m.parity ^ 1 for c in self.mu_xi for m in c._terms}
+        if len(pars) > 1:
+            raise ValueError("vector field is not parity-homogeneous")
+        return pars.pop() if pars else 0
 
 
 def hamiltonian_vf(f: SuperPoly) -> SuperVectorField:
-    """The odd-Hamiltonian field of a generator; mixed parities decompose."""
+    """The odd-Hamiltonian field of a parity-homogeneous generator."""
     d = f.d
-    out = SuperVectorField.zero(d)
-    for p in (0, 1):
-        comp = f.parity_component(p)
-        if comp.is_zero():
-            continue
-        sign = -1 if p else 1
-        mu_x = tuple(comp.d_odd(i + 1).scale(sign) for i in range(d))
-        mu_xi = tuple(comp.d_even(i + 1) for i in range(d))
-        out = out + SuperVectorField(d, mu_x, mu_xi)
-    return out
+    sign = -1 if f.parity() else 1
+    return SuperVectorField(d, tuple(f.d_odd(i + 1).scale(sign) for i in range(d)),
+                            tuple(f.d_even(i + 1) for i in range(d)))
 
 
 def super_divergence(mu: SuperVectorField) -> SuperPoly:
-    """D(mu) = sum dmu_x_i/dx_i + sum (-1)^{|mu_xi_i|} dmu_xi_i/dxi_i."""
+    """D(mu) = sum dmu_x_i/dx_i + sum (-1)^{|mu_xi_i|} dmu_xi_i/dxi_i; on a
+    parity-homogeneous field every mu_xi_i has the field's opposite parity."""
+    sign = 1 if mu.parity() else -1
     out = SuperPoly.zero(mu.d)
     for i in range(mu.d):
-        out = out + mu.mu_x[i].d_even(i + 1)
-        for p in (0, 1):
-            comp = mu.mu_xi[i].parity_component(p)
-            if not comp.is_zero():
-                out = out + comp.d_odd(i + 1).scale(-1 if p else 1)
+        out = out + mu.mu_x[i].d_even(i + 1) + mu.mu_xi[i].d_odd(i + 1).scale(sign)
     return out
 
 
 def vf_bracket(a: SuperVectorField, b: SuperVectorField) -> SuperVectorField:
-    """Super-commutator [a, b] = a b - (-1)^{|a||b|} b a, read off coordinates."""
+    """Super-commutator [a, b] = a b - (-1)^{|a||b|} b a of parity-homogeneous
+    fields, read off coordinates."""
     d = a.d
-    out = SuperVectorField.zero(d)
-    for pa, A in a.parity_components().items():
-        for pb, B in b.parity_components().items():
-            sign = -1 if pa & pb else 1
+    sign = -1 if a.parity() & b.parity() else 1
 
-            def comm(g: SuperPoly) -> SuperPoly:
-                first = A.apply(B.apply(g))
-                second = B.apply(A.apply(g))
-                return first - second.scale(sign)
+    def comm(g: SuperPoly) -> SuperPoly:
+        return a.apply(b.apply(g)) - b.apply(a.apply(g)).scale(sign)
 
-            mu_x = tuple(comm(SuperPoly.x(d, i + 1)) for i in range(d))
-            mu_xi = tuple(comm(SuperPoly.xi(d, i + 1)) for i in range(d))
-            out = out + SuperVectorField(d, mu_x, mu_xi)
-    return out
+    return SuperVectorField(d, tuple(comm(SuperPoly.x(d, i + 1)) for i in range(d)),
+                            tuple(comm(SuperPoly.xi(d, i + 1)) for i in range(d)))
 
 
 def ham_generator(x: SuperVectorField, max_degree: int = 6) -> SuperPoly | None:
@@ -171,12 +126,6 @@ def ham_generator(x: SuperVectorField, max_degree: int = 6) -> SuperPoly | None:
     if coeffs is None:
         return None
     return SuperPoly(d, {m: c for m, c in zip(basis, coeffs) if c})
-
-
-def generator_of_field(x: SuperVectorField, max_degree: int = 6) -> SuperPoly | None:
-    """The generator f with x = -Ham(f); the Lie-map naming convention."""
-    f = ham_generator(x, max_degree)
-    return None if f is None else -f
 
 
 def membership(f: SuperPoly) -> str:
@@ -257,14 +206,6 @@ def ext_element(f: SuperPoly, c1=0, c2=0) -> ExtElement:
     return ExtElement(gen, c1 + top, c2 + const)
 
 
-def ext_from_field(x: SuperVectorField) -> ExtElement:
-    """Extension element named by a vector field through x = -Ham(f)."""
-    f = generator_of_field(x)
-    if f is None:
-        raise ValueError("field is not Hamiltonian")
-    return ext_element(f)
-
-
 def ext_bracket_d3(a: ExtElement, b: ExtElement) -> ExtElement:
     """Bracket of the extension: Schouten on generators plus the two
     central channels.
@@ -319,8 +260,9 @@ def random_sho_generator(max_degree: int, seed: int, d: int = 3) -> SuperPoly:
     preserves xi-degree), hence parity-homogeneous.
     """
     # the top xi-degree d has no SHO part: its divergence-free part is
-    # the constant top monomial, which the carving removes
-    xi_degree = sample_seed(seed, "xi_degree") % d
+    # the constant top monomial, which the carving removes; a xi-degree
+    # above max_degree has no monomial at all
+    xi_degree = sample_seed(seed, "xi_degree") % min(d, max_degree + 1)
     raw = random_poly(d, max_degree, xi_degree_filter=xi_degree, seed=seed, n_terms=5)
     return _sho_part(raw)
 
@@ -393,21 +335,16 @@ def sho_basis(d: int, max_principal_degree: int):
     return [projected[i] for i in independent_indices(vectors)]
 
 
-def structure_constants(d: int, max_principal_degree: int) -> list[dict]:
-    """Brackets of all basis-generator pairs, with central channels at d=3."""
-    basis = sho_basis(d, max_principal_degree)
+def structure_constants(max_principal_degree: int) -> list[dict]:
+    """Extension brackets of all SHO(3|3) basis-generator pairs through a
+    principal-degree cap, with both central channels."""
+    basis = sho_basis(3, max_principal_degree)
     rows = []
     for i, f in enumerate(basis):
-        for j, g in enumerate(basis):
-            if j < i:
-                continue
-            if d == 3:
-                out = ext_bracket_d3(ext_element(f), ext_element(g))
-                rows.append({
-                    "left": str(f), "right": str(g),
-                    "bracket": str(out.gen), "e1": str(out.c1), "e2": str(out.c2),
-                })
-            else:
-                rows.append({"left": str(f), "right": str(g),
-                             "bracket": str(pvcalc.schouten(f, g))})
+        for g in basis[i:]:
+            out = ext_bracket_d3(ext_element(f), ext_element(g))
+            rows.append({
+                "left": str(f), "right": str(g),
+                "bracket": str(out.gen), "e1": str(out.c1), "e2": str(out.c2),
+            })
     return rows

@@ -53,9 +53,14 @@ def act_e(v: ExtElement) -> ExtElement:
     return ExtElement(out.gen, out.c1 + v.c2, out.c2)
 
 
-def _leibniz_sides(action, a: ExtElement, b: ExtElement):
-    """Both sides of x.[a, b] = [x.a, b] + [a, x.b] for x = action."""
-    return action(ext_bracket_d3(a, b)), ext_bracket_d3(action(a), b) + ext_bracket_d3(a, action(b))
+def _leibniz_failures(name: str, action, pairs):
+    """Witnesses of the pairs on which x.[a, b] = [x.a, b] + [a, x.b] fails
+    for the generator x = name acting by action."""
+    for a, b in pairs:
+        lhs = action(ext_bracket_d3(a, b))
+        rhs = ext_bracket_d3(action(a), b) + ext_bracket_d3(a, action(b))
+        if lhs != rhs:
+            yield {"x": name, "a": str(a), "b": str(b), "lhs": str(lhs), "rhs": str(rhs)}
 
 
 def act_f(v: ExtElement) -> ExtElement:
@@ -120,12 +125,8 @@ def sl2_relations_check(truncation: int = 3, trials: int = 40, seed: int = 0) ->
 
     # h, e and f are derivations at every sampled principal degree
     def derivation(name, action):
-        for t in range(trials):
-            a, b = (ext_element(random_sho_generator(
-                truncation + 2, seed=sample_seed(seed, f"sl2.derivation.{name}", t, i))) for i in range(2))
-            lhs, rhs = _leibniz_sides(action, a, b)
-            if lhs != rhs:
-                yield {"a": str(a), "b": str(b)}
+        draw = lambda s: ext_element(random_sho_generator(truncation + 2, seed=s))
+        yield from _leibniz_failures(name, action, _seeded_pairs(draw, seed, f"sl2.derivation.{name}", trials))
         # the report schema gives only the f record a pair count
         return {"pairs": trials} if name == "f" else {}
 
@@ -148,6 +149,11 @@ def sl2_relations_check(truncation: int = 3, trials: int = 40, seed: int = 0) ->
     ):
         report.check(f"sl2.relation.{name}", relation(name, lhs_fn, rhs_fn))
     return report
+
+
+def _seeded_pairs(draw, seed: int, family: str, trials: int):
+    """trials pairs (draw(s0), draw(s1)), s_i = sample_seed(seed, family, t, i)."""
+    return ((draw(sample_seed(seed, family, t, 0)), draw(sample_seed(seed, family, t, 1))) for t in range(trials))
 
 
 def _comm(first, second, v: ExtElement) -> ExtElement:
@@ -179,31 +185,16 @@ def equivariance_check_cocycle(trials: int = 30, seed: int = 0) -> Report:
 
     # named cases: a = d/dx_i (generator xi_i), b = xi_k d/dx_j - xi_j d/dx_k
     # (generator -xi_j xi_k), u = d/dxi_i (generator -x_i)
-    def named(name, action):
-        for i, j, k in permutations((1, 2, 3)):
-            a = ext_element(SuperPoly.xi(3, i))
-            b = ext_element(-(SuperPoly.xi(3, j) * SuperPoly.xi(3, k)))
-            u = ext_element(-SuperPoly.x(3, i))
-            aj = ext_element(SuperPoly.xi(3, j))
-            for left, right in ((a, b), (u, aj)):
-                lhs, rhs = _leibniz_sides(action, left, right)
-                if lhs != rhs:
-                    yield {"x": name, "left": str(left), "right": str(right),
-                           "lhs": str(lhs), "rhs": str(rhs)}
+    xi = lambda i: ext_element(SuperPoly.xi(3, i))
+    named = [pair for i, j, k in permutations((1, 2, 3))
+             for pair in ((xi(i), ext_element(-(SuperPoly.xi(3, j) * SuperPoly.xi(3, k)))),
+                          (ext_element(-SuperPoly.x(3, i)), xi(j)))]
+    for name, action in actions.items():
+        report.check(f"sl2.cocycle_equivariance.named.{name}", _leibniz_failures(name, action, named))
 
     for name, action in actions.items():
-        report.check(f"sl2.cocycle_equivariance.named.{name}", named(name, action))
-
-    def seeded(name, action):
-        for t in range(trials):
-            a, b = (_random_low_degree(seed=sample_seed(seed, f"sl2.cocycle_equivariance.seeded.{name}", t, i))
-                    for i in range(2))
-            lhs, rhs = _leibniz_sides(action, a, b)
-            if lhs != rhs:
-                yield {"x": name, "a": str(a), "b": str(b)}
-
-    for name, action in actions.items():
-        report.check(f"sl2.cocycle_equivariance.seeded.{name}", seeded(name, action))
+        family = f"sl2.cocycle_equivariance.seeded.{name}"
+        report.check(family, _leibniz_failures(name, action, _seeded_pairs(_random_low_degree, seed, family, trials)))
     return report
 
 

@@ -58,8 +58,8 @@ class CampaignConfig:
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
         for name in self.checks:
-            if name in ("cocycles", "sl2") and self.d != 3:
-                raise ValueError(f"suite {name!r} requires d = 3")
+            if need := _unmet_prerequisite(name, self):
+                raise ValueError(f"suite {name!r} requires {need}")
 
 
 def _homog(d, deg, seed) -> SuperPoly:
@@ -264,12 +264,14 @@ def suite_jacobi(cfg: CampaignConfig) -> Report:
     top_arity = max(arities)
     jacobi_range = range(2, max(4, top_arity + 2))
 
+    def draw(family, t, i):
+        """The draw's seed s also picks its slot."""
+        s = sample_seed(cfg.seed, family, t, i)
+        return carrier.random_element(slots[sample_seed(s, "slot") % len(slots)], cfg.max_degree, seed=s)
+
     def jacobi(n):
         for t in range(max(1, cfg.trials // max(1, len(jacobi_range)))):
-            xs = [carrier.random_element(slots[sample_seed(cfg.seed, n, t, i) % len(slots)],
-                                         cfg.max_degree,
-                                         seed=sample_seed(cfg.seed, f"jacobi.{variant.label}.d{d}.arity{n}", t, i))
-                  for i in range(n)]
+            xs = [draw(f"jacobi.{variant.label}.d{d}.arity{n}", t, i) for i in range(n)]
             if not jacobi_defect(structure, n, xs).is_zero():
                 yield {"arity": n}
 
@@ -279,9 +281,7 @@ def suite_jacobi(cfg: CampaignConfig) -> Report:
     def centrality():
         family = f"jacobi.{variant.label}.d{d}.centrality"
         for t in range(max(1, cfg.trials // 2)):
-            xs = [carrier.random_element(slots[sample_seed(cfg.seed, t, i, 5) % len(slots)],
-                                         cfg.max_degree, seed=sample_seed(cfg.seed, family, t, i))
-                  for i in range(top_arity)]
+            xs = [draw(family, t, i) for i in range(top_arity)]
             out = structure.brackets[top_arity](*xs)
             if set(out.parts) - {carrier.home(("c",))}:
                 yield {"witness": "non-central output"}
@@ -318,9 +318,8 @@ def suite_sho(cfg: CampaignConfig) -> Report:
             f, g = (_homog(d, deg, sample_seed(seed, f"sho.d{d}.hamiltonian_anti_map", t, i)) for i in range(2))
             if f.is_zero() or g.is_zero():
                 continue
-            sigma = conventions.SIGMA_TABLE[(f.parity(), g.parity())]
             lhs = vf_bracket(hamiltonian_vf(f), hamiltonian_vf(g))
-            rhs = hamiltonian_vf(pvcalc.schouten(f, g)).scale(sigma)
+            rhs = hamiltonian_vf(pvcalc.schouten(f, g)).scale(conventions.SIGMA)
             if lhs != rhs:
                 yield {"f": str(f), "g": str(g)}
 
@@ -428,25 +427,34 @@ def suite_sl2(cfg: CampaignConfig) -> Report:
     return report
 
 
+# in the order of a default campaign
 SUITES = {
     "algebra": suite_algebra,
     "contraction": suite_contraction,
     "homotopy": suite_homotopy,
     "transfer": suite_transfer,
-    "jacobi": suite_jacobi,
     "sho": suite_sho,
+    "jacobi": suite_jacobi,
     "cocycles": suite_cocycles,
     "sl2": suite_sl2,
 }
 
+# suite -> (what it needs, whether a configuration has it); a default
+# campaign leaves the suite out without it, and --check rejects it
+PREREQUISITES = {
+    "transfer": ("the mbcov variant", lambda cfg: cfg.variant.kind == "mbcov"),
+    "cocycles": ("d = 3", lambda cfg: cfg.d == 3),
+    "sl2": ("d = 3", lambda cfg: cfg.d == 3),
+}
+
+
+def _unmet_prerequisite(name: str, cfg: CampaignConfig) -> str | None:
+    need, holds = PREREQUISITES.get(name, (None, lambda cfg: True))
+    return None if holds(cfg) else need
+
 
 def default_checks(cfg: CampaignConfig) -> tuple[str, ...]:
-    checks = ["algebra", "contraction", "homotopy", "sho", "jacobi"]
-    if cfg.variant.kind == "mbcov":
-        checks.insert(3, "transfer")
-    if cfg.d == 3:
-        checks += ["cocycles", "sl2"]
-    return tuple(checks)
+    return tuple(name for name in SUITES if not _unmet_prerequisite(name, cfg))
 
 
 def run_campaign(cfg: CampaignConfig) -> Report:

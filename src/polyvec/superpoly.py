@@ -243,9 +243,6 @@ class SuperPoly:
     def xi_components(self) -> dict[int, "SuperPoly"]:
         return {k: self.xi_component(k) for k in sorted(self.xi_degrees())}
 
-    def parity_component(self, p: int) -> "SuperPoly":
-        return SuperPoly(self.d, {m: c for m, c in self._terms.items() if m.parity == p})
-
     def principal_components(self) -> dict[int, "SuperPoly"]:
         """Decompose by the principal grading, which assigns a monomial of
         total degree n the degree n - 2 (quadratic generators sit in

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from polyvec.cli import TIMING_MARKER, build_parser, config_from_args, main
+from polyvec.complexes import Variant
 from polyvec.reporting import Report
 from polyvec.superpoly import SuperPoly
 from polyvec import suites
@@ -49,6 +50,17 @@ def test_exit_two_on_bad_config(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--check", "nonsense"])
     assert exc.value.code == 2
+
+
+def test_transfer_requires_mbcov(capsys):
+    # suite_transfer transfers the mbcov complex only, so asking for it on a
+    # potential variant is a configuration error, not two mbcov PASS lines
+    with pytest.raises(SystemExit) as exc:
+        main(["--d", "3", "--variant", "potential", "--k", "2", "--check", "transfer"])
+    assert exc.value.code == 2
+    assert "mbcov" in capsys.readouterr().err
+    cfg = suites.CampaignConfig(d=3, variant=Variant.potential(2))
+    assert "transfer" not in suites.default_checks(cfg)
 
 
 def test_exit_one_on_verification_failure(monkeypatch, capsys):

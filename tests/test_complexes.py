@@ -94,15 +94,6 @@ def test_field_validation():
         DescendantField(d, v, {("f", 0, 1): SuperPoly.x(d, 1)})  # wrong xi-degree
 
 
-def test_field_serialization_round_trip():
-    for d, v in [(3, Variant.mbcov()), (4, Variant.potential(2))]:
-        keys = summands(d, v)
-        psi = DescendantField.zero(d, v)
-        for i, key in enumerate(keys[: 3]):
-            psi = psi + random_field(d, v, key, 3, seed=i)
-        assert DescendantField.from_dict(psi.to_dict()) == psi
-
-
 def test_cohomology_model_membership():
     model = cohomology_model(3, Variant.mbcov())
     xi = lambda i: SuperPoly.xi(3, i)

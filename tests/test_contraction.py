@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from functools import reduce
 from operator import add
@@ -152,6 +153,21 @@ def test_corrupted_datum_reports_witness():
     failures = report.failures()
     assert failures
     assert any("witness" in r.details for r in failures)
+
+
+@pytest.mark.parametrize("d,variant", [(3, Variant.mbcov()), (4, Variant.potential(2))])
+def test_homotopy_witness_replays_from_report_text(d, variant):
+    # a homotopy witness names its summand and its polyvector as text; the
+    # field rebuilt from the report line breaks the relation again
+    datum = scale_homotopy(build_datum(d, variant), 2)
+    report = verify_datum(datum, sample_budget=30, seed=3)
+    records = [json.loads(line) for line in report.to_jsonl().splitlines()[1:]]
+    witnesses = [r["details"]["witness"] for r in records if ".homotopy." in r["check"] and not r["passed"]]
+    assert witnesses
+    for w in witnesses:
+        psi = DescendantField.single(d, variant, tuple(w["summand"]), SuperPoly.parse(d, w["poly"]))
+        lhs = psi - datum.carrier.project(psi)
+        assert lhs != differential(datum.homotopy(psi)) + datum.homotopy(differential(psi))
 
 
 def test_perturbed_side_conditions_and_normalization():

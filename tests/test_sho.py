@@ -9,9 +9,7 @@ from polyvec.sho import (
     cocycle_check,
     ext_bracket_d3,
     ext_element,
-    ext_from_field,
     ext_parity,
-    generator_of_field,
     ham_generator,
     hamiltonian_vf,
     lie_jacobi_defect,
@@ -107,9 +105,37 @@ def test_hamiltonian_anti_map():
         g = random_poly(d, 3, xi_degree_filter=(seed + 1) % 4, seed=seed + 31)
         if f.is_zero() or g.is_zero():
             continue
-        sigma = conventions.SIGMA_TABLE[(f.parity(), g.parity())]
         lhs = vf_bracket(hamiltonian_vf(f), hamiltonian_vf(g))
-        assert lhs == hamiltonian_vf(pvcalc.schouten(f, g)).scale(sigma)
+        assert lhs == hamiltonian_vf(pvcalc.schouten(f, g)).scale(conventions.SIGMA)
+
+
+def test_vector_field_layer_rejects_mixed_parity():
+    mixed = x(1) + xi(1)
+    with pytest.raises(ValueError):
+        hamiltonian_vf(mixed)
+    d_dx1 = hamiltonian_vf(-xi(1))
+    d_dxi1 = hamiltonian_vf(x(1))
+    assert (d_dx1.parity(), d_dxi1.parity()) == (0, 1)
+    for field in (d_dx1 + d_dxi1, hamiltonian_vf(x(1) * x(2)) + d_dx1):
+        with pytest.raises(ValueError):
+            field.parity()
+        with pytest.raises(ValueError):
+            super_divergence(field)
+        with pytest.raises(ValueError):
+            vf_bracket(field, d_dx1)
+
+
+def test_sigma_is_pinned(monkeypatch):
+    from polyvec.suites import CampaignConfig, suite_sho
+
+    cfg = CampaignConfig(d=3, max_degree=3, trials=10, seed=1, checks=("sho",))
+
+    def failed():
+        return {r.check_id for r in suite_sho(cfg).failures()}
+
+    assert failed() == set()
+    monkeypatch.setattr(conventions, "SIGMA", 1)
+    assert failed() == {"sho.d3.hamiltonian_anti_map"}
 
 
 def test_ham_generator_inversion():
@@ -122,7 +148,8 @@ def test_ham_generator_inversion():
         g = ham_generator(X, max_degree=4)
         # generators agree up to the kernel of Ham (constants)
         assert hamiltonian_vf(g) == X
-        assert generator_of_field(X.scale(-1), max_degree=4) == g
+        # the generator named by a field through X = -Ham(f)
+        assert -ham_generator(X.scale(-1), max_degree=4) == g
 
 
 def test_membership_examples():
@@ -163,7 +190,7 @@ def test_ext_element_rejects_non_divergence_free():
 
 def test_ext_bracket_examples():
     # [d/dx_1, xi_3 d/dx_2 - xi_2 d/dx_3] = e1
-    a = ext_from_field(hamiltonian_vf(xi(1)).scale(-1))
+    a = ext_element(-ham_generator(hamiltonian_vf(xi(1)).scale(-1)))
     assert a.gen == xi(1)
     b = ext_element(-(xi(2) * xi(3)))
     out = ext_bracket_d3(a, b)
@@ -271,7 +298,7 @@ def test_sho_basis_and_structure_constants():
     basis = sho_basis(3, 0)
     # degree <= 2 generators modulo constants and the top monomial
     assert all(membership(b) == "SHO" for b in basis)
-    rows = structure_constants(3, 0)
+    rows = structure_constants(0)
     assert rows
     # the table contains the pairing row for (xi1, xi2 xi3) with a unit
     # central value along e1 (sign fixed by the conventions ledger)
@@ -282,6 +309,26 @@ def test_sho_basis_and_structure_constants():
 def test_random_sho_generator_draws_no_zero():
     # xi-degree d would always carve down to zero
     assert not any(random_sho_generator(4, seed=s).is_zero() for s in range(400))
+
+
+def test_random_sho_generator_picks_only_xi_degrees_with_monomials(monkeypatch):
+    # a xi-degree above the degree cap has an empty monomial basis, so
+    # its draw would be zero whatever the seed
+    from polyvec import sho
+
+    picked = set()
+
+    def recording(d, max_total_degree, xi_degree_filter=None, seed=0, n_terms=4):
+        picked.add((d, max_total_degree, xi_degree_filter))
+        return random_poly(d, max_total_degree, xi_degree_filter, seed, n_terms)
+
+    monkeypatch.setattr(sho, "random_poly", recording)
+    for d in (3, 4, 5):
+        for max_degree in range(5):
+            for s in range(60):
+                random_sho_generator(max_degree, seed=s, d=d)
+    assert {(d, m) for d, m, _ in picked} == {(d, m) for d in (3, 4, 5) for m in range(5)}
+    assert all(monomial_basis(d, m, {j}) for d, m, j in picked)
 
 
 def test_membership_criterion_catches_a_vanishing_divergence(monkeypatch):

@@ -4,6 +4,7 @@ from itertools import combinations_with_replacement, permutations
 from polyvec import conventions, pvcalc
 from polyvec.complexes import DescendantField, Variant
 from polyvec.contraction import contraction_K, divergence_free_part
+from polyvec.linf import minimal_model_structure
 from polyvec.sho import ExtElement, ext_bracket_d3, ext_element, levi_civita, sho_basis
 from polyvec.sl2 import (
     act_e,
@@ -51,7 +52,7 @@ def test_act_h_examples():
 def test_act_e_examples():
     # e sends the generator of the field d/dxi_i to the generator of the
     # field eps_{ibc} xi_b d/dx_c (fields named through X = -Ham(f))
-    from polyvec.sho import generator_of_field, SuperVectorField
+    from polyvec.sho import SuperVectorField, ham_generator
 
     for i in (1, 2, 3):
         want_field = SuperVectorField.zero(3)
@@ -64,7 +65,7 @@ def test_act_e_examples():
                 want_field = want_field + SuperVectorField(3, tuple(mu_x), (z, z, z))
         dxi = ext_element(-x(i))  # generator of d/dxi_i
         got = act_e(dxi)
-        assert generator_of_field(want_field, max_degree=3) == got.gen
+        assert -ham_generator(want_field, max_degree=3) == got.gen
     # e kills constant-coefficient polyvector generators
     assert act_e(ext_element(xi(1))).is_zero()
     assert act_e(ext_element(xi(1) * xi(2))).is_zero()
@@ -134,6 +135,23 @@ def test_act_f_is_derivation_on_degree_two_basis():
         assert lhs == ext_bracket_d3(act_f(a), b) + ext_bracket_d3(a, act_f(b)), (str(a), str(b))
         nontrivial += not lhs.is_zero()
     assert (len(elements), nontrivial) == (105, 670)
+
+
+def test_potential_minimal_model_at_d3_is_kacs_extension():
+    # through embed, the extension bracket is the binary bracket of the
+    # d = 3 potential(2) minimal model up to the sign (-1)^((p+1)q), p and
+    # q the xi-degrees of the generators
+    b2 = minimal_model_structure(3, POT2).brackets[2]
+    elements = [ext_element(g) for g in sho_basis(3, 1)] + CENTER
+    pairs = list(combinations_with_replacement(elements, 2))
+    nontrivial = 0
+    for a, b in pairs:
+        p, q = a.gen.xi_degree(), b.gen.xi_degree()
+        lhs = embed(ext_bracket_d3(a, b))
+        rhs = b2(embed(a), embed(b))
+        assert lhs == (-rhs if (p + 1) * q % 2 else rhs), (str(a), str(b))
+        nontrivial += not lhs.is_zero()
+    assert (len(pairs), nontrivial) == (1596, 850)
 
 
 def test_f_relations_on_degree_four_basis():

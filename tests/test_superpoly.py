@@ -135,9 +135,12 @@ def test_campaign_families_draw_independent_samples(monkeypatch):
 
     for module in (suites, sho, complexes):
         monkeypatch.setattr(module, "random_poly", recording)
-    cfg = suites.CampaignConfig(d=3, max_degree=4, trials=100, seed=42)
+    default = suites.CampaignConfig(d=3, max_degree=4, trials=100, seed=42)
+    potential = suites.CampaignConfig(d=5, variant=complexes.Variant.potential(2), max_degree=3,
+                                      trials=100, seed=42)
     repeats = {}
-    for name in ("algebra", "sho", "contraction", "cocycles"):
+    for cfg, name in [(default, name) for name in ("algebra", "sho", "contraction", "cocycles")] + [
+            (potential, "jacobi")]:
         drawn.clear()
         suites.SUITES[name](cfg)
         assert drawn
