@@ -6,14 +6,20 @@ A polyvector field of degree i is encoded as a SuperPoly of xi-degree i
 shifted-symmetric convention, transport through contraction with the
 holomorphic volume element Omega = dx_1 ^ ... ^ dx_d, the top-constant
 pairing, and the descendent integral coefficients.
+
+The bracket is the one Delta derives, evaluated by its bidifferential
+formula in one pass over first partials, with no divergence or product
+call; the suites' derivation family checks the two against each other.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import comb
+from operator import add
 
-from .superpoly import Monomial, SuperPoly, d_even_rule, d_odd_rule, koszul_sign
+from .superpoly import Monomial, SuperPoly, _merge_odd, d_even_rule, d_odd_rule, koszul_sign
 
 
 def divergence_rule(m: Monomial):
@@ -44,13 +50,47 @@ def schouten(mu: SuperPoly, nu: SuperPoly) -> SuperPoly:
 def symmetric_bracket(mu: SuperPoly, nu: SuperPoly) -> SuperPoly:
     """The Schouten bracket in the shifted-symmetric convention.
 
-    b2(mu, nu) = Delta(mu nu) - (Delta mu) nu - (-1)^|mu| mu (Delta nu);
-    graded symmetric for the plain xi-parity, and equal to Delta(mu nu)
-    when both inputs are divergence free.  Related to schouten() by the
-    decalage sign (-1)^(|mu| - 1).
+    b2(mu, nu) = Delta(mu nu) - (Delta mu) nu - (-1)^|mu| mu (Delta nu),
+    evaluated in one pass by its bidifferential form
+
+        b2(mu, nu) = sum_i d_xi_i(mu) d_x_i(nu) + (-1)^|mu| d_x_i(mu) d_xi_i(nu)
+
+    (left odd derivatives; |mu| read per monomial): the terms of the
+    first partials of mu and nu are paired index by index, with no
+    intermediate product or Laplacian.  Graded symmetric for the plain
+    xi-parity, and equal to Delta(mu nu) when both inputs are divergence
+    free.  Related to schouten() by the decalage sign (-1)^(|mu| - 1).
     """
-    signed = mu.scale_by_xi_degree(lambda k: -1 if k & 1 else 1)
-    return divergence(mu * nu) - divergence(mu) * nu - signed * divergence(nu)
+    mu._check_same(nu)
+    mu_xi, mu_x = _partials(mu, signed=True)
+    nu_xi, nu_x = _partials(nu, signed=False)
+    out: dict[Monomial, int | Fraction] = {}
+    for left, right in chain(zip(mu_xi, nu_x), zip(mu_x, nu_xi)):
+        for exps_a, odd_a, ca in left:
+            for exps_b, odd_b, cb in right:
+                merged = _merge_odd(odd_a, odd_b)
+                if merged is None:
+                    continue
+                sign, odd = merged
+                mono = Monomial(tuple(map(add, exps_a, exps_b)), odd)
+                out[mono] = out.get(mono, 0) + sign * ca * cb
+    return SuperPoly(mu.d, out)
+
+
+def _partials(p: SuperPoly, signed: bool):
+    """Per index i, the (exps, odd, coeff) terms of d/dxi_i p and of
+    d/dx_i p, as d_odd_rule and d_even_rule give them; with signed, each
+    d/dx_i term carries (-1)^(xi-degree of its monomial)."""
+    d_xi = [[] for _ in range(p.d)]
+    d_x = [[] for _ in range(p.d)]
+    for (exps, odd), c in p._terms.items():
+        for pos, i in enumerate(odd):
+            d_xi[i - 1].append((exps, odd[:pos] + odd[pos + 1 :], -c if pos & 1 else c))
+        c_x = -c if signed and len(odd) & 1 else c
+        for i, e in enumerate(exps):
+            if e:
+                d_x[i].append((exps[:i] + (e - 1,) + exps[i + 1 :], odd, e * c_x))
+    return d_xi, d_x
 
 
 # -- transport through Omega -----------------------------------------
@@ -120,10 +160,21 @@ def euler_contraction(w: SuperPoly) -> SuperPoly:
 
 
 def top_constant_pairing(a: SuperPoly, b: SuperPoly) -> int | Fraction:
-    """(a ^ b)(0) contracted with Omega: the constant top coefficient of a*b."""
+    """(a ^ b)(0) contracted with Omega: the constant top coefficient of a*b.
+
+    Only x-constant terms reach the constant top monomial, so only those
+    of a are paired, each with the x-constant term of b on the
+    complementary odd indices.
+    """
     if a.d != b.d:
         raise ValueError("dimension mismatch")
-    return (a * b).top_constant()
+    zero = (0,) * a.d
+    total = 0
+    for m, c in a._terms.items():
+        if m.exps == zero:
+            comp = _complement(a.d, m.odd)
+            total += koszul_sign(m.odd + comp) * c * b.coefficient(Monomial(zero, comp))
+    return total
 
 
 def descendent_coefficient(*ks: int) -> int:

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, permutations
+from math import lcm
 
 from . import conventions, pvcalc
 from ._linalg import independent_indices, solve_combination
@@ -257,14 +258,17 @@ def random_sho_generator(max_degree: int, seed: int, d: int = 3) -> SuperPoly:
     """Seeded divergence-free generator with constants and top carved off.
 
     The output is xi-homogeneous (the divergence-free projection
-    preserves xi-degree), hence parity-homogeneous.
+    preserves xi-degree), hence parity-homogeneous.  Its coefficients are
+    ints: the projection is scaled by the lcm of its denominators, which
+    cannot change whether a multilinear identity's defect vanishes.
     """
     # the top xi-degree d has no SHO part: its divergence-free part is
     # the constant top monomial, which the carving removes; a xi-degree
     # above max_degree has no monomial at all
     xi_degree = sample_seed(seed, "xi_degree") % min(d, max_degree + 1)
     raw = random_poly(d, max_degree, xi_degree_filter=xi_degree, seed=seed, n_terms=5)
-    return _sho_part(raw)
+    gen = _sho_part(raw)
+    return gen.scale(lcm(*(c.denominator for c in gen._terms.values())))
 
 
 def _sho_part(p: SuperPoly) -> SuperPoly:

@@ -167,10 +167,15 @@ def _random_low_degree(seed: int) -> ExtElement:
 
 
 def _random_principal(deg: int, seed: int) -> ExtElement:
-    """Seeded element concentrated in one principal degree (-1, 0, or up)."""
-    gen = random_sho_generator(deg + 2, seed=seed)
-    comp = gen.principal_components().get(deg, SuperPoly.zero(3))
-    return ext_element(comp)
+    """Seeded nonzero element concentrated in one principal degree (-1, 0,
+    or up).  A draw with no part in that degree is redrawn with
+    sample_seed(seed, "redraw", r) for r = 1..8."""
+    for r in range(9):
+        s = sample_seed(seed, "redraw", r) if r else seed
+        comp = random_sho_generator(deg + 2, seed=s).principal_components().get(deg)
+        if comp is not None:
+            return ext_element(comp)
+    raise ValueError(f"nine draws of principal degree {deg} were all zero")
 
 
 def equivariance_check_cocycle(trials: int = 30, seed: int = 0) -> Report:

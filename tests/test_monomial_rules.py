@@ -15,7 +15,7 @@ from polyvec import conventions, pvcalc
 from polyvec.contraction import contraction_K
 from polyvec.sho import ExtElement, c1_pairing
 from polyvec.sl2 import act_h
-from polyvec.superpoly import SuperPoly, random_poly
+from polyvec.superpoly import SuperPoly, monomial_basis, random_poly
 
 
 def _mixed(d, seed):
@@ -100,6 +100,16 @@ def test_fused_operators_match_composites(d):
         assert contraction_K(mu) == _contraction_K(mu)
         assert pvcalc.symmetric_bracket(mu, nu) == _symmetric_bracket(mu, nu)
         assert pvcalc.schouten(mu, nu) == _schouten(mu, nu)
+
+
+@pytest.mark.parametrize("d, max_degree, pairs, nontrivial", [(3, 3, 3969, 2042), (4, 2, 1681, 520)])
+def test_bracket_kernel_equals_composite_on_every_basis_pair(d, max_degree, pairs, nontrivial):
+    # the bracket is bilinear, so agreement on every ordered pair of basis
+    # monomials proves the kernel at this truncation
+    basis = [SuperPoly(d, {m: 1}) for m in monomial_basis(d, max_degree)]
+    brackets = [(pvcalc.symmetric_bracket(a, b), _symmetric_bracket(a, b)) for a in basis for b in basis]
+    assert all(got == want for got, want in brackets)
+    assert (len(brackets), sum(not got.is_zero() for got, _ in brackets)) == (pairs, nontrivial)
 
 
 def test_vee_omega_round_trip():

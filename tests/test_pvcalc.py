@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from polyvec import conventions, pvcalc
-from polyvec.superpoly import SuperPoly, random_poly
+from polyvec.superpoly import SuperPoly, monomial_basis, random_poly
 
 
 def xi(d, i):
@@ -153,6 +153,13 @@ def test_top_constant_pairing_examples():
     assert pvcalc.top_constant_pairing(xi(d, 1) * xi(d, 2), xi(d, 3)) == 1
 
 
+def test_top_constant_pairing_equals_top_of_product_on_basis_pairs():
+    basis = [SuperPoly(3, {m: c}) for c, m in enumerate(monomial_basis(3, 2), start=1)]
+    for a in basis:
+        for b in basis:
+            assert pvcalc.top_constant_pairing(a, b) == (a * b).top_constant()
+
+
 def test_descendent_coefficient():
     assert pvcalc.descendent_coefficient(0, 0, 0) == 1
     assert pvcalc.descendent_coefficient(1, 0, 0, 0) == 1
@@ -197,3 +204,24 @@ def test_derivation_family_rejects_third_order_laplacian(monkeypatch):
     record = next(r for r in report.records if r.check_id == "algebra.d3.derivation_and_second_order")
     assert not record.passed
     assert "rho" in record.details["witness"]
+
+
+def test_derivation_family_rejects_a_kernel_with_a_flipped_term(monkeypatch):
+    # Delta's derived bracket is computed in the family itself, so only its
+    # comparison with schouten sees a wrong bidifferential kernel
+    from polyvec.suites import CampaignConfig, suite_algebra
+
+    def kernel(mu, nu, second):
+        signed = mu.scale_by_xi_degree(lambda k: -second if k & 1 else second)
+        out = SuperPoly.zero(mu.d)
+        for i in range(1, mu.d + 1):
+            out = out + mu.d_odd(i) * nu.d_even(i) + signed.d_even(i) * nu.d_odd(i)
+        return out
+
+    mu, nu = x(3, 1) * xi(3, 2), x(3, 2) * xi(3, 1)
+    assert kernel(mu, nu, 1) == pvcalc.symmetric_bracket(mu, nu) != kernel(mu, nu, -1)
+    monkeypatch.setattr(pvcalc, "symmetric_bracket", lambda mu, nu: kernel(mu, nu, -1))
+    report = suite_algebra(CampaignConfig(d=3, max_degree=4, trials=20))
+    record = next(r for r in report.records if r.check_id == "algebra.d3.derivation_and_second_order")
+    assert not record.passed
+    assert record.details["witness"]["kind"] == "kernel"

@@ -311,6 +311,16 @@ def test_random_sho_generator_draws_no_zero():
     assert not any(random_sho_generator(4, seed=s).is_zero() for s in range(400))
 
 
+def test_random_sho_generator_draws_integer_coefficients():
+    for d in (3, 4, 5):
+        for max_degree in range(5):
+            for s in range(50):
+                f = random_sho_generator(max_degree, seed=s, d=d)
+                assert all(type(c) is int for _, c in f.terms())
+                assert pvcalc.divergence(f).is_zero()
+                assert len(f.xi_degrees()) <= 1
+
+
 def test_random_sho_generator_picks_only_xi_degrees_with_monomials(monkeypatch):
     # a xi-degree above the degree cap has an empty monomial basis, so
     # its draw would be zero whatever the seed

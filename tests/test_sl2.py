@@ -1,11 +1,13 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
+import pytest
+
 from polyvec import conventions, pvcalc
 from polyvec.complexes import DescendantField, Variant
 from polyvec.contraction import contraction_K, divergence_free_part
 from polyvec.linf import minimal_model_structure
-from polyvec.sho import ExtElement, ext_bracket_d3, ext_element, levi_civita, sho_basis
+from polyvec.sho import ExtElement, ext_bracket_d3, ext_element, levi_civita, random_sho_generator, sho_basis
 from polyvec.sl2 import (
     act_e,
     act_f,
@@ -191,6 +193,33 @@ def test_f_sign_is_pinned(monkeypatch):
 def test_sl2_relations_report():
     report = sl2_relations_check(truncation=3, trials=20, seed=9)
     assert report.ok, report.summary_text()
+
+
+def test_relation_draws_redraw_zero_elements(monkeypatch):
+    # 48 of these 1,200 draws have no part in their principal degree at
+    # the first seed; each is redrawn, so every relation checks something
+    from polyvec import sl2
+
+    drawn = []
+    draw = sl2._random_principal
+
+    def recording(deg, seed):
+        drawn.append((deg, seed, draw(deg, seed)))
+        return drawn[-1][2]
+
+    monkeypatch.setattr(sl2, "_random_principal", recording)
+    for seed in range(20):
+        assert sl2_relations_check(truncation=4, trials=20, seed=seed).ok
+    first_zero = sum(deg not in random_sho_generator(deg + 2, seed=s).principal_components() for deg, s, _ in drawn)
+    assert (len(drawn), first_zero, sum(v.is_zero() for *_, v in drawn)) == (1200, 48, 0)
+
+
+def test_principal_draw_gives_up_after_nine_zero_draws(monkeypatch):
+    from polyvec import sl2
+
+    monkeypatch.setattr(sl2, "random_sho_generator", lambda max_degree, seed: SuperPoly.zero(3))
+    with pytest.raises(ValueError):
+        sl2._random_principal(2, seed=0)
 
 
 def test_named_cocycle_equivariance_bullets():
