@@ -35,28 +35,37 @@ from .reporting import Report
 from .superpoly import Monomial, SuperPoly, sample_seed
 
 
-def _contraction_K_rule(m: Monomial):
-    k = len(m.odd)
-    weight = sum(m.exps) + len(m.exps) - k
-    if weight == 0:
-        return
-    sign = conventions.euler_homotopy_sign(k)
-    for w, a in pvcalc.vee_omega_rule(m):
-        for e, b in pvcalc.euler_contraction_rule(w):
-            for v, c in pvcalc.vee_omega_inv_rule(e):
-                yield v, Fraction(sign * a * b * c, weight)
-
-
 def contraction_K(mu: SuperPoly) -> SuperPoly:
     """Degree-raising homotopy for the divergence: PV^j -> PV^{j+1}.
 
-    Each monomial of xi-degree k is transported to a form of degree
-    p = d - k with coefficient degree q, contracted with the Euler vector
-    field, transported back, and scaled by euler_homotopy_sign(k)/(p+q);
-    monomials with p + q = 0 (constants in top polyvector degree) are
-    annihilated.  Output into PV^d never has a constant term.
+    The Euler-scaling homotopy of the de Rham complex, transported through
+    vee_omega and signed by euler_homotopy_sign(k) on xi-degree k.  That
+    composite is multiplication by the Euler field sum_j x_j xi_j divided
+    by the weight, evaluated here in one pass over the terms:
+
+        K(x^a xi_S) = s_k / (|a| + d - k) * sum_{j not in S} x_j x^a * xi_j xi_S,
+
+    with s_k = euler_homotopy_sign(k) * (-1)^k read at call time.  The
+    constant top monomial, of weight 0, is annihilated, so output into
+    PV^d never has a constant term.
     """
-    return mu.map_monomials(_contraction_K_rule)
+    d = mu.d
+    out: dict[Monomial, int | Fraction] = {}
+    for (exps, odd), c in mu._terms.items():
+        k = len(odd)
+        weight = sum(exps) + d - k
+        if not weight:
+            continue
+        sign = conventions.euler_homotopy_sign(k)
+        coeff = Fraction(-sign * c if k & 1 else sign * c, weight)
+        pos = 0  # xi_j xi_S = (-1)^pos xi_(S + j), pos = #{s in S : s < j}
+        for j in range(1, d + 1):
+            if pos < k and odd[pos] == j:
+                pos += 1
+                continue
+            mono = Monomial(exps[: j - 1] + (exps[j - 1] + 1,) + exps[j:], odd[:pos] + (j,) + odd[pos:])
+            out[mono] = out.get(mono, 0) + (-coeff if pos & 1 else coeff)
+    return SuperPoly(d, out)
 
 
 def divergence_free_part(p: SuperPoly) -> SuperPoly:

@@ -166,7 +166,9 @@ def _content(v: DescendantField) -> SuperPoly:
 def minimal_model_structure(d: int, variant: Variant) -> LInftyStructure:
     """The transferred minimal model, in closed form.
 
-    * minimal theory: b2 = Delta(content product), placed by xi-degree.
+    * minimal theory: b2 = Delta(content product), placed by xi-degree;
+      the contents are divergence free, so this is their symmetric
+      bracket.
     * k = d-1 potentials: the same, with xi-degree d-1 output lifted into
       the full PV^d slot through K and the top-constant channel; this
       reproduces the wedge and wedge-of-divergence bracket families.
@@ -182,11 +184,13 @@ def minimal_model_structure(d: int, variant: Variant) -> LInftyStructure:
     k = variant.k if variant.kind == "potential" else None
 
     def b2(v: DescendantField, w: DescendantField) -> DescendantField:
-        prod = _content(v) * _content(w)
+        # the contents are divergence free, so Delta of their product is
+        # their symmetric bracket, which needs no product
+        cv, cw = _content(v), _content(w)
         pairs = [(("f", 0, j), comp) if j != k else (("p", 0), contraction_K(comp))
-                 for j, comp in pvcalc.divergence(prod).xi_components().items()]
+                 for j, comp in pvcalc.symmetric_bracket(cv, cw).xi_components().items()]
         if k == d - 1:
-            pairs.append((("p", 0), SuperPoly.top(d, prod.top_constant())))
+            pairs.append((("p", 0), SuperPoly.top(d, pvcalc.top_constant_pairing(cv, cw))))
         return DescendantField(d, variant, collect(pairs))
 
     brackets: dict[int, Callable] = {2: b2}
@@ -197,9 +201,10 @@ def minimal_model_structure(d: int, variant: Variant) -> LInftyStructure:
         def l_top(*vs: DescendantField) -> DescendantField:
             if len(vs) != arity:
                 raise ValueError(f"bracket has arity {arity}")
+            # only x-constant terms reach the constant top monomial
             prod = SuperPoly.const(d, 1)
             for v in vs:
-                prod = prod * _content(v)
+                prod = prod * _content(v).x_constant_part()
             central = SuperPoly.top(d, prod.top_constant())
             return DescendantField.single(d, variant, ("p", d - k - 1), central)
 

@@ -17,19 +17,33 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import comb
-from operator import add
 
-from .superpoly import Monomial, SuperPoly, _merge_odd, d_even_rule, d_odd_rule, koszul_sign
-
-
-def divergence_rule(m: Monomial):
-    """Delta on one monomial: sum_i d/dx_i d/dxi_i."""
-    return [(n, s * t) for i in m.odd for o, s in d_odd_rule(m, i) for n, t in d_even_rule(o, i)]
+from .superpoly import (
+    Monomial,
+    SuperPoly,
+    d_even_rule,
+    d_odd_rule,
+    koszul_sign,
+    partial_terms,
+    term_products,
+)
 
 
 def divergence(p: SuperPoly) -> SuperPoly:
-    """Delta = sum_i d/dx_i d/dxi_i; lowers xi-degree by one, squares to zero."""
-    return p.map_monomials(divergence_rule)
+    """Delta = sum_i d/dx_i d/dxi_i; lowers xi-degree by one, squares to zero.
+
+    One pass over the terms: each odd index i of x^a xi_S, at position pos
+    in S, is paired with its own exponent a_i and gives
+    (-1)^pos a_i x^(a - e_i) xi_(S - i).
+    """
+    out: dict[Monomial, int | Fraction] = {}
+    for (exps, odd), c in p._terms.items():
+        for pos, i in enumerate(odd):
+            e = exps[i - 1]
+            if e:
+                mono = Monomial(exps[: i - 1] + (e - 1,) + exps[i:], odd[:pos] + odd[pos + 1 :])
+                out[mono] = out.get(mono, 0) + (-e * c if pos & 1 else e * c)
+    return SuperPoly(p.d, out)
 
 
 def decalage_sign(k: int) -> int:
@@ -62,35 +76,9 @@ def symmetric_bracket(mu: SuperPoly, nu: SuperPoly) -> SuperPoly:
     free.  Related to schouten() by the decalage sign (-1)^(|mu| - 1).
     """
     mu._check_same(nu)
-    mu_xi, mu_x = _partials(mu, signed=True)
-    nu_xi, nu_x = _partials(nu, signed=False)
-    out: dict[Monomial, int | Fraction] = {}
-    for left, right in chain(zip(mu_xi, nu_x), zip(mu_x, nu_xi)):
-        for exps_a, odd_a, ca in left:
-            for exps_b, odd_b, cb in right:
-                merged = _merge_odd(odd_a, odd_b)
-                if merged is None:
-                    continue
-                sign, odd = merged
-                mono = Monomial(tuple(map(add, exps_a, exps_b)), odd)
-                out[mono] = out.get(mono, 0) + sign * ca * cb
-    return SuperPoly(mu.d, out)
-
-
-def _partials(p: SuperPoly, signed: bool):
-    """Per index i, the (exps, odd, coeff) terms of d/dxi_i p and of
-    d/dx_i p, as d_odd_rule and d_even_rule give them; with signed, each
-    d/dx_i term carries (-1)^(xi-degree of its monomial)."""
-    d_xi = [[] for _ in range(p.d)]
-    d_x = [[] for _ in range(p.d)]
-    for (exps, odd), c in p._terms.items():
-        for pos, i in enumerate(odd):
-            d_xi[i - 1].append((exps, odd[:pos] + odd[pos + 1 :], -c if pos & 1 else c))
-        c_x = -c if signed and len(odd) & 1 else c
-        for i, e in enumerate(exps):
-            if e:
-                d_x[i].append((exps[:i] + (e - 1,) + exps[i + 1 :], odd, e * c_x))
-    return d_xi, d_x
+    mu_xi, mu_x = partial_terms(mu, True)
+    nu_xi, nu_x = partial_terms(nu, False)
+    return term_products(mu.d, chain(zip(mu_xi, nu_x), zip(mu_x, nu_xi)))
 
 
 # -- transport through Omega -----------------------------------------

@@ -33,7 +33,7 @@ from . import conventions, pvcalc
 from ._linalg import independent_indices, solve_combination
 from .contraction import divergence_free_part
 from .reporting import Report
-from .superpoly import SuperPoly, monomial_basis, random_poly, sample_seed
+from .superpoly import SuperPoly, monomial_basis, partial_terms, random_poly, sample_seed, term_products
 
 
 @dataclass
@@ -50,11 +50,12 @@ class SuperVectorField:
         return cls(d, (z,) * d, (z,) * d)
 
     def apply(self, g: SuperPoly) -> SuperPoly:
-        out = SuperPoly.zero(self.d)
-        for i in range(self.d):
-            out = out + self.mu_x[i] * g.d_even(i + 1)
-            out = out + self.mu_xi[i] * g.d_odd(i + 1)
-        return out
+        """sum_i mu_x[i] dg/dx_i + mu_xi[i] dg/dxi_i in one pass: the terms
+        of each coefficient are paired with those of g's first partial."""
+        g_xi, g_x = partial_terms(g, False)
+        coeffs_x = (c._terms.items() for c in self.mu_x)
+        coeffs_xi = (c._terms.items() for c in self.mu_xi)
+        return term_products(self.d, chain(zip(coeffs_x, g_x), zip(coeffs_xi, g_xi)))
 
     def __add__(self, other: "SuperVectorField") -> "SuperVectorField":
         return SuperVectorField(
@@ -97,15 +98,14 @@ def super_divergence(mu: SuperVectorField) -> SuperPoly:
 
 def vf_bracket(a: SuperVectorField, b: SuperVectorField) -> SuperVectorField:
     """Super-commutator [a, b] = a b - (-1)^{|a||b|} b a of parity-homogeneous
-    fields, read off coordinates."""
-    d = a.d
-    sign = -1 if a.parity() & b.parity() else 1
+    fields.  A field's value on a coordinate is its coefficient there, so
+    [a, b]_j = a(b_j) - (-1)^{|a||b|} b(a_j)."""
+    odd = a.parity() & b.parity()
 
-    def comm(g: SuperPoly) -> SuperPoly:
-        return a.apply(b.apply(g)) - b.apply(a.apply(g)).scale(sign)
+    def comm(a_j: SuperPoly, b_j: SuperPoly) -> SuperPoly:
+        return a.apply(b_j) + b.apply(a_j) if odd else a.apply(b_j) - b.apply(a_j)
 
-    return SuperVectorField(d, tuple(comm(SuperPoly.x(d, i + 1)) for i in range(d)),
-                            tuple(comm(SuperPoly.xi(d, i + 1)) for i in range(d)))
+    return SuperVectorField(a.d, tuple(map(comm, a.mu_x, b.mu_x)), tuple(map(comm, a.mu_xi, b.mu_xi)))
 
 
 def ham_generator(x: SuperVectorField, max_degree: int = 6) -> SuperPoly | None:
@@ -201,10 +201,17 @@ def ext_element(f: SuperPoly, c1=0, c2=0) -> ExtElement:
         raise ValueError("the extension is implemented for d = 3")
     if not pvcalc.divergence(f).is_zero():
         raise ValueError("generator must be divergence free")
-    const = f.constant_term()
-    top = f.top_constant()
-    gen = f - SuperPoly.const(3, const) - SuperPoly.top(3, top)
-    return ExtElement(gen, c1 + top, c2 + const)
+    return _carved(f, c1, c2)
+
+
+def _carved(f: SuperPoly, c1, c2) -> ExtElement:
+    """ext_element of a generator known to be divergence free."""
+    return ExtElement(_without_center(f), c1 + f.top_constant(), c2 + f.constant_term())
+
+
+def _without_center(f: SuperPoly) -> SuperPoly:
+    """f with its constant term and its constant top monomial dropped."""
+    return SuperPoly(f.d, {m: c for m, c in f._terms.items() if any(m.exps) or 0 < len(m.odd) < f.d})
 
 
 def ext_bracket_d3(a: ExtElement, b: ExtElement) -> ExtElement:
@@ -218,9 +225,10 @@ def ext_bracket_d3(a: ExtElement, b: ExtElement) -> ExtElement:
     """
     if a.d != 3 or b.d != 3:
         raise ValueError("d = 3 only")
+    # a Schouten bracket of divergence-free generators is divergence free
     raw = pvcalc.schouten(a.gen, b.gen)
     c2 = (conventions.EXT_C2_SIGN - 1) * raw.constant_term()  # carving supplies the +1 part
-    return ext_element(raw, c1=c1_pairing(a.gen, b.gen), c2=c2)
+    return _carved(raw, c1_pairing(a.gen, b.gen), c2)
 
 
 def c1_pairing(f: SuperPoly, g: SuperPoly) -> int | Fraction:
@@ -273,8 +281,7 @@ def random_sho_generator(max_degree: int, seed: int, d: int = 3) -> SuperPoly:
 
 def _sho_part(p: SuperPoly) -> SuperPoly:
     """The divergence-free part of p with its constant term and top monomial carved off."""
-    ker = divergence_free_part(p)
-    return ker - SuperPoly.const(p.d, ker.constant_term()) - SuperPoly.top(p.d, ker.top_constant())
+    return _without_center(divergence_free_part(p))
 
 
 def _named_triples():

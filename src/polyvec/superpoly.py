@@ -20,6 +20,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import add
 from typing import Iterable, Iterator, NamedTuple
 
 # hashlib.blake2b is this class; importing hashlib also loads OpenSSL,
@@ -182,17 +183,7 @@ class SuperPoly:
 
     def __mul__(self, other: "SuperPoly") -> "SuperPoly":
         self._check_same(other)
-        out: dict[Monomial, int | Fraction] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                merged = _merge_odd(ma.odd, mb.odd)
-                if merged is None:
-                    continue
-                sign, odd = merged
-                exps = tuple(a + b for a, b in zip(ma.exps, mb.exps))
-                mono = Monomial(exps, odd)
-                out[mono] = out.get(mono, 0) + sign * ca * cb
-        return SuperPoly(self.d, out)
+        return term_products(self.d, ((self._terms.items(), other._terms.items()),))
 
     def __eq__(self, other) -> bool:
         return (
@@ -239,6 +230,10 @@ class SuperPoly:
 
     def xi_component(self, k: int) -> "SuperPoly":
         return SuperPoly(self.d, {m: c for m, c in self._terms.items() if m.xi_degree == k})
+
+    def x_constant_part(self) -> "SuperPoly":
+        """The terms with no x-dependence."""
+        return SuperPoly(self.d, {m: c for m, c in self._terms.items() if not any(m.exps)})
 
     def xi_components(self) -> dict[int, "SuperPoly"]:
         return {k: self.xi_component(k) for k in sorted(self.xi_degrees())}
@@ -345,6 +340,43 @@ def d_odd_rule(m: Monomial, i: int):
         return ()
     pos = m.odd.index(i)
     return ((Monomial(m.exps, m.odd[:pos] + m.odd[pos + 1 :]), -1 if pos & 1 else 1),)
+
+
+def term_products(d: int, pairs) -> SuperPoly:
+    """The sum, over the (left, right) pairs of term lists, of the product
+    of every left term with every right term, left factor first.
+
+    A term is ((exps, odd), coeff), as SuperPoly items and partial_terms
+    give them; each product is accumulated in place, with no SuperPoly
+    built per pair.
+    """
+    out: dict[Monomial, int | Fraction] = {}
+    for left, right in pairs:
+        for (exps_a, odd_a), ca in left:
+            for (exps_b, odd_b), cb in right:
+                merged = _merge_odd(odd_a, odd_b)
+                if merged is None:
+                    continue
+                sign, odd = merged
+                mono = Monomial(tuple(map(add, exps_a, exps_b)), odd)
+                out[mono] = out.get(mono, 0) + sign * ca * cb
+    return SuperPoly(d, out)
+
+
+def partial_terms(p: SuperPoly, signed: bool):
+    """Per index i, the terms of d/dxi_i p and of d/dx_i p, as d_odd_rule
+    and d_even_rule give them, in one pass over p; with signed, each
+    d/dx_i term carries (-1)^(xi-degree of its monomial)."""
+    d_xi = [[] for _ in range(p.d)]
+    d_x = [[] for _ in range(p.d)]
+    for (exps, odd), c in p._terms.items():
+        for pos, i in enumerate(odd):
+            d_xi[i - 1].append(((exps, odd[:pos] + odd[pos + 1 :]), -c if pos & 1 else c))
+        c_x = -c if signed and len(odd) & 1 else c
+        for i, e in enumerate(exps):
+            if e:
+                d_x[i].append(((exps[:i] + (e - 1,) + exps[i + 1 :], odd), e * c_x))
+    return d_xi, d_x
 
 
 def monomial_basis(d: int, max_degree: int, xi_degrees=None) -> tuple[Monomial, ...]:

@@ -5,7 +5,7 @@ from operator import add
 
 import pytest
 
-from polyvec import pvcalc
+from polyvec import conventions, pvcalc
 from polyvec.complexes import (
     DescendantField,
     Variant,
@@ -45,6 +45,22 @@ def test_homotopy_identity(d):
             mu = random_poly(d, 6, xi_degree_filter=j, seed=seed + 100 * j)
             lhs = pvcalc.divergence(contraction_K(mu)) + contraction_K(pvcalc.divergence(mu))
             assert lhs == mu
+
+
+def test_flipped_euler_homotopy_sign_fails_the_homotopy_identity(monkeypatch):
+    # contraction_K reads the sign at call time, so a flipped convention
+    # reaches the kernel
+    from polyvec.suites import CampaignConfig, suite_contraction
+
+    cfg = CampaignConfig(d=3, max_degree=3, trials=10, seed=1, checks=("contraction",))
+
+    def failed():
+        return {r.check_id for r in suite_contraction(cfg).failures()}
+
+    assert failed() == set()
+    sign = conventions.euler_homotopy_sign
+    monkeypatch.setattr(conventions, "euler_homotopy_sign", lambda k: -sign(k))
+    assert failed() == {"contraction.d3.homotopy_identity"}
 
 
 def test_top_output_constant_term_vanishes():

@@ -1,12 +1,14 @@
 import random
+from itertools import product
 
 import pytest
 
 from polyvec import pvcalc
-from polyvec.complexes import DescendantField, Variant, cohomology_model
+from polyvec.complexes import DescendantField, Variant, cohomology_model, collect
 from polyvec.contraction import build_datum, contraction_K, perturb_side_conditions
 from polyvec.linf import (
     LInftyStructure,
+    _content,
     _set_partitions,
     field_structure,
     jacobi_defect,
@@ -389,6 +391,74 @@ def test_potential_k_centrality():
     out = S.brackets[3](*[carrier.random_element(carrier.slots[i % 3], 3, seed=i)
                           for i in range(3)])
     assert set(out.parts) <= {carrier.home(("c",))}  # outputs are purely central
+
+
+def _product_divergence_model(d, k):
+    """b2 and the central bracket of the potential(k) minimal model by the
+    product-and-divergence form: Delta of the content product, and the
+    constant top coefficient of the full product of the contents."""
+    variant = Variant.potential(k)
+
+    def b2(v, w):
+        prod = _content(v) * _content(w)
+        pairs = [(("f", 0, j), comp) if j != k else (("p", 0), contraction_K(comp))
+                 for j, comp in pvcalc.divergence(prod).xi_components().items()]
+        if k == d - 1:
+            pairs.append((("p", 0), SuperPoly.top(d, prod.top_constant())))
+        return DescendantField(d, variant, collect(pairs))
+
+    def l_top(*vs):
+        prod = SuperPoly.const(d, 1)
+        for v in vs:
+            prod = prod * _content(v)
+        return DescendantField.single(d, variant, ("p", d - k - 1), SuperPoly.top(d, prod.top_constant()))
+
+    return b2, l_top
+
+
+# named carrier elements per (d, k), as slot -> part texts, chosen so that
+# some content products have a constant top coefficient; at (4, 2) they
+# hold the tuple (quot x1 xi1 xi2 xi3, pv/1 xi4, pv/1 xi1), whose central
+# value is -xi1 xi2 xi3 xi4
+NAMED_CARRIER_ELEMENTS = {
+    (3, 2): {("pv", 0): ["x1", "x2^2"],
+             ("pv", 1): ["xi1", "x1*xi2", "x2*xi1", "x1*xi1 - x2*xi2"],
+             ("pot",): ["xi1*xi2*xi3", "x1*xi1*xi2*xi3", "x2*x3*xi1*xi2*xi3"]},
+    (4, 3): {("pv", 0): ["x1"],
+             ("pv", 1): ["xi1", "xi4", "x2*xi1"],
+             ("pv", 2): ["xi1*xi2", "xi3*xi4", "x1*xi2*xi3"],
+             ("pot",): ["x1*xi1*xi2*xi3*xi4", "x4*xi1*xi2*xi3*xi4"]},
+    (4, 2): {("pv", 0): ["x1"],
+             ("pv", 1): ["xi1", "xi2", "xi4", "x2*xi1"],
+             ("pv", 3): ["xi2*xi3*xi4", "x1*xi2*xi3*xi4"],
+             ("quot",): ["x1*xi1*xi2*xi3", "x3*xi2*xi3*xi4", "x1*x4*xi1*xi2*xi4"],
+             ("c",): ["xi1*xi2*xi3*xi4"]},
+}
+
+
+@pytest.mark.parametrize("d, k", sorted(NAMED_CARRIER_ELEMENTS))
+def test_minimal_model_equals_product_divergence_form_on_named_elements(d, k):
+    carrier = cohomology_model(d, Variant.potential(k))
+    elements = [carrier.element({slot: SuperPoly.parse(d, text)})
+                for slot, texts in NAMED_CARRIER_ELEMENTS[(d, k)].items() for text in texts]
+    assert not any(v.is_zero() for v in elements)
+    model = minimal_model_structure(d, Variant.potential(k))
+    b2, l_top = _product_divergence_model(d, k)
+    pairs = [(model.brackets[2](v, w), b2(v, w)) for v in elements for w in elements]
+    assert all(got == want for got, want in pairs)
+    assert sum(not got.is_zero() for got, _ in pairs) > 0
+    if k == d - 1:
+        top = carrier.home(("pot",))
+        assert any(got.part(top).top_constant() for got, _ in pairs)
+        return
+    arity = d - k + 1
+    tuples = list(product(elements, repeat=arity))
+    central = [(model.brackets[arity](*vs), l_top(*vs)) for vs in tuples]
+    assert all(got == want for got, want in central)
+    assert sum(not got.is_zero() for got, _ in central) > 0
+    named = [carrier.element({("quot",): SuperPoly.parse(d, "x1*xi1*xi2*xi3")}),
+             carrier.element({("pv", 1): xi(d, 4)}), carrier.element({("pv", 1): xi(d, 1)})]
+    assert model.brackets[arity](*named).parts == {carrier.home(("c",)): SuperPoly.top(d, -1)}
 
 
 def test_minimal_model_symmetry():

@@ -1,9 +1,11 @@
 """The one-pass operators against their composite definitions.
 
-Every linear operator on polyvectors is a per-monomial rule applied by
-SuperPoly.map_monomials.  The references below build the same operators
-from whole-SuperPoly pieces: sums of derivative products, splits by
-xi-degree and by bidegree, and per-component loops.
+Delta, K, the Schouten kernel and a vector field's action are single
+passes over their input terms; the transports, the Euler contraction and
+de Rham are per-monomial rules applied by SuperPoly.map_monomials.  The
+references below build the same operators from whole-SuperPoly pieces:
+sums of derivative products, splits by xi-degree and by bidegree,
+per-component loops, and commutators of applied fields on coordinates.
 """
 
 import random
@@ -13,7 +15,7 @@ import pytest
 
 from polyvec import conventions, pvcalc
 from polyvec.contraction import contraction_K
-from polyvec.sho import ExtElement, c1_pairing
+from polyvec.sho import ExtElement, SuperVectorField, c1_pairing, hamiltonian_vf, vf_bracket
 from polyvec.sl2 import act_h
 from polyvec.superpoly import SuperPoly, monomial_basis, random_poly
 
@@ -110,6 +112,49 @@ def test_bracket_kernel_equals_composite_on_every_basis_pair(d, max_degree, pair
     brackets = [(pvcalc.symmetric_bracket(a, b), _symmetric_bracket(a, b)) for a in basis for b in basis]
     assert all(got == want for got, want in brackets)
     assert (len(brackets), sum(not got.is_zero() for got, _ in brackets)) == (pairs, nontrivial)
+
+
+@pytest.mark.parametrize("d, size", [(2, 41), (3, 129), (4, 321), (5, 681)])
+def test_divergence_and_K_equal_composites_on_every_basis_monomial(d, size):
+    # both operators are linear, so agreement on every basis monomial
+    # proves the kernels at this truncation
+    basis = [SuperPoly(d, {m: 1}) for m in monomial_basis(d, 4)]
+    assert len(basis) == size
+    for p in basis:
+        assert pvcalc.divergence(p) == _divergence(p)
+        assert contraction_K(p) == _contraction_K(p)
+
+
+def _apply(field, g):
+    out = SuperPoly.zero(field.d)
+    for i in range(1, field.d + 1):
+        out = out + field.mu_x[i - 1] * g.d_even(i) + field.mu_xi[i - 1] * g.d_odd(i)
+    return out
+
+
+def _vf_bracket(a, b):
+    # the operator commutator, read off its action on the coordinates
+    d = a.d
+    sign = -1 if a.parity() & b.parity() else 1
+
+    def comm(g):
+        return _apply(a, _apply(b, g)) - _apply(b, _apply(a, g)).scale(sign)
+
+    return SuperVectorField(d, tuple(comm(SuperPoly.x(d, i)) for i in range(1, d + 1)),
+                            tuple(comm(SuperPoly.xi(d, i)) for i in range(1, d + 1)))
+
+
+@pytest.mark.parametrize("d, pairs, nontrivial", [(3, 625, 216), (4, 1681, 512)])
+def test_vf_bracket_equals_commutator_on_every_hamiltonian_basis_pair(d, pairs, nontrivial):
+    # the bracket is bilinear, so agreement on every ordered pair of
+    # Hamiltonian fields of basis monomials proves it at this truncation
+    basis = [SuperPoly(d, {m: 1}) for m in monomial_basis(d, 2)]
+    fields = [hamiltonian_vf(f) for f in basis]
+    assert all(a.apply(g) == _apply(a, g) for a in fields for g in basis)
+    brackets = [(vf_bracket(a, b), _vf_bracket(a, b)) for a in fields for b in fields]
+    assert all(got == want for got, want in brackets)
+    count = sum(any(not c.is_zero() for c in got.mu_x + got.mu_xi) for got, _ in brackets)
+    assert (len(brackets), count) == (pairs, nontrivial)
 
 
 def test_vee_omega_round_trip():

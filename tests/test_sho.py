@@ -138,6 +138,26 @@ def test_sigma_is_pinned(monkeypatch):
     assert failed() == {"sho.d3.hamiltonian_anti_map"}
 
 
+def test_flipped_odd_branch_of_apply_fails_the_anti_map(monkeypatch):
+    # vf_bracket applies each field to the other's coefficients, so a sign
+    # error in the d/dxi branch of apply reaches the bracket
+    from polyvec.suites import CampaignConfig, suite_sho
+
+    cfg = CampaignConfig(d=3, max_degree=3, trials=10, seed=1, checks=("sho",))
+
+    def failed():
+        return {r.check_id for r in suite_sho(cfg).failures()}
+
+    assert failed() == set()
+    apply = SuperVectorField.apply
+
+    def flipped(field, g):
+        return apply(SuperVectorField(field.d, field.mu_x, tuple(-c for c in field.mu_xi)), g)
+
+    monkeypatch.setattr(SuperVectorField, "apply", flipped)
+    assert failed() == {"sho.d3.hamiltonian_anti_map"}
+
+
 def test_ham_generator_inversion():
     d = 3
     for seed in range(5):
