@@ -32,7 +32,7 @@ from .complexes import (
     summands,
 )
 from .reporting import Report
-from .superpoly import Monomial, SuperPoly, sample_seed
+from .superpoly import SuperPoly, guard_checked, key_layout, sample_seed, x_degree_of
 
 
 def contraction_K(mu: SuperPoly) -> SuperPoly:
@@ -50,22 +50,25 @@ def contraction_K(mu: SuperPoly) -> SuperPoly:
     PV^d never has a constant term.
     """
     d = mu.d
-    out: dict[Monomial, int | Fraction] = {}
-    for (exps, odd), c in mu._terms.items():
-        k = len(odd)
-        weight = sum(exps) + d - k
+    layout = key_layout(d)
+    mask, table = layout.odd_mask, layout.sign_table
+    # x_j xi_j, added to a key whose mask lacks bit j-1
+    units = [(1 << j, (1 << j) + one) for j, one in enumerate(layout.ones)]
+    out: dict[int, int | Fraction] = {}
+    for key, c in mu._terms.items():
+        odd = key & mask
+        k = odd.bit_count()
+        weight = x_degree_of(layout, key) + d - k
         if not weight:
             continue
         sign = conventions.euler_homotopy_sign(k)
         coeff = Fraction(-sign * c if k & 1 else sign * c, weight)
-        pos = 0  # xi_j xi_S = (-1)^pos xi_(S + j), pos = #{s in S : s < j}
-        for j in range(1, d + 1):
-            if pos < k and odd[pos] == j:
-                pos += 1
-                continue
-            mono = Monomial(exps[: j - 1] + (exps[j - 1] + 1,) + exps[j:], odd[:pos] + (j,) + odd[pos:])
-            out[mono] = out.get(mono, 0) + (-coeff if pos & 1 else coeff)
-    return SuperPoly(d, out)
+        signs = table[odd]  # xi_j xi_S = (-1)^#{s in S : s < j} xi_(S + j)
+        for bit, unit in units:
+            if not odd & bit:
+                new = key + unit
+                out[new] = out.get(new, 0) + (-coeff if signs & bit else coeff)
+    return SuperPoly._of(d, guard_checked(layout, out))
 
 
 def divergence_free_part(p: SuperPoly) -> SuperPoly:

@@ -29,7 +29,7 @@ from typing import Any, Callable
 from . import pvcalc
 from .complexes import DescendantField, Variant, collect, t_power_of
 from .contraction import HomotopyDatum, contraction_K, normalize_homotopy, side_conditions
-from .superpoly import SuperPoly, koszul_sign
+from .superpoly import SuperPoly, koszul_sign, term_sum
 
 
 class LInftyStructure:
@@ -152,15 +152,26 @@ def _content(v: DescendantField) -> SuperPoly:
     The divergence-free slots (homes ("f", 0, j)) contribute as they are
     and the head of the potential tower ("p", 0) through the divergence
     of its representative; the central line at the tower's tail (constant
-    top polyvectors) contributes nothing and is skipped.
+    top polyvectors) contributes nothing and is skipped.  The parts are
+    accumulated once.
     """
-    acc = SuperPoly.zero(v.d)
+    return term_sum(v.d, (poly._terms.items() for poly in _content_parts(v, pvcalc.divergence)))
+
+
+def _x_constant_content(v: DescendantField) -> SuperPoly:
+    """_content(v).x_constant_part() without a full divergence: Delta
+    lowers the x-degree by one, so only the x-linear terms of the tower
+    head reach the x-constant terms."""
+    return term_sum(v.d, (poly.x_constant_part()._terms.items() for poly in
+                          _content_parts(v, lambda head: pvcalc.divergence(head.x_linear_part()))))
+
+
+def _content_parts(v: DescendantField, head_divergence):
     for key, poly in v.parts.items():
         if key[0] == "f":
-            acc = acc + poly
+            yield poly
         elif key == ("p", 0):
-            acc = acc + pvcalc.divergence(poly)
-    return acc
+            yield head_divergence(poly)
 
 
 def minimal_model_structure(d: int, variant: Variant) -> LInftyStructure:
@@ -204,7 +215,7 @@ def minimal_model_structure(d: int, variant: Variant) -> LInftyStructure:
             # only x-constant terms reach the constant top monomial
             prod = SuperPoly.const(d, 1)
             for v in vs:
-                prod = prod * _content(v).x_constant_part()
+                prod = prod * _x_constant_content(v)
             central = SuperPoly.top(d, prod.top_constant())
             return DescendantField.single(d, variant, ("p", d - k - 1), central)
 

@@ -19,10 +19,10 @@ from itertools import chain
 from math import comb
 
 from .superpoly import (
+    EXP_FIELD,
     Monomial,
     SuperPoly,
-    d_even_rule,
-    d_odd_rule,
+    key_layout,
     koszul_sign,
     partial_terms,
     term_products,
@@ -34,16 +34,26 @@ def divergence(p: SuperPoly) -> SuperPoly:
 
     One pass over the terms: each odd index i of x^a xi_S, at position pos
     in S, is paired with its own exponent a_i and gives
-    (-1)^pos a_i x^(a - e_i) xi_(S - i).
+    (-1)^pos a_i x^(a - e_i) xi_(S - i), whose key is the term's key less
+    bit i-1 and one unit of the x_i field.
     """
-    out: dict[Monomial, int | Fraction] = {}
-    for (exps, odd), c in p._terms.items():
-        for pos, i in enumerate(odd):
-            e = exps[i - 1]
-            if e:
-                mono = Monomial(exps[: i - 1] + (e - 1,) + exps[i:], odd[:pos] + odd[pos + 1 :])
-                out[mono] = out.get(mono, 0) + (-e * c if pos & 1 else e * c)
-    return SuperPoly(p.d, out)
+    d = p.d
+    layout = key_layout(d)
+    mask, table = layout.odd_mask, layout.sign_table
+    pairs = [(1 << i, shift, one) for i, (shift, one) in enumerate(zip(layout.shifts, layout.ones))]
+    out: dict[int, int | Fraction] = {}
+    for k, c in p._terms.items():
+        odd = k & mask
+        if not odd or k <= mask:
+            continue
+        signs = table[odd]
+        for bit, shift, one in pairs:
+            if odd & bit:
+                e = (k >> shift) & EXP_FIELD
+                if e:
+                    key = k - bit - one
+                    out[key] = out.get(key, 0) + (-e * c if signs & bit else e * c)
+    return SuperPoly._of(d, out)
 
 
 def decalage_sign(k: int) -> int:
@@ -115,8 +125,9 @@ def vee_omega_inv(w: SuperPoly) -> SuperPoly:
 
 def de_rham_rule(m: Monomial):
     """sum_i dx_i ^ d/dx_i on one monomial."""
-    return [(Monomial(o.exps, tuple(sorted(o.odd + (i,)))), koszul_sign((i,) + o.odd) * t)
-            for i in range(1, len(m.exps) + 1) if i not in m.odd for o, t in d_even_rule(m, i)]
+    return [(Monomial(m.exps[: i - 1] + (e - 1,) + m.exps[i:], tuple(sorted(m.odd + (i,)))),
+             koszul_sign((i,) + m.odd) * e)
+            for i, e in enumerate(m.exps, 1) if e and i not in m.odd]
 
 
 def de_rham(w: SuperPoly) -> SuperPoly:
@@ -135,8 +146,9 @@ def divergence_via_transport(mu: SuperPoly) -> SuperPoly:
 
 def euler_contraction_rule(m: Monomial):
     """sum_i x_i d/dxi_i on one monomial (a form, xi_i read as dx_i)."""
-    return [(Monomial(o.exps[: i - 1] + (o.exps[i - 1] + 1,) + o.exps[i:], o.odd), s)
-            for i in m.odd for o, s in d_odd_rule(m, i)]
+    return [(Monomial(m.exps[: i - 1] + (m.exps[i - 1] + 1,) + m.exps[i:], m.odd[:pos] + m.odd[pos + 1 :]),
+             -1 if pos & 1 else 1)
+            for pos, i in enumerate(m.odd)]
 
 
 def euler_contraction(w: SuperPoly) -> SuperPoly:
@@ -152,16 +164,19 @@ def top_constant_pairing(a: SuperPoly, b: SuperPoly) -> int | Fraction:
 
     Only x-constant terms reach the constant top monomial, so only those
     of a are paired, each with the x-constant term of b on the
-    complementary odd indices.
+    complementary odd mask, signed by the key layout's sign table.
     """
     if a.d != b.d:
         raise ValueError("dimension mismatch")
-    zero = (0,) * a.d
+    layout = key_layout(a.d)
+    mask, table = layout.odd_mask, layout.sign_table
+    b_terms = b._terms
     total = 0
-    for m, c in a._terms.items():
-        if m.exps == zero:
-            comp = _complement(a.d, m.odd)
-            total += koszul_sign(m.odd + comp) * c * b.coefficient(Monomial(zero, comp))
+    for k, c in a._terms.items():
+        if k <= mask:
+            cb = b_terms.get(mask ^ k)
+            if cb:
+                total += -c * cb if (k & table[mask ^ k]).bit_count() & 1 else c * cb
     return total
 
 

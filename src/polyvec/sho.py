@@ -33,7 +33,17 @@ from . import conventions, pvcalc
 from ._linalg import independent_indices, solve_combination
 from .contraction import divergence_free_part
 from .reporting import Report
-from .superpoly import SuperPoly, monomial_basis, partial_terms, random_poly, sample_seed, term_products
+from .superpoly import (
+    SuperPoly,
+    d_even_terms,
+    d_odd_terms,
+    monomial_basis,
+    partial_terms,
+    random_poly,
+    sample_seed,
+    term_products,
+    term_sum,
+)
 
 
 @dataclass
@@ -71,29 +81,32 @@ class SuperVectorField:
     def parity(self) -> int:
         """Parity of a parity-homogeneous field (0 for zero): a coefficient
         on d/dx_i contributes its own parity, one on d/dxi_i the opposite."""
-        pars = {m.parity for c in self.mu_x for m in c._terms}
-        pars |= {m.parity ^ 1 for c in self.mu_xi for m in c._terms}
+        mask = (1 << self.d) - 1
+        pars = {(k & mask).bit_count() & 1 for c in self.mu_x for k in c._terms}
+        pars |= {((k & mask).bit_count() & 1) ^ 1 for c in self.mu_xi for k in c._terms}
         if len(pars) > 1:
             raise ValueError("vector field is not parity-homogeneous")
         return pars.pop() if pars else 0
 
 
 def hamiltonian_vf(f: SuperPoly) -> SuperVectorField:
-    """The odd-Hamiltonian field of a parity-homogeneous generator."""
+    """The odd-Hamiltonian field of a parity-homogeneous generator, every
+    coefficient read from one pass over f's first partials."""
     d = f.d
+    d_xi, d_x = partial_terms(f, False)
     sign = -1 if f.parity() else 1
-    return SuperVectorField(d, tuple(f.d_odd(i + 1).scale(sign) for i in range(d)),
-                            tuple(f.d_even(i + 1) for i in range(d)))
+    return SuperVectorField(d, tuple(SuperPoly._of(d, {k: sign * c for k, c in t}) for t in d_xi),
+                            tuple(SuperPoly._of(d, dict(t)) for t in d_x))
 
 
 def super_divergence(mu: SuperVectorField) -> SuperPoly:
     """D(mu) = sum dmu_x_i/dx_i + sum (-1)^{|mu_xi_i|} dmu_xi_i/dxi_i; on a
-    parity-homogeneous field every mu_xi_i has the field's opposite parity."""
+    parity-homogeneous field every mu_xi_i has the field's opposite parity.
+    The 2d derivative terms are accumulated once."""
     sign = 1 if mu.parity() else -1
-    out = SuperPoly.zero(mu.d)
-    for i in range(mu.d):
-        out = out + mu.mu_x[i].d_even(i + 1) + mu.mu_xi[i].d_odd(i + 1).scale(sign)
-    return out
+    return term_sum(mu.d, chain.from_iterable(
+        (d_even_terms(a, i), ((k, sign * c) for k, c in d_odd_terms(b, i)))
+        for i, (a, b) in enumerate(zip(mu.mu_x, mu.mu_xi), 1)))
 
 
 def vf_bracket(a: SuperVectorField, b: SuperVectorField) -> SuperVectorField:
@@ -116,10 +129,10 @@ def ham_generator(x: SuperVectorField, max_degree: int = 6) -> SuperPoly | None:
     def vf_coords(vf: SuperVectorField) -> dict:
         out = {}
         for i in range(d):
-            for mono, c in vf.mu_x[i]._terms.items():
-                out[("x", i, mono)] = c
-            for mono, c in vf.mu_xi[i]._terms.items():
-                out[("xi", i, mono)] = c
+            for key, c in vf.mu_x[i]._terms.items():
+                out[("x", i, key)] = c
+            for key, c in vf.mu_xi[i]._terms.items():
+                out[("xi", i, key)] = c
         return out
 
     columns = [vf_coords(hamiltonian_vf(SuperPoly(d, {m: Fraction(1)}))) for m in basis]
@@ -211,7 +224,8 @@ def _carved(f: SuperPoly, c1, c2) -> ExtElement:
 
 def _without_center(f: SuperPoly) -> SuperPoly:
     """f with its constant term and its constant top monomial dropped."""
-    return SuperPoly(f.d, {m: c for m, c in f._terms.items() if any(m.exps) or 0 < len(m.odd) < f.d})
+    top = (1 << f.d) - 1
+    return SuperPoly._of(f.d, {k: c for k, c in f._terms.items() if k and k != top})
 
 
 def ext_bracket_d3(a: ExtElement, b: ExtElement) -> ExtElement:

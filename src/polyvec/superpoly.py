@@ -3,11 +3,35 @@
 Elements live in Q[x_1..x_d] (x) Lambda[xi_1..xi_d] with exact rational
 coefficients.  Each stored coefficient is an int, or a Fraction whose
 denominator is not 1: arithmetic stays on Python ints until a division
-(such as the weights of contraction_K) forces a Fraction.  A monomial
-stores an even exponent vector and a strictly increasing tuple of odd
-indices; xi_i^2 = 0 is enforced by the subset representation.  Values
-are immutable once built and every operation is a pure function, so
+(such as the weights of contraction_K) forces a Fraction.  Values are
+immutable once built and every operation is a pure function, so
 concurrent use needs no synchronization.
+
+Key layout.  A term is stored under one int key.  Bit i-1 holds xi_i, so
+the low d bits are the odd part as a bitmask and xi_i^2 = 0 is a
+collision of masks.  The exponent of x_i sits in an 8-bit field at shift
+d + 8(i-1), whose top bit is a guard: an exponent is at most EXP_CAP =
+127.  With this layout
+
+* the product of two terms with disjoint odd masks has key ka + kb: two
+  fields of at most 127 add to at most 254, so nothing carries into the
+  next field, and a sum that reaches 128 sets its guard bit;
+* the Koszul sign of merging odd masks a and b (a first) is the parity
+  of popcount(a & S[b]), where S[b] has bit i set when an odd number of
+  b's bits lie below bit i -- a per-d table of 2^d entries, built on
+  first use (key_layout);
+* d/dx_i subtracts 1 << (d + 8(i-1)); d/dxi_i clears bit i-1 and takes
+  its sign from the popcount of the mask bits below it (bit i-1 of
+  S[mask]).
+
+Every kernel that raises an exponent checks the guard bits of its
+output keys and raises OverflowError before anything is stored, so a
+wrong key is never kept.  The layout is an internal detail: a key's
+meaning depends on d, and int order is not the canonical graded order.
+So the public view stays Monomial, an even exponent vector and a
+strictly increasing tuple of odd indices: the constructor, terms(),
+coefficient(), str/parse and monomial_basis speak Monomial and pack or
+unpack at that edge, and reports, goldens and callers never see a key.
 
 Odd derivatives use the LEFT convention throughout: d_odd(i) anticommutes
 xi_i to the front of the odd factor and strikes it.
@@ -18,14 +42,18 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
-from operator import add
+from operator import or_
 from typing import Iterable, Iterator, NamedTuple
 
 # hashlib.blake2b is this class; importing hashlib also loads OpenSSL,
 # which adds about 3.5 MB of resident memory to every process
 from _blake2 import blake2b
+
+EXP_BITS = 8
+EXP_CAP = (1 << (EXP_BITS - 1)) - 1
+EXP_FIELD = (1 << EXP_BITS) - 1
 
 
 class Monomial(NamedTuple):
@@ -62,90 +90,151 @@ def koszul_sign(seq) -> int:
     return -1 if inv & 1 else 1
 
 
-def _merge_odd(a: tuple[int, ...], b: tuple[int, ...]):
-    """Merge two ascending odd-index tuples.
+class KeyLayout(NamedTuple):
+    """The packed-key layout of dimension d (see the module docstring)."""
 
-    Returns (sign, merged) where sign is the Koszul sign of sorting the
-    concatenation, or None if an index repeats (xi_i^2 = 0).
-    """
-    if not a:
-        return 1, b
-    if not b:
-        return 1, a
-    if set(a) & set(b):
-        return None
-    return koszul_sign(a + b), tuple(sorted(a + b))
+    odd_mask: int  # the low d bits, (1 << d) - 1
+    shifts: tuple[int, ...]  # shifts[i] = d + 8i, the field of x_{i+1}
+    ones: tuple[int, ...]  # ones[i] = 1 << shifts[i], exponent one of x_{i+1}
+    guard: int  # the top bit of every exponent field
+    sign_table: tuple[int, ...]  # S[b]: bit i set when odd-many bits of b lie below bit i
+
+
+@lru_cache(maxsize=None)
+def key_layout(d: int) -> KeyLayout:
+    """The layout of dimension d, built on first use."""
+    shifts = tuple(d + EXP_BITS * i for i in range(d))
+    table = []
+    for b in range(1 << d):
+        s = below = 0
+        for i in range(d):
+            if below:
+                s |= 1 << i
+            below ^= (b >> i) & 1
+        table.append(s)
+    return KeyLayout((1 << d) - 1, shifts, tuple(1 << s for s in shifts),
+                     sum(1 << (s + EXP_BITS - 1) for s in shifts), tuple(table))
+
+
+def pack(d: int, mono: Monomial) -> int:
+    """The key of a monomial; raises on a malformed one and OverflowError
+    on an exponent above EXP_CAP."""
+    exps, odd = mono
+    if len(exps) != d or list(odd) != sorted(set(odd)) or not all(1 <= i <= d for i in odd):
+        raise ValueError(f"malformed monomial {mono!r} for dimension {d}")
+    key = 0
+    for i in odd:
+        key |= 1 << (i - 1)
+    for s, e in enumerate(exps):
+        if e < 0:
+            raise ValueError(f"negative exponent in {mono!r}")
+        if e > EXP_CAP:
+            raise OverflowError(f"exponent {e} exceeds the cap {EXP_CAP}")
+        key |= e << (d + EXP_BITS * s)
+    return key
+
+
+def unpack(d: int, key: int) -> Monomial:
+    """The monomial of a key."""
+    return Monomial(tuple((key >> (d + EXP_BITS * i)) & EXP_FIELD for i in range(d)),
+                    tuple(i + 1 for i in range(d) if key >> i & 1))
+
+
+def x_degree_of(layout: KeyLayout, key: int) -> int:
+    """The x-degree of a key: the sum of its exponent fields."""
+    return sum((key >> s) & EXP_FIELD for s in layout.shifts)
+
+
+def _key_degree(d: int, key: int) -> int:
+    return (key & ((1 << d) - 1)).bit_count() + x_degree_of(key_layout(d), key)
+
+
+def guard_checked(layout: KeyLayout, out: dict) -> dict:
+    """out, after checking that no exponent of its keys passed the cap."""
+    if reduce(or_, out, 0) & layout.guard:
+        raise OverflowError(f"an exponent exceeds the cap {EXP_CAP}")
+    return out
 
 
 class SuperPoly:
-    """A finite Q-linear combination of monomials on C^{d|d}."""
+    """A finite Q-linear combination of monomials on C^{d|d}.
+
+    _terms maps packed keys to coefficients; SuperPoly(d, {Monomial: c})
+    is the public constructor and _of(d, {key: c}) the internal one.
+    """
 
     __slots__ = ("d", "_terms")
 
     def __init__(self, d: int, terms: dict[Monomial, int | Fraction] | None = None):
+        self.d = d
+        self._terms = SuperPoly._of(d, {pack(d, m): c for m, c in (terms or {}).items()})._terms
+
+    @classmethod
+    def _of(cls, d: int, terms: dict[int, int | Fraction]) -> "SuperPoly":
+        """The element with the given packed terms."""
+        p = cls.__new__(cls)
+        p.d = d
         # the one place the coefficient invariant is enforced: zero terms
         # are dropped and an integral Fraction is stored as its numerator
-        self.d = d
-        self._terms = {m: c if type(c) is int or c.denominator != 1 else c.numerator
-                       for m, c in (terms or {}).items() if c}
+        p._terms = {k: c if type(c) is int or c.denominator != 1 else c.numerator
+                    for k, c in terms.items() if c}
+        return p
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def zero(cls, d: int) -> "SuperPoly":
-        return cls(d)
+        return cls._of(d, {})
 
     @classmethod
     def const(cls, d: int, value) -> "SuperPoly":
-        return cls(d, {Monomial((0,) * d, ()): value})
+        return cls._of(d, {0: value})
 
     @classmethod
     def x(cls, d: int, i: int) -> "SuperPoly":
         _check_index(d, i)
-        exps = tuple(1 if j == i - 1 else 0 for j in range(d))
-        return cls(d, {Monomial(exps, ()): 1})
+        return cls._of(d, {key_layout(d).ones[i - 1]: 1})
 
     @classmethod
     def xi(cls, d: int, i: int) -> "SuperPoly":
         _check_index(d, i)
-        return cls(d, {Monomial((0,) * d, (i,)): 1})
+        return cls._of(d, {1 << (i - 1): 1})
 
     @classmethod
     def monomial(cls, d: int, exps: Iterable[int], odd: Iterable[int], coeff=1) -> "SuperPoly":
-        exps = tuple(exps)
-        odd = tuple(odd)
-        if len(exps) != d or list(odd) != sorted(set(odd)):
-            raise ValueError("malformed monomial")
-        return cls(d, {Monomial(exps, odd): coeff})
+        return cls(d, {Monomial(tuple(exps), tuple(odd)): coeff})
 
     # -- basic queries -----------------------------------------------
 
     def terms(self) -> Iterator[tuple[Monomial, int | Fraction]]:
-        return iter(sorted(self._terms.items(), key=lambda t: t[0].sort_key()))
+        d = self.d
+        return iter(sorted(((unpack(d, k), c) for k, c in self._terms.items()),
+                           key=lambda t: t[0].sort_key()))
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def coefficient(self, mono: Monomial) -> int | Fraction:
-        return self._terms.get(mono, 0)
+        return self._terms.get(pack(self.d, mono), 0)
 
     def constant_term(self) -> int | Fraction:
-        return self._terms.get(Monomial((0,) * self.d, ()), 0)
+        return self._terms.get(0, 0)
 
     @classmethod
     def top(cls, d: int, value) -> "SuperPoly":
         """The constant top polyvector value * xi_1...xi_d."""
-        return cls(d, {Monomial((0,) * d, tuple(range(1, d + 1))): value})
+        return cls._of(d, {(1 << d) - 1: value})
 
     def top_constant(self) -> int | Fraction:
         """Coefficient of xi_1...xi_d with all even exponents zero."""
-        return self._terms.get(Monomial((0,) * self.d, tuple(range(1, self.d + 1))), 0)
+        return self._terms.get((1 << self.d) - 1, 0)
 
     def xi_degrees(self) -> set[int]:
-        return {m.xi_degree for m in self._terms}
+        mask = (1 << self.d) - 1
+        return {(k & mask).bit_count() for k in self._terms}
 
     def total_degree(self) -> int:
-        return max((m.degree for m in self._terms), default=0)
+        return max((_key_degree(self.d, k) for k in self._terms), default=0)
 
     def xi_degree(self) -> int:
         """The xi-degree of a xi-homogeneous element (0 for the zero element)."""
@@ -156,7 +245,8 @@ class SuperPoly:
 
     def parity(self) -> int:
         """Parity of a parity-homogeneous element (0 for zero)."""
-        pars = {m.parity for m in self._terms}
+        mask = (1 << self.d) - 1
+        pars = {(k & mask).bit_count() & 1 for k in self._terms}
         if len(pars) > 1:
             raise ValueError("element is not parity-homogeneous")
         return pars.pop() if pars else 0
@@ -168,18 +258,18 @@ class SuperPoly:
         terms = dict(self._terms)
         for m, c in other._terms.items():
             terms[m] = terms.get(m, 0) + c
-        return SuperPoly(self.d, terms)
+        return SuperPoly._of(self.d, terms)
 
     def __neg__(self) -> "SuperPoly":
-        return SuperPoly(self.d, {m: -c for m, c in self._terms.items()})
+        return SuperPoly._of(self.d, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "SuperPoly") -> "SuperPoly":
         return self + (-other)
 
     def scale(self, value) -> "SuperPoly":
         if not value:
-            return SuperPoly(self.d)
-        return SuperPoly(self.d, {m: value * v for m, v in self._terms.items()})
+            return SuperPoly.zero(self.d)
+        return SuperPoly._of(self.d, {m: value * v for m, v in self._terms.items()})
 
     def __mul__(self, other: "SuperPoly") -> "SuperPoly":
         self._check_same(other)
@@ -206,34 +296,46 @@ class SuperPoly:
     def map_monomials(self, rule) -> "SuperPoly":
         """The linear operator sending each monomial m to the sum of
         coeff * mono over the (mono, coeff) pairs that rule(m) yields."""
-        out: dict[Monomial, int | Fraction] = {}
-        for m, c in self._terms.items():
-            for mono, k in rule(m):
-                out[mono] = out.get(mono, 0) + k * c
-        return SuperPoly(self.d, out)
+        d = self.d
+        out: dict[int, int | Fraction] = {}
+        for k, c in self._terms.items():
+            for mono, coeff in rule(unpack(d, k)):
+                key = pack(d, mono)
+                out[key] = out.get(key, 0) + coeff * c
+        return SuperPoly._of(d, out)
 
     def scale_by_xi_degree(self, factor) -> "SuperPoly":
         """Scale the xi-degree-k part by factor(k)."""
-        return self.map_monomials(lambda m: ((m, factor(len(m.odd))),))
+        mask = (1 << self.d) - 1
+        return SuperPoly._of(self.d, {k: factor((k & mask).bit_count()) * c
+                                      for k, c in self._terms.items()})
 
     def d_even(self, i: int) -> "SuperPoly":
         """Partial derivative with respect to x_i."""
         _check_index(self.d, i)
-        return self.map_monomials(lambda m: d_even_rule(m, i))
+        return SuperPoly._of(self.d, dict(d_even_terms(self, i)))
 
     def d_odd(self, i: int) -> "SuperPoly":
         """Left derivative with respect to xi_i."""
         _check_index(self.d, i)
-        return self.map_monomials(lambda m: d_odd_rule(m, i))
+        return SuperPoly._of(self.d, dict(d_odd_terms(self, i)))
 
     # -- decompositions ----------------------------------------------
 
     def xi_component(self, k: int) -> "SuperPoly":
-        return SuperPoly(self.d, {m: c for m, c in self._terms.items() if m.xi_degree == k})
+        mask = (1 << self.d) - 1
+        return SuperPoly._of(self.d, {m: c for m, c in self._terms.items() if (m & mask).bit_count() == k})
 
     def x_constant_part(self) -> "SuperPoly":
         """The terms with no x-dependence."""
-        return SuperPoly(self.d, {m: c for m, c in self._terms.items() if not any(m.exps)})
+        mask = (1 << self.d) - 1
+        return SuperPoly._of(self.d, {m: c for m, c in self._terms.items() if m <= mask})
+
+    def x_linear_part(self) -> "SuperPoly":
+        """The terms of x-degree one."""
+        d = self.d
+        ones = set(key_layout(d).ones)
+        return SuperPoly._of(d, {m: c for m, c in self._terms.items() if m >> d << d in ones})
 
     def xi_components(self) -> dict[int, "SuperPoly"]:
         return {k: self.xi_component(k) for k in sorted(self.xi_degrees())}
@@ -244,8 +346,8 @@ class SuperPoly:
         degree 0)."""
         out: dict[int, dict] = {}
         for m, c in self._terms.items():
-            out.setdefault(m.degree - 2, {})[m] = c
-        return {k: SuperPoly(self.d, v) for k, v in sorted(out.items())}
+            out.setdefault(_key_degree(self.d, m) - 2, {})[m] = c
+        return {k: SuperPoly._of(self.d, v) for k, v in sorted(out.items())}
 
     # -- serialization -----------------------------------------------
 
@@ -326,56 +428,84 @@ def _check_index(d: int, i: int):
         raise IndexError(f"index {i} out of range for dimension {d}")
 
 
-def d_even_rule(m: Monomial, i: int):
-    """d/dx_i on one monomial, as (monomial, coefficient) pairs."""
-    e = m.exps[i - 1]
-    if e == 0:
-        return ()
-    return ((Monomial(m.exps[: i - 1] + (e - 1,) + m.exps[i:], m.odd), e),)
+def d_even_terms(p: SuperPoly, i: int):
+    """The (key, coefficient) terms of d/dx_i p."""
+    shift = p.d + EXP_BITS * (i - 1)
+    one = 1 << shift
+    for k, c in p._terms.items():
+        e = (k >> shift) & EXP_FIELD
+        if e:
+            yield k - one, e * c
 
 
-def d_odd_rule(m: Monomial, i: int):
-    """The left derivative d/dxi_i on one monomial."""
-    if i not in m.odd:
-        return ()
-    pos = m.odd.index(i)
-    return ((Monomial(m.exps, m.odd[:pos] + m.odd[pos + 1 :]), -1 if pos & 1 else 1),)
+def d_odd_terms(p: SuperPoly, i: int):
+    """The (key, coefficient) terms of the left derivative d/dxi_i p."""
+    bit = 1 << (i - 1)
+    for k, c in p._terms.items():
+        if k & bit:
+            yield k ^ bit, -c if (k & (bit - 1)).bit_count() & 1 else c
+
+
+def term_sum(d: int, term_lists) -> SuperPoly:
+    """The sum of the given (key, coefficient) term lists, accumulated once."""
+    out: dict[int, int | Fraction] = {}
+    for terms in term_lists:
+        for k, c in terms:
+            out[k] = out.get(k, 0) + c
+    return SuperPoly._of(d, out)
 
 
 def term_products(d: int, pairs) -> SuperPoly:
     """The sum, over the (left, right) pairs of term lists, of the product
     of every left term with every right term, left factor first.
 
-    A term is ((exps, odd), coeff), as SuperPoly items and partial_terms
-    give them; each product is accumulated in place, with no SuperPoly
-    built per pair.
+    A term is (key, coeff), as SuperPoly items and partial_terms give
+    them; a product of disjoint odd masks a and b has key ka + kb and the
+    sign of popcount(a & S[b]), and is accumulated in place, with no
+    SuperPoly built per pair.
     """
-    out: dict[Monomial, int | Fraction] = {}
+    layout = key_layout(d)
+    mask, table = layout.odd_mask, layout.sign_table
+    out: dict[int, int | Fraction] = {}
+    get = out.get
     for left, right in pairs:
-        for (exps_a, odd_a), ca in left:
-            for (exps_b, odd_b), cb in right:
-                merged = _merge_odd(odd_a, odd_b)
-                if merged is None:
+        right = [(kb, kb & mask, table[kb & mask], cb) for kb, cb in right]
+        if not right:
+            continue
+        for ka, ca in left:
+            a = ka & mask
+            for kb, b, sb, cb in right:
+                if a & b:
                     continue
-                sign, odd = merged
-                mono = Monomial(tuple(map(add, exps_a, exps_b)), odd)
-                out[mono] = out.get(mono, 0) + sign * ca * cb
-    return SuperPoly(d, out)
+                k = ka + kb
+                out[k] = get(k, 0) + (-ca * cb if (a & sb).bit_count() & 1 else ca * cb)
+    return SuperPoly._of(d, guard_checked(layout, out))
 
 
 def partial_terms(p: SuperPoly, signed: bool):
-    """Per index i, the terms of d/dxi_i p and of d/dx_i p, as d_odd_rule
-    and d_even_rule give them, in one pass over p; with signed, each
+    """Per index i, the terms of d/dxi_i p and of d/dx_i p, as d_odd_terms
+    and d_even_terms give them, in one pass over p; with signed, each
     d/dx_i term carries (-1)^(xi-degree of its monomial)."""
-    d_xi = [[] for _ in range(p.d)]
-    d_x = [[] for _ in range(p.d)]
-    for (exps, odd), c in p._terms.items():
-        for pos, i in enumerate(odd):
-            d_xi[i - 1].append(((exps, odd[:pos] + odd[pos + 1 :]), -c if pos & 1 else c))
-        c_x = -c if signed and len(odd) & 1 else c
-        for i, e in enumerate(exps):
-            if e:
-                d_x[i].append(((exps[:i] + (e - 1,) + exps[i + 1 :], odd), e * c_x))
+    d = p.d
+    layout = key_layout(d)
+    mask, table = layout.odd_mask, layout.sign_table
+    bits = [(i, 1 << i) for i in range(d)]
+    fields = list(zip(range(d), layout.shifts, layout.ones))
+    d_xi = [[] for _ in range(d)]
+    d_x = [[] for _ in range(d)]
+    for k, c in p._terms.items():
+        odd = k & mask
+        if odd:
+            signs = table[odd]
+            for i, bit in bits:
+                if odd & bit:
+                    d_xi[i].append((k ^ bit, -c if signs & bit else c))
+        if k > mask:
+            c_x = -c if signed and odd.bit_count() & 1 else c
+            for i, shift, one in fields:
+                e = (k >> shift) & EXP_FIELD
+                if e:
+                    d_x[i].append((k - one, e * c_x))
     return d_xi, d_x
 
 
@@ -384,10 +514,14 @@ def monomial_basis(d: int, max_degree: int, xi_degrees=None) -> tuple[Monomial, 
 
     xi_degrees restricts the xi-degrees that appear (all by default).
     """
+    return _basis(d, max_degree, _xi_filter(d, max_degree, xi_degrees))
+
+
+def _xi_filter(d: int, max_degree: int, xi_degrees) -> tuple[int, ...]:
     top = min(d, max_degree)
     if xi_degrees is None:
         xi_degrees = range(top + 1)
-    return _basis(d, max_degree, tuple(sorted({k for k in xi_degrees if k <= top})))
+    return tuple(sorted({k for k in xi_degrees if k <= top}))
 
 
 @lru_cache(maxsize=None)
@@ -398,6 +532,12 @@ def _basis(d: int, max_degree: int, xi_degrees: tuple[int, ...]) -> tuple[Monomi
             for exps in _exponents_up_to(d, max_degree - k):
                 out.append(Monomial(exps, odd))
     return tuple(sorted(out, key=lambda m: m.sort_key()))
+
+
+@lru_cache(maxsize=None)
+def _basis_keys(d: int, max_degree: int, xi_degrees: tuple[int, ...]) -> tuple[int, ...]:
+    """The keys of _basis(d, max_degree, xi_degrees), in its order."""
+    return tuple(pack(d, m) for m in _basis(d, max_degree, xi_degrees))
 
 
 def _exponents_up_to(d: int, budget: int) -> Iterator[tuple[int, ...]]:
@@ -427,16 +567,17 @@ def random_poly(d: int, max_total_degree: int, xi_degree_filter=None, seed: int 
     """Deterministic random element with coefficients in {-3..3} \\ {0}.
 
     xi_degree_filter restricts the xi-degrees that may appear; it can be
-    an int or an iterable of ints.
+    an int or an iterable of ints.  The draws index monomial_basis, whose
+    keys are memoized beside it.
     """
     if max_total_degree < 0:
         raise ValueError("max_total_degree must be >= 0")
     if isinstance(xi_degree_filter, int):
         xi_degree_filter = {xi_degree_filter}
-    basis = monomial_basis(d, max_total_degree, xi_degree_filter)
+    basis = _basis_keys(d, max_total_degree, _xi_filter(d, max_total_degree, xi_degree_filter))
     rng = random.Random(seed)
-    terms: dict[Monomial, int] = {}
+    terms: dict[int, int] = {}
     for _ in range(min(n_terms, len(basis))):
-        mono = rng.choice(basis)
-        terms[mono] = terms.get(mono, 0) + rng.choice([-3, -2, -1, 1, 2, 3])
-    return SuperPoly(d, terms)
+        key = rng.choice(basis)
+        terms[key] = terms.get(key, 0) + rng.choice([-3, -2, -1, 1, 2, 3])
+    return SuperPoly._of(d, terms)

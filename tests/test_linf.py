@@ -10,6 +10,7 @@ from polyvec.linf import (
     LInftyStructure,
     _content,
     _set_partitions,
+    _x_constant_content,
     field_structure,
     jacobi_defect,
     koszul_reorder_sign,
@@ -459,6 +460,43 @@ def test_minimal_model_equals_product_divergence_form_on_named_elements(d, k):
     named = [carrier.element({("quot",): SuperPoly.parse(d, "x1*xi1*xi2*xi3")}),
              carrier.element({("pv", 1): xi(d, 4)}), carrier.element({("pv", 1): xi(d, 1)})]
     assert model.brackets[arity](*named).parts == {carrier.home(("c",)): SuperPoly.top(d, -1)}
+
+
+# named carrier elements for the central bracket, as slot -> part texts:
+# (4, 2) reuses the table above; at d = 5 the quot heads have x-linear
+# terms on and off their own odd indices, so their contents have
+# x-constant terms as well as terms that Delta leaves x-dependent
+NAMED_CENTRAL_ELEMENTS = {
+    (4, 2): NAMED_CARRIER_ELEMENTS[(4, 2)],
+    (5, 2): {("pv", 0): ["1"],
+             ("pv", 1): ["xi1", "xi4", "x2*xi1"],
+             ("pv", 4): ["xi2*xi3*xi4*xi5"],
+             ("quot",): ["x1*xi1*xi2*xi3", "x4*xi2*xi4*xi5 + x1*x2*xi1*xi3*xi5"]},
+    (5, 3): {("pv", 0): ["1"],
+             ("pv", 1): ["xi5", "x1*xi2"],
+             ("pv", 2): ["xi1*xi5", "x3*xi4*xi5"],
+             ("pv", 4): ["xi1*xi2*xi3*xi4"],
+             ("quot",): ["x1*xi1*xi2*xi3*xi4", "x5*xi1*xi2*xi3*xi5 + x1*x2*xi1*xi2*xi3*xi4"]},
+}
+
+
+@pytest.mark.parametrize("d, k", sorted(NAMED_CENTRAL_ELEMENTS))
+def test_central_bracket_reads_x_constant_content_on_named_tuples(d, k):
+    carrier = cohomology_model(d, Variant.potential(k))
+    elements = [carrier.element({slot: SuperPoly.parse(d, text)})
+                for slot, texts in NAMED_CENTRAL_ELEMENTS[(d, k)].items() for text in texts]
+    assert not any(v.is_zero() for v in elements)
+    assert all(_x_constant_content(v) == _content(v).x_constant_part() for v in elements)
+    model = minimal_model_structure(d, Variant.potential(k))
+    _, l_top = _product_divergence_model(d, k)
+    arity = d - k + 1
+    central = [(model.brackets[arity](*vs), l_top(*vs)) for vs in product(elements, repeat=arity)]
+    assert all(got == want for got, want in central)
+    assert sum(not got.is_zero() for got, _ in central) > 0
+    if (d, k) == (4, 2):
+        named = [carrier.element({("quot",): SuperPoly.parse(d, "x1*xi1*xi2*xi3")}),
+                 carrier.element({("pv", 1): xi(d, 4)}), carrier.element({("pv", 1): xi(d, 1)})]
+        assert model.brackets[arity](*named).parts == {carrier.home(("c",)): SuperPoly.top(d, -1)}
 
 
 def test_minimal_model_symmetry():

@@ -1,11 +1,13 @@
 """The one-pass operators against their composite definitions.
 
-Delta, K, the Schouten kernel and a vector field's action are single
-passes over their input terms; the transports, the Euler contraction and
-de Rham are per-monomial rules applied by SuperPoly.map_monomials.  The
-references below build the same operators from whole-SuperPoly pieces:
-sums of derivative products, splits by xi-degree and by bidegree,
-per-component loops, and commutators of applied fields on coordinates.
+The product, Delta, K, the Schouten kernel and a vector field's action
+are single passes over packed term keys; the transports, the Euler
+contraction and de Rham are per-monomial rules applied by
+SuperPoly.map_monomials.  The references below build the same operators
+from whole-SuperPoly pieces: a product of Monomial tuples with sorted
+odd indices, sums of derivative products, splits by xi-degree and by
+bidegree, per-component loops, and commutators of applied fields on
+coordinates.
 """
 
 import random
@@ -17,7 +19,7 @@ from polyvec import conventions, pvcalc
 from polyvec.contraction import contraction_K
 from polyvec.sho import ExtElement, SuperVectorField, c1_pairing, hamiltonian_vf, vf_bracket
 from polyvec.sl2 import act_h
-from polyvec.superpoly import SuperPoly, monomial_basis, random_poly
+from polyvec.superpoly import Monomial, SuperPoly, koszul_sign, monomial_basis, random_poly
 
 
 def _mixed(d, seed):
@@ -27,6 +29,30 @@ def _mixed(d, seed):
     for j in range(3):
         out = out + random_poly(d, 4, xi_degree_filter=rng.randrange(d + 1), seed=seed + j, n_terms=3)
     return out
+
+
+def _product(a, b):
+    # on Monomial tuples: merge the ascending odd indices, sign the merge
+    # by the Koszul sign of the concatenation, add the exponent vectors
+    out = {}
+    for (exps_a, odd_a), ca in a.terms():
+        for (exps_b, odd_b), cb in b.terms():
+            if set(odd_a) & set(odd_b):
+                continue
+            mono = Monomial(tuple(map(sum, zip(exps_a, exps_b))), tuple(sorted(odd_a + odd_b)))
+            out[mono] = out.get(mono, 0) + koszul_sign(odd_a + odd_b) * ca * cb
+    return SuperPoly(a.d, out)
+
+
+@pytest.mark.parametrize("d, max_degree, pairs, nontrivial", [(3, 3, 3969, 2960), (5, 2, 3721, 3231)])
+def test_packed_product_equals_tuple_product_on_every_basis_pair(d, max_degree, pairs, nontrivial):
+    # the product is bilinear, so agreement on every ordered pair of basis
+    # monomials proves the packed kernel at this truncation; a product is
+    # nonzero exactly when the odd index sets are disjoint
+    basis = [SuperPoly(d, {m: 1}) for m in monomial_basis(d, max_degree)]
+    products = [(a * b, _product(a, b)) for a in basis for b in basis]
+    assert all(got == want for got, want in products)
+    assert (len(products), sum(not got.is_zero() for got, _ in products)) == (pairs, nontrivial)
 
 
 def _divergence(p):

@@ -102,7 +102,7 @@ def _table_f(v):
     and zero on the other xi-degrees; f e1 = e2, f e2 = 0."""
     assert all(deg <= 1 for deg in v.gen.principal_components())
     gen = SuperPoly.zero(3)
-    for mono, coeff in v.gen.xi_component(2)._terms.items():
+    for mono, coeff in v.gen.xi_component(2).terms():
         a, b = mono.odd
         if sum(mono.exps) == 0:
             k = ({1, 2, 3} - {a, b}).pop()

@@ -1,9 +1,21 @@
+import sys
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
-from polyvec.superpoly import Monomial, SuperPoly, koszul_sign, monomial_basis, random_poly
+from polyvec import superpoly
+from polyvec.superpoly import (
+    EXP_CAP,
+    Monomial,
+    SuperPoly,
+    key_layout,
+    koszul_sign,
+    monomial_basis,
+    pack,
+    random_poly,
+    unpack,
+)
 
 
 def xi(d, i):
@@ -119,7 +131,7 @@ def test_random_poly_degree_zero_is_constant():
 def test_random_poly_filter():
     p = random_poly(3, 1, xi_degree_filter=1, seed=1)
     assert p.xi_degrees() == {1}
-    assert all(sum(m.exps) == 0 for m in p._terms)
+    assert all(sum(m.exps) == 0 for m, _ in p.terms())
 
 
 def test_campaign_families_draw_independent_samples(monkeypatch):
@@ -234,7 +246,7 @@ def test_integral_coefficients_are_stored_as_int():
 
     half = x(3, 1).scale(Fraction(1, 2))
     product = half * SuperPoly.const(3, 2)
-    assert product._terms == {Monomial((1, 0, 0), ()): 1}
+    assert list(product.terms()) == [(Monomial((1, 0, 0), ()), 1)]
     assert type(product.coefficient(Monomial((1, 0, 0), ()))) is int
     results = [
         product,
@@ -319,3 +331,85 @@ def test_parity_and_xi_degree_errors():
         p.parity()
     with pytest.raises(ValueError):
         p.xi_degree()
+
+
+# -- the packed key layout -----------------------------------------------
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_pack_unpack_round_trip_on_every_basis_monomial(d):
+    basis = monomial_basis(d, 4)
+    keys = [pack(d, m) for m in basis]
+    assert [unpack(d, k) for k in keys] == list(basis)
+    assert len(set(keys)) == len(keys)
+    assert all(SuperPoly(d, {m: 1}) == SuperPoly.monomial(d, *m) for m in basis)
+    assert all(list(SuperPoly(d, {m: 2}).terms()) == [(m, 2)] for m in basis)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_sign_table_agrees_with_koszul_sign_on_every_disjoint_pair(d):
+    table = key_layout(d).sign_table
+    assert len(table) == 2 ** d
+    # the definition, read at the bits of b too (d/dxi_i takes its sign there)
+    assert all((table[b] >> i) & 1 == (b & ((1 << i) - 1)).bit_count() & 1
+               for b in range(2 ** d) for i in range(d))
+    subsets = [s for k in range(d + 1) for s in combinations(range(1, d + 1), k)]
+    mask = {s: sum(1 << (i - 1) for i in s) for s in subsets}
+    pairs = 0
+    for a in subsets:
+        for b in subsets:
+            if set(a) & set(b):
+                continue
+            pairs += 1
+            sign = -1 if (mask[a] & table[mask[b]]).bit_count() & 1 else 1
+            assert sign == koszul_sign(a + b), (a, b)
+    assert pairs == 3 ** d
+
+
+def test_products_past_the_exponent_cap_raise():
+    d = 3
+    top = SuperPoly.monomial(d, (EXP_CAP, 0, 0), ())
+    assert (top * SuperPoly.x(d, 2)).coefficient(Monomial((EXP_CAP, 1, 0), ())) == 1
+    with pytest.raises(OverflowError):
+        top * SuperPoly.x(d, 1)
+    with pytest.raises(OverflowError):
+        SuperPoly.monomial(d, (64, 0, 0), ()) * SuperPoly.monomial(d, (64, 0, 0), (1,))
+    from polyvec.contraction import contraction_K
+
+    assert not contraction_K(SuperPoly.monomial(d, (EXP_CAP - 1, 0, 0), ())).is_zero()
+    with pytest.raises(OverflowError):
+        contraction_K(SuperPoly.monomial(d, (EXP_CAP, 0, 0), ()))
+
+
+def test_constructors_reject_an_exponent_past_the_cap():
+    assert str(SuperPoly.parse(2, "x1^127*xi2")) == "x1^127*xi2"
+    with pytest.raises(OverflowError):
+        SuperPoly.monomial(2, (128, 0), ())
+    with pytest.raises(OverflowError):
+        SuperPoly.parse(2, "x1^128")
+    with pytest.raises(OverflowError):
+        SuperPoly.parse(2, "x1^100*x1^28*xi1")
+    with pytest.raises(ValueError):
+        SuperPoly.monomial(2, (1, 0), (3,))
+    with pytest.raises(ValueError):
+        SuperPoly(2, {Monomial((1, 0), (2, 1)): 1})
+
+
+@pytest.mark.parametrize("b, bit", [(b, bit) for b in range(8) for bit in range(3)])
+def test_a_flipped_sign_table_entry_fails_the_derivation_check(monkeypatch, b, bit):
+    # negative control: every single wrong Koszul sign of the d = 3 layout
+    # reaches algebra.d3.derivation_and_second_order
+    from polyvec.suites import CampaignConfig, suite_algebra
+
+    cfg = CampaignConfig(d=3, max_degree=3, trials=10, seed=1, checks=("algebra",))
+    check = "algebra.d3.derivation_and_second_order"
+    assert check not in {r.check_id for r in suite_algebra(cfg).failures()}
+    good = key_layout(3)
+    table = list(good.sign_table)
+    table[b] ^= 1 << bit
+    bad = good._replace(sign_table=tuple(table))
+    original = superpoly.key_layout
+    for module in list(sys.modules.values()):
+        if module and module.__name__.startswith("polyvec") and getattr(module, "key_layout", None) is original:
+            monkeypatch.setattr(module, "key_layout", lambda n: bad if n == 3 else original(n))
+    assert check in {r.check_id for r in suite_algebra(cfg).failures()}
