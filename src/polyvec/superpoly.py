@@ -409,7 +409,10 @@ class SuperPoly:
                     continue
                 m = re.fullmatch(r"x(\d+)(?:\^(\d+))?", factor)
                 if m:
-                    exps[int(m.group(1)) - 1] += int(m.group(2) or 1)
+                    i = int(m.group(1))
+                    if not 1 <= i <= d:
+                        raise ValueError(f"no coordinate {factor!r} in dimension {d}")
+                    exps[i - 1] += int(m.group(2) or 1)
                     continue
                 m = re.fullmatch(r"(\d+)(?:/(\d+))?", factor)
                 if m:

@@ -229,6 +229,12 @@ def test_parse_rejects_garbage():
         SuperPoly.parse(2, "xi2*xi1")
 
 
+@pytest.mark.parametrize("text", ["x0*xi1", "x3", "xi0", "xi3*x1"])
+def test_parse_rejects_indices_outside_the_dimension(text):
+    with pytest.raises(ValueError):
+        SuperPoly.parse(2, text)
+
+
 def test_monomial_basis_counts():
     # d=1, degree <= 2: 1, x, x^2, xi, x xi
     assert len(monomial_basis(1, 2)) == 5
