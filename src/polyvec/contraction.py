@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 from . import conventions, pvcalc
@@ -48,27 +49,34 @@ def contraction_K(mu: SuperPoly) -> SuperPoly:
     with s_k = euler_homotopy_sign(k) * (-1)^k read at call time.  The
     constant top monomial, of weight 0, is annihilated, so output into
     PV^d never has a constant term.
+
+    The weights present are brought over their lcm L once per call: a term
+    of weight w gets the integer factor L / w, and the result's common
+    denominator is mu's times L, so no Fraction is built.
     """
     d = mu.d
     layout = key_layout(d)
     mask, table = layout.odd_mask, layout.sign_table
     # x_j xi_j, added to a key whose mask lacks bit j-1
     units = [(1 << j, (1 << j) + one) for j, one in enumerate(layout.ones)]
-    out: dict[int, int | Fraction] = {}
+    rows = []
     for key, c in mu._terms.items():
         odd = key & mask
         k = odd.bit_count()
         weight = x_degree_of(layout, key) + d - k
-        if not weight:
-            continue
+        if weight:
+            rows.append((key, odd, k, c, weight))
+    den = lcm(*{row[4] for row in rows})
+    out: dict[int, int] = {}
+    for key, odd, k, c, weight in rows:
         sign = conventions.euler_homotopy_sign(k)
-        coeff = Fraction(-sign * c if k & 1 else sign * c, weight)
+        coeff = (den // weight) * (-sign * c if k & 1 else sign * c)
         signs = table[odd]  # xi_j xi_S = (-1)^#{s in S : s < j} xi_(S + j)
         for bit, unit in units:
             if not odd & bit:
                 new = key + unit
                 out[new] = out.get(new, 0) + (-coeff if signs & bit else coeff)
-    return SuperPoly._of(d, guard_checked(layout, out))
+    return SuperPoly._of(d, guard_checked(layout, out), mu._den * den)
 
 
 def divergence_free_part(p: SuperPoly) -> SuperPoly:

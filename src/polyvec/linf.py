@@ -155,15 +155,17 @@ def _content(v: DescendantField) -> SuperPoly:
     top polyvectors) contributes nothing and is skipped.  The parts are
     accumulated once.
     """
-    return term_sum(v.d, (poly._terms.items() for poly in _content_parts(v, pvcalc.divergence)))
+    return term_sum(v.d, ((poly._terms.items(), poly._den)
+                          for poly in _content_parts(v, pvcalc.divergence)))
 
 
 def _x_constant_content(v: DescendantField) -> SuperPoly:
     """_content(v).x_constant_part() without a full divergence: Delta
     lowers the x-degree by one, so only the x-linear terms of the tower
     head reach the x-constant terms."""
-    return term_sum(v.d, (poly.x_constant_part()._terms.items() for poly in
-                          _content_parts(v, lambda head: pvcalc.divergence(head.x_linear_part()))))
+    parts = (poly.x_constant_part() for poly in
+             _content_parts(v, lambda head: pvcalc.divergence(head.x_linear_part())))
+    return term_sum(v.d, ((poly._terms.items(), poly._den) for poly in parts))
 
 
 def _content_parts(v: DescendantField, head_divergence):

@@ -26,6 +26,7 @@ from .superpoly import (
     koszul_sign,
     partial_terms,
     term_products,
+    value_of,
 )
 
 
@@ -41,7 +42,7 @@ def divergence(p: SuperPoly) -> SuperPoly:
     layout = key_layout(d)
     mask, table = layout.odd_mask, layout.sign_table
     pairs = [(1 << i, shift, one) for i, (shift, one) in enumerate(zip(layout.shifts, layout.ones))]
-    out: dict[int, int | Fraction] = {}
+    out: dict[int, int] = {}
     for k, c in p._terms.items():
         odd = k & mask
         if not odd or k <= mask:
@@ -53,7 +54,7 @@ def divergence(p: SuperPoly) -> SuperPoly:
                 if e:
                     key = k - bit - one
                     out[key] = out.get(key, 0) + (-e * c if signs & bit else e * c)
-    return SuperPoly._of(d, out)
+    return SuperPoly._of(d, out, p._den)
 
 
 def decalage_sign(k: int) -> int:
@@ -88,7 +89,7 @@ def symmetric_bracket(mu: SuperPoly, nu: SuperPoly) -> SuperPoly:
     mu._check_same(nu)
     mu_xi, mu_x = partial_terms(mu, True)
     nu_xi, nu_x = partial_terms(nu, False)
-    return term_products(mu.d, chain(zip(mu_xi, nu_x), zip(mu_x, nu_xi)))
+    return term_products(mu.d, chain(zip(mu_xi, nu_x), zip(mu_x, nu_xi)), mu._den * nu._den)
 
 
 # -- transport through Omega -----------------------------------------
@@ -164,7 +165,8 @@ def top_constant_pairing(a: SuperPoly, b: SuperPoly) -> int | Fraction:
 
     Only x-constant terms reach the constant top monomial, so only those
     of a are paired, each with the x-constant term of b on the
-    complementary odd mask, signed by the key layout's sign table.
+    complementary odd mask, signed by the key layout's sign table; the
+    numerators are paired and the sum divided once by both denominators.
     """
     if a.d != b.d:
         raise ValueError("dimension mismatch")
@@ -177,7 +179,7 @@ def top_constant_pairing(a: SuperPoly, b: SuperPoly) -> int | Fraction:
             cb = b_terms.get(mask ^ k)
             if cb:
                 total += -c * cb if (k & table[mask ^ k]).bit_count() & 1 else c * cb
-    return total
+    return value_of(total, a._den * b._den)
 
 
 def descendent_coefficient(*ks: int) -> int:

@@ -61,11 +61,14 @@ class SuperVectorField:
 
     def apply(self, g: SuperPoly) -> SuperPoly:
         """sum_i mu_x[i] dg/dx_i + mu_xi[i] dg/dxi_i in one pass: the terms
-        of each coefficient are paired with those of g's first partial."""
+        of each coefficient, over the lcm of the coefficients' denominators,
+        are paired with those of g's first partial."""
         g_xi, g_x = partial_terms(g, False)
-        coeffs_x = (c._terms.items() for c in self.mu_x)
-        coeffs_xi = (c._terms.items() for c in self.mu_xi)
-        return term_products(self.d, chain(zip(coeffs_x, g_x), zip(coeffs_xi, g_xi)))
+        coeffs = self.mu_x + self.mu_xi
+        den = lcm(*(c._den for c in coeffs))
+        lefts = [c._terms.items() if c._den == den else
+                 [(k, den // c._den * n) for k, n in c._terms.items()] for c in coeffs]
+        return term_products(self.d, zip(lefts, g_x + g_xi), den * g._den)
 
     def __add__(self, other: "SuperVectorField") -> "SuperVectorField":
         return SuperVectorField(
@@ -95,8 +98,9 @@ def hamiltonian_vf(f: SuperPoly) -> SuperVectorField:
     d = f.d
     d_xi, d_x = partial_terms(f, False)
     sign = -1 if f.parity() else 1
-    return SuperVectorField(d, tuple(SuperPoly._of(d, {k: sign * c for k, c in t}) for t in d_xi),
-                            tuple(SuperPoly._of(d, dict(t)) for t in d_x))
+    den = f._den
+    return SuperVectorField(d, tuple(SuperPoly._of(d, {k: sign * c for k, c in t}, den) for t in d_xi),
+                            tuple(SuperPoly._of(d, dict(t), den) for t in d_x))
 
 
 def super_divergence(mu: SuperVectorField) -> SuperPoly:
@@ -105,7 +109,7 @@ def super_divergence(mu: SuperVectorField) -> SuperPoly:
     The 2d derivative terms are accumulated once."""
     sign = 1 if mu.parity() else -1
     return term_sum(mu.d, chain.from_iterable(
-        (d_even_terms(a, i), ((k, sign * c) for k, c in d_odd_terms(b, i)))
+        ((d_even_terms(a, i), a._den), (((k, sign * c) for k, c in d_odd_terms(b, i)), b._den))
         for i, (a, b) in enumerate(zip(mu.mu_x, mu.mu_xi), 1)))
 
 
@@ -129,9 +133,9 @@ def ham_generator(x: SuperVectorField, max_degree: int = 6) -> SuperPoly | None:
     def vf_coords(vf: SuperVectorField) -> dict:
         out = {}
         for i in range(d):
-            for key, c in vf.mu_x[i]._terms.items():
+            for key, c in vf.mu_x[i].key_values().items():
                 out[("x", i, key)] = c
-            for key, c in vf.mu_xi[i]._terms.items():
+            for key, c in vf.mu_xi[i].key_values().items():
                 out[("xi", i, key)] = c
         return out
 
@@ -225,7 +229,7 @@ def _carved(f: SuperPoly, c1, c2) -> ExtElement:
 def _without_center(f: SuperPoly) -> SuperPoly:
     """f with its constant term and its constant top monomial dropped."""
     top = (1 << f.d) - 1
-    return SuperPoly._of(f.d, {k: c for k, c in f._terms.items() if k and k != top})
+    return SuperPoly._reduced(f.d, {k: c for k, c in f._terms.items() if k and k != top}, f._den)
 
 
 def ext_bracket_d3(a: ExtElement, b: ExtElement) -> ExtElement:
@@ -281,7 +285,7 @@ def random_sho_generator(max_degree: int, seed: int, d: int = 3) -> SuperPoly:
 
     The output is xi-homogeneous (the divergence-free projection
     preserves xi-degree), hence parity-homogeneous.  Its coefficients are
-    ints: the projection is scaled by the lcm of its denominators, which
+    ints: the projection is scaled by its common denominator, which
     cannot change whether a multilinear identity's defect vanishes.
     """
     # the top xi-degree d has no SHO part: its divergence-free part is
@@ -290,7 +294,7 @@ def random_sho_generator(max_degree: int, seed: int, d: int = 3) -> SuperPoly:
     xi_degree = sample_seed(seed, "xi_degree") % min(d, max_degree + 1)
     raw = random_poly(d, max_degree, xi_degree_filter=xi_degree, seed=seed, n_terms=5)
     gen = _sho_part(raw)
-    return gen.scale(lcm(*(c.denominator for c in gen._terms.values())))
+    return gen.scale(gen._den)
 
 
 def _sho_part(p: SuperPoly) -> SuperPoly:
@@ -356,7 +360,7 @@ def sho_basis(d: int, max_principal_degree: int):
         ker = _sho_part(SuperPoly(d, {m: Fraction(1)}))
         if not ker.is_zero() and ker.total_degree() <= cap:
             projected.append(ker)
-    vectors = [p._terms for p in projected]
+    vectors = [p.key_values() for p in projected]
     return [projected[i] for i in independent_indices(vectors)]
 
 

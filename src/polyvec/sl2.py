@@ -102,8 +102,8 @@ def extend_f(v: ExtElement) -> ExtElement | None:
         lowers = [g for g in sho_basis(3, deg - 1)
                   if set(g.principal_components()) == {deg - 1}]
         pairs = [(u, w) for u in ones for w in lowers]
-        columns = [pvcalc.schouten(u, w)._terms for u, w in pairs]
-        coeffs = solve_combination(columns, comp._terms)
+        columns = [pvcalc.schouten(u, w).key_values() for u, w in pairs]
+        coeffs = solve_combination(columns, comp.key_values())
         if coeffs is None:
             return None
         for c, (u, w) in zip(coeffs, pairs):

@@ -411,7 +411,7 @@ def suite_cocycles(cfg: CampaignConfig) -> Report:
                                 max_degree=cfg.max_degree, label="extension.c2_cocycle"))
     # negative control: a perturbed pairing is not a cocycle
     def perturbed(f, g):
-        return c1_pairing(f, g) + sum((f * g)._terms.values(), Fraction(0))
+        return c1_pairing(f, g) + sum((f * g).key_values().values(), Fraction(0))
 
     broken = cocycle_check(perturbed, trials=cfg.trials, seed=cfg.seed,
                            max_degree=cfg.max_degree, label="extension.broken_pairing")

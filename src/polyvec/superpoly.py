@@ -1,11 +1,16 @@
 """Exact supercommutative polynomial arithmetic on C^{d|d}.
 
 Elements live in Q[x_1..x_d] (x) Lambda[xi_1..xi_d] with exact rational
-coefficients.  Each stored coefficient is an int, or a Fraction whose
-denominator is not 1: arithmetic stays on Python ints until a division
-(such as the weights of contraction_K) forces a Fraction.  Values are
-immutable once built and every operation is a pure function, so
-concurrent use needs no synchronization.
+coefficients, stored as integer numerators over one common denominator:
+the value of an element is (1/_den) * sum _terms[k] m_k.  In canonical
+form every numerator is a nonzero int, _den >= 1, gcd(_den, numerators)
+= 1 and zero has _den = 1, so equal values have equal storage.  Every
+kernel runs on ints and only multiplies denominators (a division, such as
+a weight of contraction_K, multiplies _den); Fraction appears only at the
+edge, in the values that terms(), coefficient() and str give (an int when
+integral) and in rational inputs.  Values are immutable once built and
+every operation is a pure function, so concurrent use needs no
+synchronization.
 
 Key layout.  A term is stored under one int key.  Bit i-1 holds xi_i, so
 the low d bits are the odd part as a bitmask and xi_i^2 = 0 is a
@@ -44,6 +49,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
+from math import gcd, lcm
 from operator import or_
 from typing import Iterable, Iterator, NamedTuple
 
@@ -159,46 +165,77 @@ def guard_checked(layout: KeyLayout, out: dict) -> dict:
 class SuperPoly:
     """A finite Q-linear combination of monomials on C^{d|d}.
 
-    _terms maps packed keys to coefficients; SuperPoly(d, {Monomial: c})
-    is the public constructor and _of(d, {key: c}) the internal one.
+    _terms maps packed keys to int numerators over the common denominator
+    _den (see the module docstring); SuperPoly(d, {Monomial: c}) is the
+    public constructor and _of(d, {key: numerator}, den) the internal one.
     """
 
-    __slots__ = ("d", "_terms")
+    __slots__ = ("d", "_terms", "_den")
 
     def __init__(self, d: int, terms: dict[Monomial, int | Fraction] | None = None):
-        self.d = d
-        self._terms = SuperPoly._of(d, {pack(d, m): c for m, c in (terms or {}).items()})._terms
+        p = SuperPoly._rational(d, {pack(d, m): c for m, c in (terms or {}).items()})
+        self.d, self._terms, self._den = d, p._terms, p._den
 
     @classmethod
-    def _of(cls, d: int, terms: dict[int, int | Fraction]) -> "SuperPoly":
-        """The element with the given packed terms."""
+    def _of(cls, d: int, terms: dict[int, int], den: int = 1) -> "SuperPoly":
+        """The element (1/den) sum terms[k] m_k, den >= 1: the one normalizer,
+        which drops zero numerators and divides out gcd(den, numerators)."""
+        return cls._reduced(d, {k: c for k, c in terms.items() if c}, den)
+
+    @classmethod
+    def _reduced(cls, d: int, terms: dict[int, int], den: int) -> "SuperPoly":
+        """_of for numerators known to be nonzero, as a filter or a nonzero
+        scaling leaves them: only a common factor with den is divided out."""
+        if den > 1:
+            g = gcd(den, *terms.values())
+            if g > 1:
+                den //= g
+                terms = {k: c // g for k, c in terms.items()}
         p = cls.__new__(cls)
         p.d = d
-        # the one place the coefficient invariant is enforced: zero terms
-        # are dropped and an integral Fraction is stored as its numerator
-        p._terms = {k: c if type(c) is int or c.denominator != 1 else c.numerator
-                    for k, c in terms.items() if c}
+        p._terms = terms
+        p._den = den
         return p
+
+    @classmethod
+    def _trusted(cls, d: int, terms: dict[int, int], den: int) -> "SuperPoly":
+        """The element with terms and den already in canonical form."""
+        p = cls.__new__(cls)
+        p.d = d
+        p._terms = terms
+        p._den = den
+        return p
+
+    @classmethod
+    def _rational(cls, d: int, values: dict) -> "SuperPoly":
+        """The element with the given int or Fraction values under packed
+        keys, brought over the lcm of their denominators: the one path of
+        rational inputs."""
+        dens = [c.denominator for c in values.values() if type(c) is not int]
+        if not dens:
+            return cls._of(d, values)
+        den = lcm(*dens)
+        return cls._of(d, {k: c.numerator * (den // c.denominator) for k, c in values.items()}, den)
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def zero(cls, d: int) -> "SuperPoly":
-        return cls._of(d, {})
+        return cls._trusted(d, {}, 1)
 
     @classmethod
     def const(cls, d: int, value) -> "SuperPoly":
-        return cls._of(d, {0: value})
+        return cls._rational(d, {0: value})
 
     @classmethod
     def x(cls, d: int, i: int) -> "SuperPoly":
         _check_index(d, i)
-        return cls._of(d, {key_layout(d).ones[i - 1]: 1})
+        return cls._trusted(d, {key_layout(d).ones[i - 1]: 1}, 1)
 
     @classmethod
     def xi(cls, d: int, i: int) -> "SuperPoly":
         _check_index(d, i)
-        return cls._of(d, {1 << (i - 1): 1})
+        return cls._trusted(d, {1 << (i - 1): 1}, 1)
 
     @classmethod
     def monomial(cls, d: int, exps: Iterable[int], odd: Iterable[int], coeff=1) -> "SuperPoly":
@@ -207,27 +244,35 @@ class SuperPoly:
     # -- basic queries -----------------------------------------------
 
     def terms(self) -> Iterator[tuple[Monomial, int | Fraction]]:
-        d = self.d
-        return iter(sorted(((unpack(d, k), c) for k, c in self._terms.items()),
+        d, den = self.d, self._den
+        return iter(sorted(((unpack(d, k), value_of(c, den)) for k, c in self._terms.items()),
                            key=lambda t: t[0].sort_key()))
+
+    def key_values(self) -> dict[int, int | Fraction]:
+        """The coefficient values under their packed keys, each an int when
+        integral and a Fraction otherwise, as terms() gives them."""
+        den = self._den
+        if den == 1:
+            return dict(self._terms)
+        return {k: value_of(c, den) for k, c in self._terms.items()}
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def coefficient(self, mono: Monomial) -> int | Fraction:
-        return self._terms.get(pack(self.d, mono), 0)
+        return value_of(self._terms.get(pack(self.d, mono), 0), self._den)
 
     def constant_term(self) -> int | Fraction:
-        return self._terms.get(0, 0)
+        return value_of(self._terms.get(0, 0), self._den)
 
     @classmethod
     def top(cls, d: int, value) -> "SuperPoly":
         """The constant top polyvector value * xi_1...xi_d."""
-        return cls._of(d, {(1 << d) - 1: value})
+        return cls._rational(d, {(1 << d) - 1: value})
 
     def top_constant(self) -> int | Fraction:
         """Coefficient of xi_1...xi_d with all even exponents zero."""
-        return self._terms.get((1 << self.d) - 1, 0)
+        return value_of(self._terms.get((1 << self.d) - 1, 0), self._den)
 
     def xi_degrees(self) -> set[int]:
         mask = (1 << self.d) - 1
@@ -255,35 +300,48 @@ class SuperPoly:
 
     def __add__(self, other: "SuperPoly") -> "SuperPoly":
         self._check_same(other)
-        terms = dict(self._terms)
-        for m, c in other._terms.items():
-            terms[m] = terms.get(m, 0) + c
-        return SuperPoly._of(self.d, terms)
+        a, b = self._den, other._den
+        den = a if a == b else lcm(a, b)
+        fa, fb = den // a, den // b
+        terms = dict(self._terms) if fa == 1 else {k: fa * c for k, c in self._terms.items()}
+        get = terms.get
+        if fb == 1:
+            for k, c in other._terms.items():
+                terms[k] = get(k, 0) + c
+        else:
+            for k, c in other._terms.items():
+                terms[k] = get(k, 0) + fb * c
+        return SuperPoly._of(self.d, terms, den)
 
     def __neg__(self) -> "SuperPoly":
-        return SuperPoly._of(self.d, {m: -c for m, c in self._terms.items()})
+        return SuperPoly._trusted(self.d, {k: -c for k, c in self._terms.items()}, self._den)
 
     def __sub__(self, other: "SuperPoly") -> "SuperPoly":
         return self + (-other)
 
     def scale(self, value) -> "SuperPoly":
+        """value * self for an int or Fraction value."""
         if not value:
             return SuperPoly.zero(self.d)
-        return SuperPoly._of(self.d, {m: value * v for m, v in self._terms.items()})
+        num = value.numerator
+        return SuperPoly._reduced(self.d, {k: num * c for k, c in self._terms.items()},
+                                  value.denominator * self._den)
 
     def __mul__(self, other: "SuperPoly") -> "SuperPoly":
         self._check_same(other)
-        return term_products(self.d, ((self._terms.items(), other._terms.items()),))
+        return term_products(self.d, ((self._terms.items(), other._terms.items()),),
+                             self._den * other._den)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SuperPoly)
             and self.d == other.d
+            and self._den == other._den
             and self._terms == other._terms
         )
 
     def __hash__(self):
-        return hash((self.d, frozenset(self._terms.items())))
+        return hash((self.d, self._den, frozenset(self._terms.items())))
 
     def _check_same(self, other: "SuperPoly"):
         if not isinstance(other, SuperPoly):
@@ -295,47 +353,53 @@ class SuperPoly:
 
     def map_monomials(self, rule) -> "SuperPoly":
         """The linear operator sending each monomial m to the sum of
-        coeff * mono over the (mono, coeff) pairs that rule(m) yields."""
+        coeff * mono over the (mono, coeff) pairs that rule(m) yields; the
+        coefficients of a rule are ints."""
         d = self.d
-        out: dict[int, int | Fraction] = {}
+        out: dict[int, int] = {}
         for k, c in self._terms.items():
             for mono, coeff in rule(unpack(d, k)):
                 key = pack(d, mono)
                 out[key] = out.get(key, 0) + coeff * c
-        return SuperPoly._of(d, out)
+        return SuperPoly._of(d, out, self._den)
 
     def scale_by_xi_degree(self, factor) -> "SuperPoly":
-        """Scale the xi-degree-k part by factor(k)."""
+        """Scale the xi-degree-k part by the int factor(k)."""
         mask = (1 << self.d) - 1
         return SuperPoly._of(self.d, {k: factor((k & mask).bit_count()) * c
-                                      for k, c in self._terms.items()})
+                                      for k, c in self._terms.items()}, self._den)
 
     def d_even(self, i: int) -> "SuperPoly":
         """Partial derivative with respect to x_i."""
         _check_index(self.d, i)
-        return SuperPoly._of(self.d, dict(d_even_terms(self, i)))
+        return SuperPoly._of(self.d, dict(d_even_terms(self, i)), self._den)
 
     def d_odd(self, i: int) -> "SuperPoly":
         """Left derivative with respect to xi_i."""
         _check_index(self.d, i)
-        return SuperPoly._of(self.d, dict(d_odd_terms(self, i)))
+        return SuperPoly._of(self.d, dict(d_odd_terms(self, i)), self._den)
 
     # -- decompositions ----------------------------------------------
 
+    # A filter keeps nonzero numerators, so it skips the zero filter of
+    # _of; it can leave a common factor with _den, which _reduced divides out.
+
     def xi_component(self, k: int) -> "SuperPoly":
         mask = (1 << self.d) - 1
-        return SuperPoly._of(self.d, {m: c for m, c in self._terms.items() if (m & mask).bit_count() == k})
+        return SuperPoly._reduced(self.d, {m: c for m, c in self._terms.items()
+                                           if (m & mask).bit_count() == k}, self._den)
 
     def x_constant_part(self) -> "SuperPoly":
         """The terms with no x-dependence."""
         mask = (1 << self.d) - 1
-        return SuperPoly._of(self.d, {m: c for m, c in self._terms.items() if m <= mask})
+        return SuperPoly._reduced(self.d, {m: c for m, c in self._terms.items() if m <= mask}, self._den)
 
     def x_linear_part(self) -> "SuperPoly":
         """The terms of x-degree one."""
         d = self.d
         ones = set(key_layout(d).ones)
-        return SuperPoly._of(d, {m: c for m, c in self._terms.items() if m >> d << d in ones})
+        return SuperPoly._reduced(d, {m: c for m, c in self._terms.items() if m >> d << d in ones},
+                                  self._den)
 
     def xi_components(self) -> dict[int, "SuperPoly"]:
         return {k: self.xi_component(k) for k in sorted(self.xi_degrees())}
@@ -347,7 +411,7 @@ class SuperPoly:
         out: dict[int, dict] = {}
         for m, c in self._terms.items():
             out.setdefault(_key_degree(self.d, m) - 2, {})[m] = c
-        return {k: SuperPoly._of(self.d, v) for k, v in sorted(out.items())}
+        return {k: SuperPoly._reduced(self.d, v, self._den) for k, v in sorted(out.items())}
 
     # -- serialization -----------------------------------------------
 
@@ -389,7 +453,7 @@ class SuperPoly:
             return cls(d)
         # split into signed terms
         chunks = re.findall(r"[+-]?[^+-]+", text.replace(" ", ""))
-        result = cls(d)
+        values: dict[int, int | Fraction] = {}
         for chunk in chunks:
             sign = 1
             if chunk.startswith("-"):
@@ -422,8 +486,17 @@ class SuperPoly:
                 raise ValueError(f"cannot parse factor {factor!r}")
             if odd != sorted(set(odd)):
                 raise ValueError(f"odd factors out of order in {chunk!r}")
-            result = result + cls(d, {Monomial(tuple(exps), tuple(odd)): coeff})
-        return result
+            key = pack(d, Monomial(tuple(exps), tuple(odd)))
+            values[key] = values.get(key, 0) + coeff
+        return cls._rational(d, values)
+
+
+def value_of(c: int, den: int) -> int | Fraction:
+    """The value of numerator c over den: an int when integral."""
+    if den == 1:
+        return c
+    q, r = divmod(c, den)
+    return Fraction(c, den) if r else q
 
 
 def _check_index(d: int, i: int):
@@ -432,7 +505,7 @@ def _check_index(d: int, i: int):
 
 
 def d_even_terms(p: SuperPoly, i: int):
-    """The (key, coefficient) terms of d/dx_i p."""
+    """The (key, numerator) terms of d/dx_i p, over p._den."""
     shift = p.d + EXP_BITS * (i - 1)
     one = 1 << shift
     for k, c in p._terms.items():
@@ -442,7 +515,7 @@ def d_even_terms(p: SuperPoly, i: int):
 
 
 def d_odd_terms(p: SuperPoly, i: int):
-    """The (key, coefficient) terms of the left derivative d/dxi_i p."""
+    """The (key, numerator) terms of the left derivative d/dxi_i p, over p._den."""
     bit = 1 << (i - 1)
     for k, c in p._terms.items():
         if k & bit:
@@ -450,26 +523,32 @@ def d_odd_terms(p: SuperPoly, i: int):
 
 
 def term_sum(d: int, term_lists) -> SuperPoly:
-    """The sum of the given (key, coefficient) term lists, accumulated once."""
-    out: dict[int, int | Fraction] = {}
-    for terms in term_lists:
+    """The sum of the given (terms, den) lists, each (1/den) times its
+    (key, numerator) terms, accumulated once over the lcm of the dens."""
+    term_lists = list(term_lists)
+    den = lcm(*(list_den for _, list_den in term_lists))
+    out: dict[int, int] = {}
+    get = out.get
+    for terms, list_den in term_lists:
+        f = den // list_den
         for k, c in terms:
-            out[k] = out.get(k, 0) + c
-    return SuperPoly._of(d, out)
+            out[k] = get(k, 0) + f * c
+    return SuperPoly._of(d, out, den)
 
 
-def term_products(d: int, pairs) -> SuperPoly:
-    """The sum, over the (left, right) pairs of term lists, of the product
-    of every left term with every right term, left factor first.
+def term_products(d: int, pairs, den: int) -> SuperPoly:
+    """1/den times the sum, over the (left, right) pairs of term lists, of
+    the product of every left term with every right term, left factor
+    first.
 
-    A term is (key, coeff), as SuperPoly items and partial_terms give
-    them; a product of disjoint odd masks a and b has key ka + kb and the
-    sign of popcount(a & S[b]), and is accumulated in place, with no
-    SuperPoly built per pair.
+    A term is (key, numerator), as SuperPoly items and partial_terms give
+    them, every pair over the same den; a product of disjoint odd masks a
+    and b has key ka + kb and the sign of popcount(a & S[b]), and is
+    accumulated in place, with no SuperPoly built per pair.
     """
     layout = key_layout(d)
     mask, table = layout.odd_mask, layout.sign_table
-    out: dict[int, int | Fraction] = {}
+    out: dict[int, int] = {}
     get = out.get
     for left, right in pairs:
         right = [(kb, kb & mask, table[kb & mask], cb) for kb, cb in right]
@@ -482,13 +561,14 @@ def term_products(d: int, pairs) -> SuperPoly:
                     continue
                 k = ka + kb
                 out[k] = get(k, 0) + (-ca * cb if (a & sb).bit_count() & 1 else ca * cb)
-    return SuperPoly._of(d, guard_checked(layout, out))
+    return SuperPoly._of(d, guard_checked(layout, out), den)
 
 
 def partial_terms(p: SuperPoly, signed: bool):
     """Per index i, the terms of d/dxi_i p and of d/dx_i p, as d_odd_terms
     and d_even_terms give them, in one pass over p; with signed, each
-    d/dx_i term carries (-1)^(xi-degree of its monomial)."""
+    d/dx_i term carries (-1)^(xi-degree of its monomial).  The numerators
+    stay over p._den."""
     d = p.d
     layout = key_layout(d)
     mask, table = layout.odd_mask, layout.sign_table

@@ -286,7 +286,7 @@ def test_cocycle_check_pass_and_fail():
                          trials=30, seed=1).ok
 
     def broken(f, g):
-        return c1(f, g) + sum((f * g)._terms.values(), Fraction(0))
+        return c1(f, g) + sum((f * g).key_values().values(), Fraction(0))
 
     report = cocycle_check(broken, trials=40, seed=1)
     assert not report.ok
@@ -305,7 +305,7 @@ def test_cocycle_check_named_triples_expose_broken_pairings():
     assert cocycle_check(c1, trials=0).ok
     assert cocycle_check(lambda f, g: pvcalc.schouten(f, g).constant_term(), trials=0).ok
     for broken in (
-        lambda f, g: c1(f, g) + sum((f * g)._terms.values(), Fraction(0)),
+        lambda f, g: c1(f, g) + sum((f * g).key_values().values(), Fraction(0)),
         lambda f, g: c1(f, g, decalage=False),
         lambda f, g: pvcalc.symmetric_bracket(f, g).constant_term(),
     ):

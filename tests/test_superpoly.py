@@ -1,6 +1,7 @@
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd
 
 import pytest
 
@@ -242,9 +243,13 @@ def test_monomial_basis_counts():
 
 
 def _stored_types_ok(p):
-    """The coefficient invariant: int, or a Fraction that is not integral."""
-    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
-               for c in p._terms.values())
+    """The storage invariant: nonzero int numerators over one denominator
+    _den >= 1 sharing no factor with all of them, and _den = 1 for zero."""
+    numerators = list(p._terms.values())
+    return (all(type(c) is int and c for c in numerators)
+            and type(p._den) is int and p._den >= 1
+            and gcd(p._den, *numerators) == 1
+            and (numerators or p._den == 1))
 
 
 def test_integral_coefficients_are_stored_as_int():
@@ -265,8 +270,9 @@ def test_integral_coefficients_are_stored_as_int():
         random_poly(3, 4, seed=9, n_terms=6),
     ]
     for p in results:
-        assert not p.is_zero() and _stored_types_ok(p), p._terms
-    assert any(type(c) is Fraction for c in results[3]._terms.values())
+        assert not p.is_zero() and _stored_types_ok(p), (p._terms, p._den)
+        assert _stored_types_ok(p - p) and (p - p)._den == 1
+    assert any(type(c) is Fraction and c.denominator != 1 for _, c in results[3].terms())
 
 
 def test_fraction_and_int_coefficients_are_interchangeable():
