@@ -33,7 +33,7 @@ from .complexes import (
     summands,
 )
 from .reporting import Report
-from .superpoly import SuperPoly, guard_checked, key_layout, sample_seed, x_degree_of
+from .superpoly import SuperPoly, _index_operator, key_layout, sample_seed, x_degree_of
 
 
 def contraction_K(mu: SuperPoly) -> SuperPoly:
@@ -42,7 +42,7 @@ def contraction_K(mu: SuperPoly) -> SuperPoly:
     The Euler-scaling homotopy of the de Rham complex, transported through
     vee_omega and signed by euler_homotopy_sign(k) on xi-degree k.  That
     composite is multiplication by the Euler field sum_j x_j xi_j divided
-    by the weight, evaluated here in one pass over the terms:
+    by the weight:
 
         K(x^a xi_S) = s_k / (|a| + d - k) * sum_{j not in S} x_j x^a * xi_j xi_S,
 
@@ -50,33 +50,22 @@ def contraction_K(mu: SuperPoly) -> SuperPoly:
     constant top monomial, of weight 0, is annihilated, so output into
     PV^d never has a constant term.
 
-    The weights present are brought over their lcm L once per call: a term
-    of weight w gets the integer factor L / w, and the result's common
-    denominator is mu's times L, so no Fraction is built.
+    The weights present are brought over their lcm L once per call: the
+    (xi_j *, x_j *) mode of the index kernel runs on numerators prescaled
+    by s_k L / w, over mu's denominator times L, and builds no Fraction.
     """
     d = mu.d
     layout = key_layout(d)
-    mask, table = layout.odd_mask, layout.sign_table
-    # x_j xi_j, added to a key whose mask lacks bit j-1
-    units = [(1 << j, (1 << j) + one) for j, one in enumerate(layout.ones)]
+    mask = layout.odd_mask
     rows = []
     for key, c in mu._terms.items():
-        odd = key & mask
-        k = odd.bit_count()
+        k = (key & mask).bit_count()
         weight = x_degree_of(layout, key) + d - k
         if weight:
-            rows.append((key, odd, k, c, weight))
-    den = lcm(*{row[4] for row in rows})
-    out: dict[int, int] = {}
-    for key, odd, k, c, weight in rows:
-        sign = conventions.euler_homotopy_sign(k)
-        coeff = (den // weight) * (-sign * c if k & 1 else sign * c)
-        signs = table[odd]  # xi_j xi_S = (-1)^#{s in S : s < j} xi_(S + j)
-        for bit, unit in units:
-            if not odd & bit:
-                new = key + unit
-                out[new] = out.get(new, 0) + (-coeff if signs & bit else coeff)
-    return SuperPoly._of(d, guard_checked(layout, out), mu._den * den)
+            rows.append((key, conventions.euler_homotopy_sign(k) * (-c if k & 1 else c), weight))
+    den = lcm(*{weight for _, _, weight in rows})
+    return _index_operator(d, [(key, (den // weight) * c) for key, c, weight in rows], mu._den * den,
+                           raise_xi=True, raise_x=True)
 
 
 def divergence_free_part(p: SuperPoly) -> SuperPoly:

@@ -7,6 +7,9 @@ shifted-symmetric convention, transport through contraction with the
 holomorphic volume element Omega = dx_1 ^ ... ^ dx_d, the top-constant
 pairing, and the descendent integral coefficients.
 
+Delta, de Rham, the Euler contraction and both transports are calls of
+superpoly's kernels with the mode fixed here; no key layout is read.
+
 The bracket is the one Delta derives, evaluated by its bidifferential
 formula in one pass over first partials, with no divergence or product
 call; the suites' derivation family checks the two against each other.
@@ -19,11 +22,10 @@ from itertools import chain
 from math import comb
 
 from .superpoly import (
-    EXP_FIELD,
-    Monomial,
     SuperPoly,
+    _complement_transport,
+    _index_operator,
     key_layout,
-    koszul_sign,
     partial_terms,
     term_products,
     value_of,
@@ -33,28 +35,10 @@ from .superpoly import (
 def divergence(p: SuperPoly) -> SuperPoly:
     """Delta = sum_i d/dx_i d/dxi_i; lowers xi-degree by one, squares to zero.
 
-    One pass over the terms: each odd index i of x^a xi_S, at position pos
-    in S, is paired with its own exponent a_i and gives
-    (-1)^pos a_i x^(a - e_i) xi_(S - i), whose key is the term's key less
-    bit i-1 and one unit of the x_i field.
+    Each odd index i of x^a xi_S, at position pos in S, gives
+    (-1)^pos a_i x^(a - e_i) xi_(S - i).
     """
-    d = p.d
-    layout = key_layout(d)
-    mask, table = layout.odd_mask, layout.sign_table
-    pairs = [(1 << i, shift, one) for i, (shift, one) in enumerate(zip(layout.shifts, layout.ones))]
-    out: dict[int, int] = {}
-    for k, c in p._terms.items():
-        odd = k & mask
-        if not odd or k <= mask:
-            continue
-        signs = table[odd]
-        for bit, shift, one in pairs:
-            if odd & bit:
-                e = (k >> shift) & EXP_FIELD
-                if e:
-                    key = k - bit - one
-                    out[key] = out.get(key, 0) + (-e * c if signs & bit else e * c)
-    return SuperPoly._of(d, out, p._den)
+    return _index_operator(p.d, p._terms.items(), p._den, raise_xi=False, raise_x=False)
 
 
 def decalage_sign(k: int) -> int:
@@ -95,45 +79,22 @@ def symmetric_bracket(mu: SuperPoly, nu: SuperPoly) -> SuperPoly:
 # -- transport through Omega -----------------------------------------
 
 
-def _complement(d: int, odd: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(i for i in range(1, d + 1) if i not in odd)
-
-
-def vee_omega_rule(m: Monomial):
-    """xi_S -> sign(S, S^c) dx_{S^c} on one monomial."""
-    comp = _complement(len(m.exps), m.odd)
-    return ((Monomial(m.exps, comp), koszul_sign(m.odd + comp)),)
-
-
-def vee_omega_inv_rule(m: Monomial):
-    """dx_T -> sign(T^c, T) xi_{T^c} on one monomial."""
-    comp = _complement(len(m.exps), m.odd)
-    return ((Monomial(m.exps, comp), koszul_sign(comp + m.odd)),)
-
-
 def vee_omega(mu: SuperPoly) -> SuperPoly:
     """Contract with Omega: PV^k -> Omega^{d-k}, xi_S -> sign(S, S^c) dx_{S^c}.
 
     The result reuses the SuperPoly encoding with xi_i read as dx_i.
     """
-    return mu.map_monomials(vee_omega_rule)
+    return _complement_transport(mu, inverse=False)
 
 
 def vee_omega_inv(w: SuperPoly) -> SuperPoly:
     """Inverse of vee_omega: dx_T -> sign(T^c, T) xi_{T^c}."""
-    return w.map_monomials(vee_omega_inv_rule)
-
-
-def de_rham_rule(m: Monomial):
-    """sum_i dx_i ^ d/dx_i on one monomial."""
-    return [(Monomial(m.exps[: i - 1] + (e - 1,) + m.exps[i:], tuple(sorted(m.odd + (i,)))),
-             koszul_sign((i,) + m.odd) * e)
-            for i, e in enumerate(m.exps, 1) if e and i not in m.odd]
+    return _complement_transport(w, inverse=True)
 
 
 def de_rham(w: SuperPoly) -> SuperPoly:
     """Holomorphic de Rham differential on forms: sum_i dx_i ^ (d/dx_i)."""
-    return w.map_monomials(de_rham_rule)
+    return _index_operator(w.d, w._terms.items(), w._den, raise_xi=True, raise_x=False)
 
 
 def divergence_via_transport(mu: SuperPoly) -> SuperPoly:
@@ -145,16 +106,9 @@ def divergence_via_transport(mu: SuperPoly) -> SuperPoly:
     return vee_omega_inv(de_rham(vee_omega(mu)))
 
 
-def euler_contraction_rule(m: Monomial):
-    """sum_i x_i d/dxi_i on one monomial (a form, xi_i read as dx_i)."""
-    return [(Monomial(m.exps[: i - 1] + (m.exps[i - 1] + 1,) + m.exps[i:], m.odd[:pos] + m.odd[pos + 1 :]),
-             -1 if pos & 1 else 1)
-            for pos, i in enumerate(m.odd)]
-
-
 def euler_contraction(w: SuperPoly) -> SuperPoly:
     """Contraction of a form with the Euler vector field sum_i x_i d/dx_i."""
-    return w.map_monomials(euler_contraction_rule)
+    return _index_operator(w.d, w._terms.items(), w._den, raise_xi=False, raise_x=True)
 
 
 # -- pairings ---------------------------------------------------------

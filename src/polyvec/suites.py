@@ -35,7 +35,7 @@ from .sho import (
     vf_bracket,
 )
 from .sl2 import equivariance_check_cocycle, equivariance_compare_theorem, sl2_relations_check
-from .superpoly import SuperPoly, monomial_basis, random_poly, sample_seed
+from .superpoly import MAX_D, SuperPoly, monomial_basis, random_poly, sample_seed
 
 
 @dataclass
@@ -49,8 +49,8 @@ class CampaignConfig:
     checks: tuple[str, ...] = ()
 
     def validate(self):
-        if self.d < 1:
-            raise ValueError("d must be positive")
+        if not 1 <= self.d <= MAX_D:
+            raise ValueError(f"d must be between 1 and {MAX_D}")
         if self.max_degree < 0 or self.trials <= 0 or self.arity_cap < 2:
             raise ValueError("budgets must be positive and arity cap >= 2")
         self.variant.validate(self.d)

@@ -27,7 +27,10 @@ d + 8(i-1), whose top bit is a guard: an exponent is at most EXP_CAP =
   first use (key_layout);
 * d/dx_i subtracts 1 << (d + 8(i-1)); d/dxi_i clears bit i-1 and takes
   its sign from the popcount of the mask bits below it (bit i-1 of
-  S[mask]).
+  S[mask]), as xi_i * does when it sets the bit: Delta, K, de Rham and
+  the Euler contraction are modes of one kernel (_index_operator).
+
+The table bounds d by MAX_D = 16; key_layout rejects a larger d.
 
 Every kernel that raises an exponent checks the guard bits of its
 output keys and raises OverflowError before anything is stored, so a
@@ -60,6 +63,7 @@ from _blake2 import blake2b
 EXP_BITS = 8
 EXP_CAP = (1 << (EXP_BITS - 1)) - 1
 EXP_FIELD = (1 << EXP_BITS) - 1
+MAX_D = 16
 
 
 class Monomial(NamedTuple):
@@ -108,7 +112,9 @@ class KeyLayout(NamedTuple):
 
 @lru_cache(maxsize=None)
 def key_layout(d: int) -> KeyLayout:
-    """The layout of dimension d, built on first use."""
+    """The layout of dimension d, built on first use; d is at most MAX_D."""
+    if d > MAX_D:
+        raise ValueError(f"dimension {d} exceeds the maximum {MAX_D}")
     shifts = tuple(d + EXP_BITS * i for i in range(d))
     table = []
     for b in range(1 << d):
@@ -351,18 +357,6 @@ class SuperPoly:
 
     # -- linear operators --------------------------------------------
 
-    def map_monomials(self, rule) -> "SuperPoly":
-        """The linear operator sending each monomial m to the sum of
-        coeff * mono over the (mono, coeff) pairs that rule(m) yields; the
-        coefficients of a rule are ints."""
-        d = self.d
-        out: dict[int, int] = {}
-        for k, c in self._terms.items():
-            for mono, coeff in rule(unpack(d, k)):
-                key = pack(d, mono)
-                out[key] = out.get(key, 0) + coeff * c
-        return SuperPoly._of(d, out, self._den)
-
     def scale_by_xi_degree(self, factor) -> "SuperPoly":
         """Scale the xi-degree-k part by the int factor(k)."""
         mask = (1 << self.d) - 1
@@ -451,8 +445,10 @@ class SuperPoly:
         text = text.strip()
         if text in ("", "0"):
             return cls(d)
-        # split into signed terms
-        chunks = re.findall(r"[+-]?[^+-]+", text.replace(" ", ""))
+        text = text.replace(" ", "")
+        if not re.fullmatch(r"[+-]?[^+-]+(?:[+-][^+-]+)*", text):  # at most one sign per term
+            raise ValueError(f"malformed signs in {text!r}")
+        chunks = re.findall(r"[+-]?[^+-]+", text)
         values: dict[int, int | Fraction] = {}
         for chunk in chunks:
             sign = 1
@@ -478,7 +474,7 @@ class SuperPoly:
                         raise ValueError(f"no coordinate {factor!r} in dimension {d}")
                     exps[i - 1] += int(m.group(2) or 1)
                     continue
-                m = re.fullmatch(r"(\d+)(?:/(\d+))?", factor)
+                m = re.fullmatch(r"(\d+)(?:/(\d*[1-9]\d*))?", factor)  # no zero denominator
                 if m:
                     num, den = m.groups()
                     coeff *= Fraction(int(num), int(den)) if den else int(num)
@@ -590,6 +586,66 @@ def partial_terms(p: SuperPoly, signed: bool):
                 if e:
                     d_x[i].append((k - one, e * c_x))
     return d_xi, d_x
+
+
+@lru_cache(maxsize=None)
+def _index_deltas(d: int, raise_xi: bool, raise_x: bool) -> tuple:
+    """Per index i, the bit of xi_i, the shift of x_i and the key delta of a
+    mode of _index_operator."""
+    layout = key_layout(d)
+    return tuple((1 << i, shift, (1 << i if raise_xi else -(1 << i)) + (one if raise_x else -one))
+                 for i, (shift, one) in enumerate(zip(layout.shifts, layout.ones)))
+
+
+def _index_operator(d: int, terms, den: int, *, raise_xi: bool, raise_x: bool) -> SuperPoly:
+    """1/den times sum_i A_i B_i of the (key, numerator) terms: A_i is xi_i *
+    when raise_xi, else the left d/dxi_i; B_i is x_i * when raise_x, else
+    d/dx_i.  Either A_i signs by bit i of S[mask]; the mode fixes which
+    mask bits reach an index (flip) and each index's key delta.
+    """
+    layout = key_layout(d)
+    mask, table = layout.odd_mask, layout.sign_table
+    flip = mask if raise_xi else 0
+    deltas = _index_deltas(d, raise_xi, raise_x)
+    out: dict[int, int] = {}
+    get = out.get
+    if raise_x:
+        for k, c in terms:
+            odd = k & mask
+            reach, signs = odd ^ flip, table[odd]
+            for bit, _, delta in deltas:
+                if reach & bit:
+                    key = k + delta
+                    out[key] = get(key, 0) + (-c if signs & bit else c)
+        guard_checked(layout, out)
+    else:
+        for k, c in terms:
+            odd = k & mask
+            reach = odd ^ flip
+            if not reach or k <= mask:
+                continue
+            signs = table[odd]
+            for bit, shift, delta in deltas:
+                if reach & bit:
+                    e = (k >> shift) & EXP_FIELD
+                    if e:
+                        key = k + delta
+                        out[key] = get(key, 0) + (-e * c if signs & bit else e * c)
+    return SuperPoly._of(d, out, den)
+
+
+def _complement_transport(p: SuperPoly, *, inverse: bool) -> SuperPoly:
+    """x^a xi_S -> sign x^a xi_(S^c), the sign that of merging S and S^c
+    (S^c and S when inverse).  Complementing the mask is a bijection of
+    keys, so the result is canonical as it stands."""
+    layout = key_layout(p.d)
+    mask, table = layout.odd_mask, layout.sign_table
+    out: dict[int, int] = {}
+    for k, c in p._terms.items():
+        odd = k & mask
+        first, second = (odd ^ mask, odd) if inverse else (odd, odd ^ mask)
+        out[k ^ mask] = -c if (first & table[second]).bit_count() & 1 else c
+    return SuperPoly._trusted(p.d, out, p._den)
 
 
 def monomial_basis(d: int, max_degree: int, xi_degrees=None) -> tuple[Monomial, ...]:

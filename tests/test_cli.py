@@ -10,7 +10,7 @@ from polyvec.cli import TIMING_MARKER, build_parser, config_from_args, main
 from polyvec.complexes import Variant
 from polyvec.reporting import Report
 from polyvec.superpoly import SuperPoly
-from polyvec import suites
+from polyvec import cli, suites
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -50,6 +50,20 @@ def test_exit_two_on_bad_config(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--check", "nonsense"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("d", ["17", "64"])
+def test_exit_two_on_a_dimension_above_the_maximum(monkeypatch, capsys, d):
+    # the config check rejects d > superpoly.MAX_D before a campaign
+    # builds a key layout with its 2^d-entry sign table
+    def refuse(cfg):
+        raise AssertionError("a campaign started")
+
+    monkeypatch.setattr(cli, "run_campaign", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["--d", d])
+    assert exc.value.code == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_transfer_requires_mbcov(capsys):

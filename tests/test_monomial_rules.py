@@ -1,13 +1,15 @@
-"""The one-pass operators against their composite definitions.
+"""The packed-key kernels against references that do not call them.
 
-The product, Delta, K, the Schouten kernel and a vector field's action
-are single passes over packed term keys; the transports, the Euler
-contraction and de Rham are per-monomial rules applied by
-SuperPoly.map_monomials.  The references below build the same operators
-from whole-SuperPoly pieces: a product of Monomial tuples with sorted
-odd indices, sums of derivative products, splits by xi-degree and by
-bidegree, per-component loops, and commutators of applied fields on
-coordinates.
+The product, the Schouten kernel and a vector field's action are single
+passes over packed term keys.  Delta, K, de Rham and the Euler
+contraction are one index-operator kernel, sum_i A_i B_i with A_i either
+xi_i * or d/dxi_i and B_i either x_i * or d/dx_i; the transports through
+Omega are one complement kernel.  The references below build the same
+operators from other pieces: Koszul signs of Monomial tuples, sums of
+derivative products, splits by xi-degree and by bidegree, per-component
+loops, and commutators of applied fields on coordinates.  Every operator
+is linear (the brackets and the product bilinear), so agreement on every
+basis monomial (pair) of a truncation proves the kernel there.
 """
 
 import random
@@ -76,6 +78,24 @@ def _de_rham(w):
     return out
 
 
+def _transport(p, inverse):
+    # on Monomial tuples: xi_S -> koszul_sign(S + S^c) xi_(S^c), or
+    # koszul_sign(S^c + S) when inverse
+    out = {}
+    for (exps, odd), c in p.terms():
+        comp = tuple(i for i in range(1, p.d + 1) if i not in odd)
+        out[Monomial(exps, comp)] = koszul_sign(comp + odd if inverse else odd + comp) * c
+    return SuperPoly(p.d, out)
+
+
+def _vee_omega(mu):
+    return _transport(mu, False)
+
+
+def _vee_omega_inv(w):
+    return _transport(w, True)
+
+
 def _bidegree_components(p):
     out = {}
     for m, c in p.terms():
@@ -88,10 +108,10 @@ def _contraction_K(mu):
     out = SuperPoly.zero(mu.d)
     for k, comp in mu.xi_components().items():
         acc = SuperPoly.zero(mu.d)
-        for (q, p), piece in _bidegree_components(pvcalc.vee_omega(comp)).items():
+        for (q, p), piece in _bidegree_components(_vee_omega(comp)).items():
             if p + q:
                 acc = acc + _euler_contraction(piece).scale(Fraction(1, p + q))
-        out = out + pvcalc.vee_omega_inv(acc).scale(conventions.euler_homotopy_sign(k))
+        out = out + _vee_omega_inv(acc).scale(conventions.euler_homotopy_sign(k))
     return out
 
 
@@ -113,7 +133,7 @@ def _schouten(mu, nu):
 def _divergence_via_transport(mu):
     out = SuperPoly.zero(mu.d)
     for comp in mu.xi_components().values():
-        out = out + pvcalc.vee_omega_inv(_de_rham(pvcalc.vee_omega(comp)))
+        out = out + _vee_omega_inv(_de_rham(_vee_omega(comp)))
     return out
 
 
@@ -140,7 +160,10 @@ def test_bracket_kernel_equals_composite_on_every_basis_pair(d, max_degree, pair
     assert (len(brackets), sum(not got.is_zero() for got, _ in brackets)) == (pairs, nontrivial)
 
 
-@pytest.mark.parametrize("d, size", [(2, 41), (3, 129), (4, 321), (5, 681)])
+BASIS_SIZES = [(1, 9), (2, 41), (3, 129), (4, 321), (5, 681)]
+
+
+@pytest.mark.parametrize("d, size", BASIS_SIZES)
 def test_divergence_and_K_equal_composites_on_every_basis_monomial(d, size):
     # both operators are linear, so agreement on every basis monomial
     # proves the kernels at this truncation
@@ -149,6 +172,20 @@ def test_divergence_and_K_equal_composites_on_every_basis_monomial(d, size):
     for p in basis:
         assert pvcalc.divergence(p) == _divergence(p)
         assert contraction_K(p) == _contraction_K(p)
+
+
+@pytest.mark.parametrize("d, size", BASIS_SIZES)
+def test_de_rham_euler_and_transports_equal_references_on_every_basis_monomial(d, size):
+    # the other modes of the index-operator kernel and both directions of
+    # the complement kernel, certified the same way
+    basis = [SuperPoly(d, {m: 1}) for m in monomial_basis(d, 4)]
+    assert len(basis) == size
+    for p in basis:
+        assert pvcalc.de_rham(p) == _de_rham(p)
+        assert pvcalc.euler_contraction(p) == _euler_contraction(p)
+        assert pvcalc.vee_omega(p) == _vee_omega(p)
+        assert pvcalc.vee_omega_inv(p) == _vee_omega_inv(p)
+        assert pvcalc.divergence_via_transport(p) == _divergence_via_transport(p)
 
 
 def _apply(field, g):

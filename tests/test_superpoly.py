@@ -230,6 +230,12 @@ def test_parse_rejects_garbage():
         SuperPoly.parse(2, "xi2*xi1")
 
 
+@pytest.mark.parametrize("text", ["++x1", "x1-", "-", "1/0*xi1"])
+def test_parse_rejects_malformed_signs_and_zero_denominators(text):
+    with pytest.raises(ValueError):
+        SuperPoly.parse(2, text)
+
+
 @pytest.mark.parametrize("text", ["x0*xi1", "x3", "xi0", "xi3*x1"])
 def test_parse_rejects_indices_outside_the_dimension(text):
     with pytest.raises(ValueError):
@@ -254,6 +260,7 @@ def _stored_types_ok(p):
 
 def test_integral_coefficients_are_stored_as_int():
     from polyvec.contraction import contraction_K
+    from polyvec.pvcalc import euler_contraction
 
     half = x(3, 1).scale(Fraction(1, 2))
     product = half * SuperPoly.const(3, 2)
@@ -387,10 +394,13 @@ def test_products_past_the_exponent_cap_raise():
     with pytest.raises(OverflowError):
         SuperPoly.monomial(d, (64, 0, 0), ()) * SuperPoly.monomial(d, (64, 0, 0), (1,))
     from polyvec.contraction import contraction_K
+    from polyvec.pvcalc import euler_contraction
 
     assert not contraction_K(SuperPoly.monomial(d, (EXP_CAP - 1, 0, 0), ())).is_zero()
     with pytest.raises(OverflowError):
         contraction_K(SuperPoly.monomial(d, (EXP_CAP, 0, 0), ()))
+    with pytest.raises(OverflowError):
+        euler_contraction(SuperPoly.monomial(d, (EXP_CAP, 0, 0), (1,)))
 
 
 def test_constructors_reject_an_exponent_past_the_cap():
@@ -425,3 +435,11 @@ def test_a_flipped_sign_table_entry_fails_the_derivation_check(monkeypatch, b, b
         if module and module.__name__.startswith("polyvec") and getattr(module, "key_layout", None) is original:
             monkeypatch.setattr(module, "key_layout", lambda n: bad if n == 3 else original(n))
     assert check in {r.check_id for r in suite_algebra(cfg).failures()}
+
+
+@pytest.mark.parametrize("d", [17, 64])
+def test_key_layout_rejects_a_dimension_above_the_maximum(d):
+    # called only where MAX_D rejects d: a 2^d-entry sign table is never built
+    assert d > superpoly.MAX_D
+    with pytest.raises(ValueError, match="maximum"):
+        key_layout(d)
