@@ -17,12 +17,19 @@ carrier elements themselves on the leaves (a carrier element is a field,
 so iota is the identity), the homotopy on internal edges, and the
 projection at the root, organized as a recursion over set partitions of
 the inputs; within one bracket call each input subset's subtree is
-evaluated once.  It requires the side conditions (H^2 = 0, H iota = 0,
-p H = 0); data lacking them are normalized first.
+evaluated once.  Only partitions whose block count is a vertex arity of
+the source are visited, read from one memoized table per (subset size,
+vertex arities).  A zero subtree (a zero input, a zero sum of trees, or
+one the homotopy kills) is pruned: the brackets are multilinear and the
+homotopy linear, so every partition with a zero block is skipped before
+its bracket is called, and a zero sum is never passed to the homotopy.
+It requires the side conditions (H^2 = 0, H iota = 0, p H = 0); data
+lacking them are normalized first.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Any, Callable
 
@@ -233,21 +240,32 @@ def minimal_model_structure(d: int, variant: Variant) -> LInftyStructure:
 # -- homotopy transfer --------------------------------------------------
 
 
-def _set_partitions(n: int):
-    """Partitions of range(n) into unordered nonempty blocks, each block
-    sorted, blocks ordered by least element."""
-    def helper(items):
-        if not items:
-            yield []
-            return
-        head, tail = items[0], items[1:]
-        for sub in helper(tail):
-            yield [[head]] + sub
-            for idx in range(len(sub)):
-                yield sub[:idx] + [[head] + sub[idx]] + sub[idx + 1 :]
+@lru_cache(maxsize=None)
+def _vertex_partitions(m: int, arities: frozenset) -> tuple:
+    """Partitions of range(m) whose block count is in arities: each block a
+    sorted tuple, blocks ordered by least element.
 
-    for part in helper(list(range(n))):
-        yield [sorted(b) for b in sorted(part, key=min)]
+    The Bell recursion (partitions of the tail, then the head as a new
+    block or joined to one), restricted at each step to the tails whose
+    block count can still reach an allowed count; the table lists the
+    unfiltered enumeration's partitions of an allowed count in its order.
+    """
+    def helper(start, counts):
+        if start == m:
+            if 0 in counts:
+                yield []
+            return
+        # the tail holds m - start - 1 indices, so at most that many blocks
+        tail_counts = {c - j for c in counts for j in (0, 1) if 0 <= c - j < m - start}
+        for sub in helper(start + 1, tail_counts):
+            if len(sub) + 1 in counts:
+                yield [[start]] + sub
+            if len(sub) in counts:
+                for i in range(len(sub)):
+                    yield sub[:i] + [[start] + sub[i]] + sub[i + 1:]
+
+    # start precedes its tail, so every block is already sorted
+    return tuple(tuple(map(tuple, sorted(part, key=min))) for part in helper(0, arities))
 
 
 def tree_sum(structure: LInftyStructure, homotopy: Callable, inputs) -> Any:
@@ -256,31 +274,42 @@ def tree_sum(structure: LInftyStructure, homotopy: Callable, inputs) -> Any:
     source brackets, with Koszul signs; the transferred bracket before
     the projection.
 
-    A recursion over set partitions of the input indices, in which the
-    subtree over each index subset is evaluated once per call.
+    A recursion over the set partitions of the input indices whose block
+    count is a vertex arity, in which the subtree over each index subset
+    is evaluated once per call.  By multilinearity a zero subtree zeroes
+    every tree it grafts into, so a partition is dropped at its first
+    zero block, before any bracket or sign.
     """
     inputs = tuple(inputs)
     parities = [x.parity() for x in inputs]
-    vertex_arities = {n for n in structure.arities() if n >= 2}
-    thetas: dict[tuple[int, ...], Any] = {}
+    arities = frozenset(n for n in structure.arities() if n >= 2)
+    # the subtree over each index subset, None where it is zero
+    thetas: dict[tuple[int, ...], Any] = {(i,): None if x.is_zero() else x for i, x in enumerate(inputs)}
 
     def theta(idx):
         if idx not in thetas:
-            thetas[idx] = inputs[idx[0]] if len(idx) == 1 else homotopy(big_b(idx))
+            val = big_b(idx)
+            if not val.is_zero():
+                val = homotopy(val)
+            thetas[idx] = None if val.is_zero() else val
         return thetas[idx]
 
     def big_b(idx):
         # blocks of an increasing tuple are increasing subsequences, so the
         # sign of the global indices equals the sign of the local ones
         acc = structure.zero()
-        for blocks in _set_partitions(len(idx)):
-            if len(blocks) not in vertex_arities:
-                continue
-            order = [idx[i] for blk in blocks for i in blk]
-            sign = koszul_reorder_sign(order, parities)
-            args = [theta(tuple(idx[i] for i in blk)) for blk in blocks]
-            val = structure.brackets[len(blocks)](*args)
-            acc = acc + (val if sign > 0 else -val)
+        for blocks in _vertex_partitions(len(idx), arities):
+            args = []
+            for blk in blocks:
+                arg = theta(tuple(idx[i] for i in blk))
+                if arg is None:
+                    break
+                args.append(arg)
+            else:
+                val = structure.brackets[len(blocks)](*args)
+                if not val.is_zero():
+                    sign = koszul_reorder_sign([idx[i] for blk in blocks for i in blk], parities)
+                    acc = acc + (val if sign > 0 else -val)
         return acc
 
     return big_b(tuple(range(len(inputs))))

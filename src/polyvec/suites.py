@@ -35,7 +35,7 @@ from .sho import (
     vf_bracket,
 )
 from .sl2 import equivariance_check_cocycle, equivariance_compare_theorem, sl2_relations_check
-from .superpoly import MAX_D, SuperPoly, monomial_basis, random_poly, sample_seed
+from .superpoly import EXP_CAP, MAX_D, SuperPoly, monomial_basis, random_poly, sample_seed
 
 
 @dataclass
@@ -60,6 +60,13 @@ class CampaignConfig:
         for name in self.checks:
             if need := _unmet_prerequisite(name, self):
                 raise ValueError(f"suite {name!r} requires {need}")
+        factor, suite = max((SAMPLE_FACTORS.get(s, lambda cfg: 1)(self), s)
+                            for s in self.checks or default_checks(self))
+        bound = (EXP_CAP - RAISE_HEADROOM) // factor
+        if self.max_degree > bound:
+            raise ValueError(f"max_degree must be at most {bound}: suite {suite!r} multiplies {factor} "
+                             f"samples, and {factor} * max_degree + {RAISE_HEADROOM} must stay within "
+                             f"the exponent cap {EXP_CAP}")
 
 
 def _homog(d, deg, seed) -> SuperPoly:
@@ -263,6 +270,10 @@ def suite_transfer(cfg: CampaignConfig) -> Report:
     return report
 
 
+def _jacobi_range(top_arity: int) -> range:
+    return range(2, max(4, top_arity + 2))
+
+
 def suite_jacobi(cfg: CampaignConfig) -> Report:
     """Generalized Jacobi identities of the configured minimal model."""
     report = Report()
@@ -272,7 +283,7 @@ def suite_jacobi(cfg: CampaignConfig) -> Report:
     slots = carrier.slots
     arities = [n for n in structure.arities() if n >= 2]
     top_arity = max(arities)
-    jacobi_range = range(2, max(4, top_arity + 2))
+    jacobi_range = _jacobi_range(top_arity)
 
     def draw(family, t, i):
         """The draw's seed s also picks its slot."""
@@ -457,6 +468,20 @@ PREREQUISITES = {
     "cocycles": ("d = 3", lambda cfg: cfg.d == 3),
     "sl2": ("d = 3", lambda cfg: cfg.d == 3),
 }
+
+
+# suite -> the most samples of degree max_degree it multiplies together,
+# as a product or through brackets; a suite not listed draws one at a time
+SAMPLE_FACTORS = {
+    "algebra": lambda cfg: 3,
+    "transfer": lambda cfg: cfg.arity_cap,
+    "sho": lambda cfg: 2,
+    "jacobi": lambda cfg: _jacobi_range(max(minimal_model_structure(cfg.d, cfg.variant).arities()))[-1],
+    "cocycles": lambda cfg: 3,
+}
+# brackets lower the degree, K raises it by one, and the side conditions
+# apply the homotopy twice
+RAISE_HEADROOM = 2
 
 
 def _unmet_prerequisite(name: str, cfg: CampaignConfig) -> str | None:

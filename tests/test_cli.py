@@ -9,7 +9,7 @@ import pytest
 from polyvec.cli import TIMING_MARKER, build_parser, config_from_args, main
 from polyvec.complexes import Variant
 from polyvec.reporting import Report
-from polyvec.superpoly import SuperPoly
+from polyvec.superpoly import EXP_CAP, SuperPoly
 from polyvec import cli, suites
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -64,6 +64,41 @@ def test_exit_two_on_a_dimension_above_the_maximum(monkeypatch, capsys, d):
         main(["--d", d])
     assert exc.value.code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_exit_two_on_a_degree_whose_products_pass_the_exponent_cap(monkeypatch, capsys):
+    # the algebra suite multiplies three samples, so deg 130 samples (and
+    # their products) would overflow superpoly.EXP_CAP inside a campaign
+    def refuse(cfg):
+        raise AssertionError("a campaign started")
+
+    monkeypatch.setattr(cli, "run_campaign", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["--d", "2", "--deg", "130", "--trials", "1", "--check", "algebra"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "at most 41" in err and "'algebra'" in err
+    assert "Traceback" not in err
+
+
+def test_degree_bound_follows_the_selected_suites():
+    bound = (EXP_CAP - suites.RAISE_HEADROOM) // 3
+    suites.CampaignConfig(d=2, max_degree=bound, checks=("algebra",)).validate()
+    with pytest.raises(ValueError, match=f"at most {bound}"):
+        suites.CampaignConfig(d=2, max_degree=bound + 1, checks=("algebra",)).validate()
+    # the contraction suite draws one sample at a time; a transfer at arity
+    # cap 5 multiplies five
+    suites.CampaignConfig(d=2, max_degree=bound + 1, checks=("contraction",)).validate()
+    with pytest.raises(ValueError, match="'transfer' multiplies 5"):
+        suites.CampaignConfig(d=2, max_degree=bound, arity_cap=5, checks=("transfer",)).validate()
+    # every benchmark workload and golden campaign is admitted
+    for args in [*GOLDEN_CAMPAIGNS.values(), *GOLDEN_TABLES.values()]:
+        config_from_args(build_parser().parse_args(args))
+    workloads = json.loads((Path(__file__).parent.parent / "perfbench" / "workloads.json").read_text())
+    for w in workloads["workloads"].values():
+        variant = Variant.potential(w["k"]) if w["variant"] == "potential" else Variant.mbcov()
+        suites.CampaignConfig(d=w["d"], variant=variant, max_degree=w["deg"], trials=w["trials"],
+                              arity_cap=w["arity_cap"], checks=tuple(w["suites"])).validate()
 
 
 def test_transfer_requires_mbcov(capsys):

@@ -5,11 +5,11 @@ import pytest
 
 from polyvec import pvcalc
 from polyvec.complexes import DescendantField, Variant, cohomology_model, collect
-from polyvec.contraction import build_datum, contraction_K, perturb_side_conditions
+from polyvec.contraction import HomotopyDatum, build_datum, contraction_K, perturb_side_conditions
 from polyvec.linf import (
     LInftyStructure,
     _content,
-    _set_partitions,
+    _vertex_partitions,
     _x_constant_content,
     field_structure,
     jacobi_defect,
@@ -112,6 +112,60 @@ def test_transfer_higher_brackets_vanish(d):
             assert transferred.brackets[n](*xs).is_zero()
 
 
+def _recording_transfer(d, arity_cap):
+    """The mbcov transfer with its source brackets and homotopy recorded:
+    (transferred structure, carrier, bracket calls, homotopy calls), each
+    call an (arguments, value) pair; the records start empty after the
+    transfer is built."""
+    source = field_structure(d)
+    datum = build_datum(d, Variant.mbcov())
+    brackets, homotopies = [], []
+
+    def recorded(fn, log):
+        def call(*args):
+            val = fn(*args)
+            log.append((args, val))
+            return val
+        return call
+
+    wrapped = LInftyStructure(source.zero, {n: b if n == 1 else recorded(b, brackets)
+                                            for n, b in source.brackets.items()})
+    wrapped_datum = HomotopyDatum(datum.carrier, recorded(datum.homotopy, homotopies))
+    transferred = transfer(wrapped, wrapped_datum, arity_cap=arity_cap)
+    brackets.clear()
+    homotopies.clear()
+    return transferred, datum.carrier, brackets, homotopies
+
+
+def test_tree_sum_never_brackets_or_contracts_a_zero_subtree():
+    transferred, carrier, brackets, homotopies = _recording_transfer(3, 7)
+    slots = carrier.slots
+    for n in (5, 7):
+        for t in range(3):
+            xs = [carrier.random_element(slots[(t + i) % len(slots)], 3, seed=300 * n + 10 * t + i)
+                  for i in range(n)]
+            if t == 2:
+                xs[1] = DescendantField.zero(3, Variant.mbcov())
+            assert transferred.brackets[n](*xs).is_zero()
+    # pairs of inputs have nonzero brackets, which H then kills (t^0 values)
+    assert any(not val.is_zero() for _, val in brackets)
+    assert homotopies and not any(args[0].is_zero() for args, _ in homotopies)
+    assert not any(arg.is_zero() for args, _ in brackets for arg in args)
+
+
+@pytest.mark.parametrize("d, n", [(3, 6), (3, 7), (4, 6)])
+def test_transfer_higher_brackets_vanish_at_high_arity(d, n):
+    transferred, carrier, brackets, _ = _recording_transfer(d, n)
+    slots = carrier.slots
+    for t in range(4):
+        xs = [carrier.random_element(slots[(t + i) % len(slots)], 3, seed=700 * n + 10 * t + i)
+              for i in range(n)]
+        assert transferred.brackets[n](*xs).is_zero()
+    # the vanishing is not vacuous: binary source brackets of the inputs
+    # are nonzero, and only the homotopy and projection remove them
+    assert sum(not val.is_zero() for _, val in brackets) > 0
+
+
 def test_transfer_of_zero_brackets_is_zero():
     d = 2
     datum = build_datum(d, Variant.mbcov())
@@ -165,9 +219,26 @@ def test_transfer_with_normalized_homotopy():
         assert transferred.brackets[3](a, b, c).is_zero()
 
 
+def _bell_partitions(n):
+    """Every partition of range(n), unfiltered: each block sorted, blocks
+    ordered by least element."""
+    def helper(items):
+        if not items:
+            yield []
+            return
+        head, tail = items[0], items[1:]
+        for sub in helper(tail):
+            yield [[head]] + sub
+            for i in range(len(sub)):
+                yield sub[:i] + [[head] + sub[i]] + sub[i + 1:]
+
+    for part in helper(list(range(n))):
+        yield [sorted(b) for b in sorted(part, key=min)]
+
+
 def _reference_tree_sum(structure, homotopy, inputs):
-    """The unmemoized tree sum: every set partition re-evaluates each of
-    its blocks' subtrees from the elements themselves."""
+    """The unmemoized, unpruned tree sum: every set partition re-evaluates
+    each of its blocks' subtrees from the elements themselves."""
     vertex_arities = [n for n in structure.arities() if n >= 2]
 
     def theta(xs):
@@ -179,7 +250,7 @@ def _reference_tree_sum(structure, homotopy, inputs):
         acc = structure.zero()
         n = len(xs)
         parities = [x.parity() for x in xs]
-        for blocks in _set_partitions(n):
+        for blocks in _bell_partitions(n):
             if len(blocks) < 2 or len(blocks) not in vertex_arities:
                 continue
             order = [i for blk in blocks for i in blk]
@@ -190,6 +261,16 @@ def _reference_tree_sum(structure, homotopy, inputs):
         return acc
 
     return big_b(tuple(inputs))
+
+
+@pytest.mark.parametrize("arities", [{2}, {3}, {2, 3}, {2, 4}, set()])
+def test_vertex_partitions_are_the_bell_partitions_of_a_vertex_arity(arities):
+    for m in range(1, 8):
+        want = [tuple(map(tuple, blocks)) for blocks in _bell_partitions(m) if len(blocks) in arities]
+        assert list(_vertex_partitions(m, frozenset(arities))) == want
+    # Bell(7) = 877 partitions, of which S(7, 2) = 63 have two blocks
+    assert len(list(_bell_partitions(7))) == 877
+    assert len(_vertex_partitions(7, frozenset({2}))) == 63
 
 
 def _toy_source(d):
@@ -245,9 +326,13 @@ def test_tree_sum_evaluates_each_subtree_once():
         calls += 1
         return x(d, 1) * v
 
-    tree_sum(_toy_source(d), homotopy, _named_toy_inputs(d)[-1])
+    # five odd inputs on which no subtree is zero, so none is pruned
+    inputs = (x(d, 2) * xi(d, 1), x(d, 3) * xi(d, 2), x(d, 1) * xi(d, 3),
+              x(d, 1) * x(d, 2) * xi(d, 1), x(d, 2) * x(d, 3) * xi(d, 2))
+    got = tree_sum(_toy_source(d), homotopy, inputs)
     # one homotopy per input subset strictly between a singleton and the whole
     assert calls == 2**n - n - 2
+    assert got == _reference_tree_sum(_toy_source(d), lambda v: x(d, 1) * v, inputs)
 
 
 def _parse_model_element(carrier, body):
