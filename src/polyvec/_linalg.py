@@ -1,66 +1,57 @@
-"""Small exact linear algebra over Fraction on sparse dict vectors."""
+"""Small exact linear algebra over Fraction on sparse dict vectors.
+
+One elimination serves both solvers.  A pivot row is zero at every earlier
+pivot key, so reducing against the rows in the order they were kept clears
+them all, and a new row may pivot at any key of its remainder (the first
+in insertion order): keys of any hashable type are never compared.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 
-def solve_combination(vectors: list[dict], target: dict):
-    """Coefficients c with sum c_i vectors[i] = target, or None.
+def _reduce(vec: dict, rows: list) -> tuple[dict, dict]:
+    """The remainder of vec against the pivot rows, and the combination of
+    input vectors (index -> coefficient) taken off it."""
+    rem = {key: Fraction(c) for key, c in vec.items() if c}
+    taken: dict[int, Fraction] = {}
+    for _, pivot, row, combo in rows:
+        factor = rem.get(pivot)
+        if factor:
+            for key, c in row.items():
+                rem[key] = rem.get(key, 0) - factor * c
+            for idx, c in combo.items():
+                taken[idx] = taken.get(idx, 0) + factor * c
+    return {key: c for key, c in rem.items() if c}, taken
 
-    Vectors are sparse mappings key -> Fraction with comparable keys.
-    """
-    keys = sorted({k for v in vectors for k in v} | set(target))
-    n = len(vectors)
-    rows = [[Fraction(v.get(key, 0)) for v in vectors] + [Fraction(target.get(key, 0))]
-            for key in keys]
-    pivots: list[tuple[int, int]] = []  # (row, column)
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[row], rows[pivot] = rows[pivot], rows[row]
-        pv = rows[row][col]
-        rows[row] = [x / pv for x in rows[row]]
-        for r in range(len(rows)):
-            if r != row and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == len(rows):
-            break
-    # inconsistent system?
-    for r in range(len(rows)):
-        if all(rows[r][c] == 0 for c in range(n)) and rows[r][n] != 0:
-            return None
-    coeffs = [Fraction(0)] * n
-    for r, c in pivots:
-        coeffs[c] = rows[r][n]
-    return coeffs
+
+def _echelon(vectors: list[dict]) -> list[tuple]:
+    """(index, pivot key, row, combination) for each vector that leaves a
+    remainder: the remainder scaled to 1 at its pivot, and the input
+    vectors it combines."""
+    rows: list[tuple] = []
+    for idx, vec in enumerate(vectors):
+        rem, taken = _reduce(vec, rows)
+        if rem:
+            pivot = next(iter(rem))
+            inv = 1 / rem[pivot]
+            combo = {i: -c * inv for i, c in taken.items()}
+            combo[idx] = inv
+            rows.append((idx, pivot, {key: c * inv for key, c in rem.items()}, combo))
+    return rows
+
+
+def solve_combination(vectors: list[dict], target: dict):
+    """Coefficients c with sum c_i vectors[i] = target, or None; a vector in
+    the span of the ones before it gets 0."""
+    rem, taken = _reduce(target, _echelon(vectors))
+    if rem:
+        return None
+    return [taken.get(idx, Fraction(0)) for idx in range(len(vectors))]
 
 
 def independent_indices(vectors: list[dict]) -> list[int]:
-    """Indices of a maximal linearly independent subfamily (greedy).
-
-    Each vector is reduced against the pivot rows kept so far and kept
-    when a remainder is left; its remainder, scaled to 1 at its least
-    key, becomes the next pivot row.
-    """
-    pivots: list[tuple] = []  # (pivot key, row with 1 there and 0 at earlier pivot keys)
-    out: list[int] = []
-    for idx, vec in enumerate(vectors):
-        rem = {key: Fraction(c) for key, c in vec.items() if c}
-        for pivot, row in pivots:
-            factor = rem.get(pivot)
-            if factor:
-                for key, c in row.items():
-                    rem[key] = rem.get(key, 0) - factor * c
-                rem = {key: c for key, c in rem.items() if c}
-        if rem:
-            pivot = min(rem)
-            scale = rem[pivot]
-            pivots.append((pivot, {key: c / scale for key, c in rem.items()}))
-            out.append(idx)
-    return out
+    """Indices of a maximal linearly independent subfamily (greedy): each
+    vector is kept unless it lies in the span of the vectors before it."""
+    return [row[0] for row in _echelon(vectors)]

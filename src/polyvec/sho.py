@@ -30,11 +30,12 @@ from itertools import chain, permutations
 from math import lcm
 
 from . import conventions, pvcalc
-from ._linalg import independent_indices, solve_combination
+from ._linalg import independent_indices
 from .contraction import divergence_free_part
 from .reporting import Report
 from .superpoly import (
     SuperPoly,
+    _key_degree,
     d_even_terms,
     d_odd_terms,
     monomial_basis,
@@ -125,25 +126,22 @@ def vf_bracket(a: SuperVectorField, b: SuperVectorField) -> SuperVectorField:
     return SuperVectorField(a.d, tuple(map(comm, a.mu_x, b.mu_x)), tuple(map(comm, a.mu_xi, b.mu_xi)))
 
 
-def ham_generator(x: SuperVectorField, max_degree: int = 6) -> SuperPoly | None:
-    """Solve Ham(f) = x for f over the monomial basis up to max_degree."""
+def ham_generator(x: SuperVectorField) -> SuperPoly | None:
+    """The generator f with no constant term and Ham(f) = x, or None when
+    x is not Hamiltonian; a mixed-parity field raises ValueError.
+
+    Ham is odd, so |f| = |x| + 1.  By the Euler identities
+    sum_i x_i mu_xi[i] + (-1)^{|f|} xi_i mu_x[i] = sum_n n f_n, f_n the
+    part of f of total degree n, so f is that sum with its degree-n part
+    divided by n.
+    """
     d = x.d
-    basis = [m for m in monomial_basis(d, max_degree)]
-
-    def vf_coords(vf: SuperVectorField) -> dict:
-        out = {}
-        for i in range(d):
-            for key, c in vf.mu_x[i].key_values().items():
-                out[("x", i, key)] = c
-            for key, c in vf.mu_xi[i].key_values().items():
-                out[("xi", i, key)] = c
-        return out
-
-    columns = [vf_coords(hamiltonian_vf(SuperPoly(d, {m: Fraction(1)}))) for m in basis]
-    coeffs = solve_combination(columns, vf_coords(x))
-    if coeffs is None:
-        return None
-    return SuperPoly(d, {m: c for m, c in zip(basis, coeffs) if c})
+    sign = 1 if x.parity() else -1  # (-1)^{|f|}
+    euler = SuperPoly.zero(d)
+    for i, (a, b) in enumerate(zip(x.mu_x, x.mu_xi), 1):
+        euler = euler + SuperPoly.x(d, i) * b + (SuperPoly.xi(d, i) * a).scale(sign)
+    f = SuperPoly._rational(d, {k: Fraction(c, _key_degree(d, k)) for k, c in euler.key_values().items()})
+    return f if hamiltonian_vf(f) == x else None
 
 
 def membership(f: SuperPoly) -> str:

@@ -159,17 +159,31 @@ def test_flipped_odd_branch_of_apply_fails_the_anti_map(monkeypatch):
 
 
 def test_ham_generator_inversion():
-    d = 3
     for seed in range(5):
         f = random_sho_generator(3, seed=seed)
         if f.is_zero():
             continue
         X = hamiltonian_vf(f)
-        g = ham_generator(X, max_degree=4)
+        g = ham_generator(X)
         # generators agree up to the kernel of Ham (constants)
         assert hamiltonian_vf(g) == X
         # the generator named by a field through X = -Ham(f)
-        assert -ham_generator(X.scale(-1), max_degree=4) == g
+        assert -ham_generator(X.scale(-1)) == g
+    # the closed form recovers every generator but its constant term, at
+    # every xi-degree, so for both parities
+    draws = 0
+    for d in (2, 3, 4):
+        for k in range(d + 1):
+            for seed in range(15):
+                f = random_poly(d, 5, xi_degree_filter=k, seed=seed)
+                assert ham_generator(hamiltonian_vf(f)) == f - SuperPoly.const(d, f.constant_term())
+                draws += not f.is_zero()
+    assert draws == 180
+    # xi_1 d/dx_1 is parity-homogeneous, but no generator has it as its field
+    z = SuperPoly.zero(3)
+    assert ham_generator(vf(3, mu_x=[xi(1), z, z])) is None
+    with pytest.raises(ValueError):
+        ham_generator(vf(3, mu_x=[xi(1) + x(2), z, z]))
 
 
 def test_membership_examples():
