@@ -10,10 +10,17 @@ where t is an even formal parameter:
   k = (d-1)/2 for odd d is accepted; it lacks only the Poisson pairing.
 
 Summand keys are ("f", i, j) for the minimal summands and ("p", m) for
-the potential tower; the tower's final summand carries no outgoing
-differential.  The comparison map phi sends a potential complex to the
-minimal complex by the divergence on the m = 0 potential summand and the
-identity elsewhere.
+the potential tower, and this module is the only one that reads them.
+The summand grid of a complex (grid) holds each summand's xi-degree and
+two step tables: each summand's neighbour one step up the diagonal
+(t-power + 1, xi-degree - 1, within its family), where Q = t Delta moves
+it, and one step down, where H = t^{-1} K moves it; a neighbour that is
+not a summand is left out, so the tower's final summand carries no
+outgoing differential.  The comparison map phi sends a potential complex
+to the minimal complex by the divergence on the head ("p", 0) of the
+tower and the identity on the minimal summands (phi_parts, the one
+statement of that rule).  A carrier slot is placed at its home summand
+(CarrierModel.home), so the layers above place parts through homes.
 """
 
 from __future__ import annotations
@@ -22,9 +29,10 @@ import random
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain
+from typing import NamedTuple
 
 from . import pvcalc
-from .superpoly import SuperPoly, random_poly
+from .superpoly import SuperPoly, homogeneous, random_poly
 
 FieldKey = tuple
 SlotKey = tuple
@@ -88,10 +96,28 @@ def xi_degree_of(key: FieldKey, variant: Variant) -> int:
     return variant.k + key[1] + 1
 
 
+class Grid(NamedTuple):
+    """The summand grid of one complex (see the module docstring)."""
+
+    xi_degrees: dict[FieldKey, int]  # every summand's xi-degree
+    up: dict[FieldKey, FieldKey]  # the neighbour one step up, where Q moves a part
+    down: dict[FieldKey, FieldKey]  # the neighbour one step down, where H moves a part
+
+
 @cache
-def _summand_xi_degrees(d: int, variant: Variant) -> dict[FieldKey, int]:
-    """The xi-degree of every summand of the complex, keyed by summand."""
-    return {key: xi_degree_of(key, variant) for key in summands(d, variant)}
+def grid(d: int, variant: Variant) -> Grid:
+    """The grid of the complex: a step of n moves ("f", i, j) to
+    ("f", i+n, j-n) and ("p", m) to ("p", m-n), kept where that is a
+    summand."""
+    keys = summands(d, variant)
+    degrees = {key: xi_degree_of(key, variant) for key in keys}
+
+    def steps(n):
+        moved = ((key, ("f", key[1] + n, key[2] - n) if key[0] == "f" else ("p", key[1] - n))
+                 for key in keys)
+        return {key: to for key, to in moved if to in degrees}
+
+    return Grid(degrees, steps(1), steps(-1))
 
 
 def t_power_of(key: FieldKey) -> int:
@@ -128,7 +154,7 @@ class DescendantField:
     parts: dict[FieldKey, SuperPoly] = field(default_factory=dict)
 
     def __post_init__(self):
-        degrees = _summand_xi_degrees(self.d, self.variant)
+        degrees = grid(self.d, self.variant).xi_degrees
         cleaned = {}
         for key, poly in self.parts.items():
             if key not in degrees:
@@ -148,13 +174,6 @@ class DescendantField:
     def single(cls, d: int, variant: Variant, key: FieldKey, poly: SuperPoly) -> "DescendantField":
         return cls(d, variant, {key: poly})
 
-    def map_parts(self, rule) -> "DescendantField":
-        """The map sending each summand (key, poly) to the sum of the
-        (key', poly') pairs that rule(key, poly) yields; every key' must
-        be a summand of this complex, even where poly' is zero."""
-        return DescendantField(self.d, self.variant, collect(
-            pair for key, poly in self.parts.items() for pair in rule(key, poly)))
-
     def __add__(self, other: "DescendantField") -> "DescendantField":
         if (self.d, self.variant) != (other.d, other.variant):
             raise ValueError("cannot add fields of different complexes")
@@ -162,10 +181,14 @@ class DescendantField:
                                collect(chain(self.parts.items(), other.parts.items())))
 
     def __neg__(self) -> "DescendantField":
-        return self.map_parts(lambda key, poly: ((key, -poly),))
+        return DescendantField(self.d, self.variant, {key: -poly for key, poly in self.parts.items()})
 
     def __sub__(self, other: "DescendantField") -> "DescendantField":
         return self + (-other)
+
+    def scale(self, value) -> "DescendantField":
+        """value * self, part by part."""
+        return DescendantField(self.d, self.variant, {key: poly.scale(value) for key, poly in self.parts.items()})
 
     def is_zero(self) -> bool:
         return not self.parts
@@ -175,45 +198,43 @@ class DescendantField:
 
     def parity(self) -> int:
         """The Koszul parity of a parity-homogeneous field (0 for zero)."""
-        pars = {parity_of(key, self.variant) for key in self.parts}
-        if len(pars) > 1:
-            raise ValueError("field is not parity-homogeneous")
-        return pars.pop() if pars else 0
+        return homogeneous((parity_of(key, self.variant) for key in self.parts),
+                           "field is not parity-homogeneous")
+
+
+def step(psi: DescendantField, table: dict, op) -> DescendantField:
+    """op on every part of psi, moved to the part's neighbour in table, a
+    step table of psi's grid; a part with no neighbour is dropped.  A step
+    table is injective, so no two parts meet."""
+    return DescendantField(psi.d, psi.variant, {
+        table[key]: op(poly) for key, poly in psi.parts.items() if key in table})
 
 
 def differential(psi: DescendantField) -> DescendantField:
-    """Q = t * Delta, acting summand-wise.
+    """Q = t * Delta: Delta moved one step up the grid, ("f", i, j) to
+    ("f", i+1, j-1) and ("p", m) to ("p", m-1); the head ("p", 0) has no
+    outgoing arrow and Delta vanishes on xi-degree 0."""
+    return step(psi, grid(psi.d, psi.variant).up, pvcalc.divergence)
 
-    On ("f", i, j) the image lands at ("f", i+1, j-1), which is always a
-    valid summand when j >= 1 (Delta vanishes on xi-degree 0).  On the
-    potential tower Q maps ("p", m) to ("p", m-1); the m = 0 summand has
-    no outgoing arrow.
-    """
 
-    def rule(key, poly):
+def phi_parts(psi: DescendantField, head_map):
+    """The (minimal key, poly) parts of phi(psi): the minimal parts as they
+    are, the head of the tower through head_map onto the removed diagonal
+    ("f", 0, k), the rest of the tower dropped."""
+    for key, poly in psi.parts.items():
         if key[0] == "f":
-            _, i, j = key
-            if j > 0:
-                yield ("f", i + 1, j - 1), pvcalc.divergence(poly)
-        elif key[1] > 0:
-            yield ("p", key[1] - 1), pvcalc.divergence(poly)
-
-    return psi.map_parts(rule)
+            yield key, poly
+        elif key == ("p", 0):
+            yield ("f", 0, psi.variant.k), head_map(poly)
 
 
 def phi_map(psi: DescendantField) -> DescendantField:
-    """Chain map from a potential complex to the minimal complex.
-
-    Acts by the divergence on the m = 0 potential summand (landing on the
-    i + j = k diagonal), annihilates the rest of the tower, and is the
-    identity on the minimal summands.
-    """
+    """Chain map from a potential complex to the minimal complex: phi_parts
+    with the divergence on the head.  The diagonal is not a summand of the
+    potential complex, so no two parts meet."""
     if psi.variant.kind != "potential":
         raise ValueError("phi_map expects a potential-variant field")
-    diagonal = ("f", 0, psi.variant.k)
-    return DescendantField(psi.d, Variant.mbcov(), collect(
-        (key, poly) if key[0] == "f" else (diagonal, pvcalc.divergence(poly))
-        for key, poly in psi.parts.items() if key[0] == "f" or key[1] == 0))
+    return DescendantField(psi.d, Variant.mbcov(), dict(phi_parts(psi, pvcalc.divergence)))
 
 
 # -- cohomology carriers ----------------------------------------------

@@ -29,7 +29,9 @@ from .complexes import (
     Variant,
     cohomology_model,
     differential,
+    grid,
     random_field,
+    step,
     summands,
 )
 from .reporting import Report
@@ -89,23 +91,15 @@ class HomotopyDatum:
 def build_datum(d: int, variant: Variant) -> HomotopyDatum:
     """The explicit homotopy datum for a complex.
 
-    H vanishes on the minimal t^0 summands and on the final potential
-    summand, and acts by t^{-1} K everywhere else.
+    H = t^{-1} K: K moved one step down the grid, bound once per datum.  It
+    vanishes on the minimal t^0 summands and on the final potential
+    summand, which have no neighbour below.
     """
-    variant.validate(d)
     carrier = cohomology_model(d, variant)
-    k = variant.k if variant.kind == "potential" else None
+    down = grid(d, variant).down
 
     def homotopy(psi: DescendantField) -> DescendantField:
-        def rule(key, poly):
-            if key[0] == "f":
-                _, i, j = key
-                if i > 0:
-                    yield ("f", i - 1, j + 1), contraction_K(poly)
-            elif key[1] < d - k - 1:
-                yield ("p", key[1] + 1), contraction_K(poly)
-
-        return psi.map_parts(rule)
+        return step(psi, down, contraction_K)
 
     return HomotopyDatum(carrier, homotopy)
 
@@ -114,7 +108,7 @@ def scale_homotopy(datum: HomotopyDatum, factor) -> HomotopyDatum:
     """Deliberately corrupted datum (negative control): H -> factor * H."""
 
     def homotopy(psi: DescendantField) -> DescendantField:
-        return datum.homotopy(psi).map_parts(lambda key, poly: ((key, poly.scale(factor)),))
+        return datum.homotopy(psi).scale(factor)
 
     return HomotopyDatum(datum.carrier, homotopy)
 

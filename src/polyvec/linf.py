@@ -34,7 +34,15 @@ from itertools import combinations
 from typing import Any, Callable
 
 from . import pvcalc
-from .complexes import DescendantField, Variant, collect, t_power_of
+from .complexes import (
+    DescendantField,
+    Variant,
+    cohomology_model,
+    collect,
+    differential,
+    phi_parts,
+    t_power_of,
+)
 from .contraction import HomotopyDatum, contraction_K, normalize_homotopy, side_conditions
 from .superpoly import SuperPoly, koszul_sign, term_sum
 
@@ -47,10 +55,9 @@ class LInftyStructure:
     a parity-homogeneous element.
     """
 
-    def __init__(self, zero: Callable[[], Any], brackets: dict[int, Callable], name: str = ""):
+    def __init__(self, zero: Callable[[], Any], brackets: dict[int, Callable]):
         self.zero = zero
         self.brackets = dict(brackets)
-        self.name = name
 
     def arities(self) -> list[int]:
         return sorted(self.brackets)
@@ -110,19 +117,15 @@ def schouten_structure(d: int, with_differential: bool = True) -> LInftyStructur
     brackets: dict[int, Callable] = {2: pvcalc.symmetric_bracket}
     if with_differential:
         brackets[1] = pvcalc.divergence
-    return LInftyStructure(
-        zero=lambda: SuperPoly.zero(d),
-        brackets=brackets,
-        name=f"schouten(d={d})",
-    )
+    return LInftyStructure(zero=lambda: SuperPoly.zero(d), brackets=brackets)
 
 
 def field_structure(d: int) -> LInftyStructure:
     """(Q = t Delta, t-linear symmetric Schouten) on the minimal complex.
 
-    Raises if a bracket output would leave the family of summands; this
-    never happens for the inputs reached during transfer onto the
-    divergence-free carrier.
+    An output outside the family of summands raises ValueError, as any
+    DescendantField does; this never happens for the inputs reached
+    during transfer onto the divergence-free carrier.
     """
     variant = Variant.mbcov()
 
@@ -131,56 +134,33 @@ def field_structure(d: int) -> LInftyStructure:
             for key1, p1 in psi.parts.items():
                 for key2, p2 in chi.parts.items():
                     val = pvcalc.symmetric_bracket(p1, p2)
-                    if val.is_zero():
-                        continue
-                    i = t_power_of(key1) + t_power_of(key2)
-                    j = val.xi_degree()
-                    if i + j > d - 1:
-                        raise ValueError("bracket output leaves the minimal complex")
-                    yield ("f", i, j), val
+                    if not val.is_zero():
+                        yield ("f", t_power_of(key1) + t_power_of(key2), val.xi_degree()), val
 
         return DescendantField(d, variant, collect(pairs()))
 
-    from .complexes import differential as Q
-
-    return LInftyStructure(
-        zero=lambda: DescendantField.zero(d, variant),
-        brackets={1: Q, 2: b2},
-        name=f"fields(mbcov, d={d})",
-    )
+    return LInftyStructure(zero=lambda: DescendantField.zero(d, variant), brackets={1: differential, 2: b2})
 
 
 # -- minimal models ----------------------------------------------------
 
 
 def _content(v: DescendantField) -> SuperPoly:
-    """Flatten a carrier element to a divergence-free polyvector.
-
-    The divergence-free slots (homes ("f", 0, j)) contribute as they are
-    and the head of the potential tower ("p", 0) through the divergence
-    of its representative; the central line at the tower's tail (constant
-    top polyvectors) contributes nothing and is skipped.  The parts are
-    accumulated once.
-    """
+    """Flatten a carrier element to a divergence-free polyvector: the sum
+    of the parts of phi(v).  The central line at the tower's tail
+    (constant top polyvectors) contributes nothing.  The parts are
+    accumulated once."""
     return term_sum(v.d, ((poly._terms.items(), poly._den)
-                          for poly in _content_parts(v, pvcalc.divergence)))
+                          for _, poly in phi_parts(v, pvcalc.divergence)))
 
 
 def _x_constant_content(v: DescendantField) -> SuperPoly:
     """_content(v).x_constant_part() without a full divergence: Delta
     lowers the x-degree by one, so only the x-linear terms of the tower
     head reach the x-constant terms."""
-    parts = (poly.x_constant_part() for poly in
-             _content_parts(v, lambda head: pvcalc.divergence(head.x_linear_part())))
+    parts = (poly.x_constant_part() for _, poly in
+             phi_parts(v, lambda head: pvcalc.divergence(head.x_linear_part())))
     return term_sum(v.d, ((poly._terms.items(), poly._den) for poly in parts))
-
-
-def _content_parts(v: DescendantField, head_divergence):
-    for key, poly in v.parts.items():
-        if key[0] == "f":
-            yield poly
-        elif key == ("p", 0):
-            yield head_divergence(poly)
 
 
 def minimal_model_structure(d: int, variant: Variant) -> LInftyStructure:
@@ -197,26 +177,30 @@ def minimal_model_structure(d: int, variant: Variant) -> LInftyStructure:
       c: the constant top part of the content product.
 
     Inputs and outputs are carrier elements: fields whose parts sit at
-    the slots' homes, ("f", 0, j) for pv j, ("p", 0) for quot and pot,
-    and ("p", d-k-1) for c.
+    the slots' homes, read once per structure from CarrierModel.home.
     """
-    variant.validate(d)
-    k = variant.k if variant.kind == "potential" else None
+    carrier = cohomology_model(d, variant)
+    homes = {slot: carrier.home(slot) for slot in carrier.slots}
+    k = variant.k
+    # the home of the slot that takes the lifted xi-degree k output
+    # (none on mbcov, which lifts nothing)
+    lifted = homes.get(("pot",) if k == d - 1 else ("quot",))
 
     def b2(v: DescendantField, w: DescendantField) -> DescendantField:
         # the contents are divergence free, so Delta of their product is
         # their symmetric bracket, which needs no product
         cv, cw = _content(v), _content(w)
-        pairs = [(("f", 0, j), comp) if j != k else (("p", 0), contraction_K(comp))
+        pairs = [(homes[("pv", j)], comp) if j != k else (lifted, contraction_K(comp))
                  for j, comp in pvcalc.symmetric_bracket(cv, cw).xi_components().items()]
         if k == d - 1:
-            pairs.append((("p", 0), SuperPoly.top(d, pvcalc.top_constant_pairing(cv, cw))))
+            pairs.append((lifted, SuperPoly.top(d, pvcalc.top_constant_pairing(cv, cw))))
         return DescendantField(d, variant, collect(pairs))
 
     brackets: dict[int, Callable] = {2: b2}
 
-    if variant.kind == "potential" and k != d - 1:
+    if ("c",) in homes:
         arity = d - k + 1
+        central_home = homes[("c",)]
 
         def l_top(*vs: DescendantField) -> DescendantField:
             if len(vs) != arity:
@@ -226,15 +210,11 @@ def minimal_model_structure(d: int, variant: Variant) -> LInftyStructure:
             for v in vs:
                 prod = prod * _x_constant_content(v)
             central = SuperPoly.top(d, prod.top_constant())
-            return DescendantField.single(d, variant, ("p", d - k - 1), central)
+            return DescendantField.single(d, variant, central_home, central)
 
         brackets[arity] = l_top
 
-    return LInftyStructure(
-        zero=lambda: DescendantField.zero(d, variant),
-        brackets=brackets,
-        name=f"minimal({variant.label}, d={d})",
-    )
+    return LInftyStructure(zero=lambda: DescendantField.zero(d, variant), brackets=brackets)
 
 
 # -- homotopy transfer --------------------------------------------------
@@ -345,5 +325,4 @@ def transfer(structure: LInftyStructure, datum: HomotopyDatum, arity_cap: int) -
     return LInftyStructure(
         zero=lambda: DescendantField.zero(carrier.d, carrier.variant),
         brackets={n: make_bracket(n) for n in range(1, arity_cap + 1)},
-        name=f"transferred({structure.name})",
     )

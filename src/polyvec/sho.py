@@ -36,8 +36,7 @@ from .reporting import Report
 from .superpoly import (
     SuperPoly,
     _key_degree,
-    d_even_terms,
-    d_odd_terms,
+    homogeneous,
     monomial_basis,
     partial_terms,
     random_poly,
@@ -86,11 +85,9 @@ class SuperVectorField:
         """Parity of a parity-homogeneous field (0 for zero): a coefficient
         on d/dx_i contributes its own parity, one on d/dxi_i the opposite."""
         mask = (1 << self.d) - 1
-        pars = {(k & mask).bit_count() & 1 for c in self.mu_x for k in c._terms}
-        pars |= {((k & mask).bit_count() & 1) ^ 1 for c in self.mu_xi for k in c._terms}
-        if len(pars) > 1:
-            raise ValueError("vector field is not parity-homogeneous")
-        return pars.pop() if pars else 0
+        return homogeneous([(k & mask).bit_count() & 1 for c in self.mu_x for k in c._terms]
+                           + [~(k & mask).bit_count() & 1 for c in self.mu_xi for k in c._terms],
+                           "vector field is not parity-homogeneous")
 
 
 def hamiltonian_vf(f: SuperPoly) -> SuperVectorField:
@@ -110,8 +107,9 @@ def super_divergence(mu: SuperVectorField) -> SuperPoly:
     The 2d derivative terms are accumulated once."""
     sign = 1 if mu.parity() else -1
     return term_sum(mu.d, chain.from_iterable(
-        ((d_even_terms(a, i), a._den), (((k, sign * c) for k, c in d_odd_terms(b, i)), b._den))
-        for i, (a, b) in enumerate(zip(mu.mu_x, mu.mu_xi), 1)))
+        ((partial_terms(a, False)[1][i], a._den),
+         (((k, sign * c) for k, c in partial_terms(b, False)[0][i]), b._den))
+        for i, (a, b) in enumerate(zip(mu.mu_x, mu.mu_xi))))
 
 
 def vf_bracket(a: SuperVectorField, b: SuperVectorField) -> SuperVectorField:
@@ -256,16 +254,11 @@ def c1_pairing(f: SuperPoly, g: SuperPoly) -> int | Fraction:
 
 
 def ext_parity(v: ExtElement) -> int:
-    """Lie-algebra parity: a generator of xi-degree k has parity k + 1;
-    both central lines are odd."""
-    pars = {(k + 1) & 1 for k in v.gen.xi_degrees()}
-    if v.c1 != 0:
-        pars.add((v.d - 1 + 1) & 1)
-    if v.c2 != 0:
-        pars.add(1)
-    if len(pars) > 1:
-        raise ValueError("element is not parity-homogeneous")
-    return pars.pop() if pars else 0
+    """Lie-algebra parity: a generator of xi-degree k has parity k + 1, the
+    top-pairing line e1 that of d (odd at d = 3) and e2 is odd."""
+    central = [v.d & 1] * (v.c1 != 0) + [1] * (v.c2 != 0)
+    return homogeneous([(k + 1) & 1 for k in v.gen.xi_degrees()] + central,
+                       "element is not parity-homogeneous")
 
 
 def lie_jacobi_defect(a: ExtElement, b: ExtElement, c: ExtElement) -> ExtElement:

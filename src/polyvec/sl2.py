@@ -25,7 +25,7 @@ from itertools import permutations
 
 from . import conventions, pvcalc
 from ._linalg import solve_combination
-from .complexes import DescendantField, Variant
+from .complexes import DescendantField, Variant, cohomology_model
 from .contraction import contraction_K
 from .reporting import Report
 from .sho import ExtElement, ext_bracket_d3, ext_element, random_sho_generator, sho_basis
@@ -211,9 +211,10 @@ def equivariance_check_cocycle(trials: int = 30, seed: int = 0) -> Report:
 # -- the field side -----------------------------------------------------
 
 # The even pair (e1 and e2 directions) and the odd 1-polyvector of the
-# 2-potential complex at d = 3; embed() never feeds ("f", 1, 0).
+# 2-potential complex at d = 3, at the homes of its carrier's pot, pv/0
+# and pv/1 slots; embed() feeds only these summands.
 FIELD_VARIANT = Variant.potential(2)
-PHI1, PHI2, MU = ("p", 0), ("f", 0, 0), ("f", 0, 1)
+PHI1, PHI2, MU = map(cohomology_model(3, FIELD_VARIANT).home, [("pot",), ("pv", 0), ("pv", 1)])
 
 
 def field_action(x: str, psi: DescendantField) -> DescendantField:

@@ -289,18 +289,11 @@ class SuperPoly:
 
     def xi_degree(self) -> int:
         """The xi-degree of a xi-homogeneous element (0 for the zero element)."""
-        degs = self.xi_degrees()
-        if len(degs) > 1:
-            raise ValueError("element is not xi-homogeneous")
-        return degs.pop() if degs else 0
+        return homogeneous(self.xi_degrees(), "element is not xi-homogeneous")
 
     def parity(self) -> int:
         """Parity of a parity-homogeneous element (0 for zero)."""
-        mask = (1 << self.d) - 1
-        pars = {(k & mask).bit_count() & 1 for k in self._terms}
-        if len(pars) > 1:
-            raise ValueError("element is not parity-homogeneous")
-        return pars.pop() if pars else 0
+        return homogeneous((k & 1 for k in self.xi_degrees()), "element is not parity-homogeneous")
 
     # -- algebra -----------------------------------------------------
 
@@ -366,12 +359,12 @@ class SuperPoly:
     def d_even(self, i: int) -> "SuperPoly":
         """Partial derivative with respect to x_i."""
         _check_index(self.d, i)
-        return SuperPoly._of(self.d, dict(d_even_terms(self, i)), self._den)
+        return SuperPoly._of(self.d, dict(partial_terms(self, False)[1][i - 1]), self._den)
 
     def d_odd(self, i: int) -> "SuperPoly":
         """Left derivative with respect to xi_i."""
         _check_index(self.d, i)
-        return SuperPoly._of(self.d, dict(d_odd_terms(self, i)), self._den)
+        return SuperPoly._of(self.d, dict(partial_terms(self, False)[0][i - 1]), self._den)
 
     # -- decompositions ----------------------------------------------
 
@@ -495,27 +488,18 @@ def value_of(c: int, den: int) -> int | Fraction:
     return Fraction(c, den) if r else q
 
 
+def homogeneous(values, message: str) -> int:
+    """The one value of a homogeneous grading: 0 when values is empty, and
+    ValueError(message) when it holds two different values."""
+    values = set(values)
+    if len(values) > 1:
+        raise ValueError(message)
+    return values.pop() if values else 0
+
+
 def _check_index(d: int, i: int):
     if not 1 <= i <= d:
         raise IndexError(f"index {i} out of range for dimension {d}")
-
-
-def d_even_terms(p: SuperPoly, i: int):
-    """The (key, numerator) terms of d/dx_i p, over p._den."""
-    shift = p.d + EXP_BITS * (i - 1)
-    one = 1 << shift
-    for k, c in p._terms.items():
-        e = (k >> shift) & EXP_FIELD
-        if e:
-            yield k - one, e * c
-
-
-def d_odd_terms(p: SuperPoly, i: int):
-    """The (key, numerator) terms of the left derivative d/dxi_i p, over p._den."""
-    bit = 1 << (i - 1)
-    for k, c in p._terms.items():
-        if k & bit:
-            yield k ^ bit, -c if (k & (bit - 1)).bit_count() & 1 else c
 
 
 def term_sum(d: int, term_lists) -> SuperPoly:
@@ -561,30 +545,37 @@ def term_products(d: int, pairs, den: int) -> SuperPoly:
 
 
 def partial_terms(p: SuperPoly, signed: bool):
-    """Per index i, the terms of d/dxi_i p and of d/dx_i p, as d_odd_terms
-    and d_even_terms give them, in one pass over p; with signed, each
-    d/dx_i term carries (-1)^(xi-degree of its monomial).  The numerators
-    stay over p._den."""
+    """Per index i, the (key, numerator) terms of the left derivative
+    d/dxi_i p and of d/dx_i p, in one pass over p: d/dxi_i clears bit i-1
+    and signs by bit i-1 of S[mask]; with signed, each d/dx_i term carries
+    (-1)^(xi-degree of its monomial).  The numerators stay over p._den;
+    every first partial in the package comes from here."""
     d = p.d
     layout = key_layout(d)
-    mask, table = layout.odd_mask, layout.sign_table
-    bits = [(i, 1 << i) for i in range(d)]
-    fields = list(zip(range(d), layout.shifts, layout.ones))
+    mask, table, ones = layout.odd_mask, layout.sign_table, layout.ones
     d_xi = [[] for _ in range(d)]
     d_x = [[] for _ in range(d)]
+    # each term visits only its own odd bits and its x fields up to the
+    # last nonzero one
     for k, c in p._terms.items():
         odd = k & mask
         if odd:
             signs = table[odd]
-            for i, bit in bits:
-                if odd & bit:
-                    d_xi[i].append((k ^ bit, -c if signs & bit else c))
-        if k > mask:
+            rest = odd
+            while rest:
+                bit = rest & -rest
+                d_xi[bit.bit_length() - 1].append((k ^ bit, -c if signs & bit else c))
+                rest ^= bit
+        xs = k >> d
+        if xs:
             c_x = -c if signed and odd.bit_count() & 1 else c
-            for i, shift, one in fields:
-                e = (k >> shift) & EXP_FIELD
+            i = 0
+            while xs:
+                e = xs & EXP_FIELD
                 if e:
-                    d_x[i].append((k - one, e * c_x))
+                    d_x[i].append((k - ones[i], e * c_x))
+                xs >>= EXP_BITS
+                i += 1
     return d_xi, d_x
 
 

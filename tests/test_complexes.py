@@ -8,10 +8,13 @@ from polyvec.complexes import (
     Variant,
     cohomology_model,
     differential,
+    grid,
     parity_of,
     phi_map,
     random_field,
     summands,
+    t_power_of,
+    xi_degree_of,
 )
 from polyvec.superpoly import SuperPoly, random_poly
 
@@ -26,6 +29,25 @@ def test_summand_tables():
     keys = summands(5, Variant.potential(2))
     assert {k for k in keys if k[0] == "p"} == {("p", 0), ("p", 1), ("p", 2)}
     assert ("f", 0, 2) not in keys and ("f", 1, 1) not in keys
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_grid_steps_are_inverse_bijections_of_summands(d):
+    for variant in [Variant.mbcov()] + [Variant.potential(k) for k in range(2, d)]:
+        g = grid(d, variant)
+        keys = summands(d, variant)
+        assert g.xi_degrees == {key: xi_degree_of(key, variant) for key in keys}
+        for table in (g.up, g.down):
+            assert set(table) <= set(keys) and set(table.values()) <= set(keys)
+        assert all(g.down[g.up[key]] == key for key in g.up)
+        assert all(g.up[g.down[key]] == key for key in g.down)
+        for key, to in g.up.items():
+            # Q = t Delta: one power of t up, one xi-degree down
+            assert (t_power_of(to), g.xi_degrees[to]) == (t_power_of(key) + 1, g.xi_degrees[key] - 1)
+        # a diagonal of n minimal summands has n - 1 steps, the tower d-k-1
+        diagonals = range(d) if variant.kind == "mbcov" else [s for s in range(d) if s != variant.k]
+        tower = 0 if variant.kind == "mbcov" else d - variant.k - 1
+        assert len(g.up) == sum(diagonals) + tower
 
 
 def test_parities():

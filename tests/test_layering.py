@@ -1,9 +1,15 @@
-"""The packed-key layout stays behind superpoly.py.
+"""The packed-key layout stays behind superpoly.py, and the summand grid
+behind complexes.py.
 
 A key's meaning depends on d and on the field widths, so only superpoly
 may read exponent fields, check guard bits or pack and unpack keys; the
 other modules call its kernels.  Linear operators run on packed keys, so
-no module keeps a per-Monomial rule path.  The modules are read with
+no module keeps a per-Monomial rule path.  Likewise the summand keys
+("f", i, j) and ("p", m) are spelled out by complexes, which places a
+part through the grid's step tables, phi's rule or a carrier home, and
+by linf's mbcov source; the homotopy data and the sl2 field side never
+name a summand.  Imports sit at module level, apart from the one that
+breaks the complexes <-> contraction cycle.  The modules are read with
 ast, without importing them.
 """
 
@@ -43,3 +49,39 @@ def test_no_module_defines_map_monomials():
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                and node.name == "map_monomials"]
     assert not defined, defined
+
+
+def _importing_functions(tree) -> set[str]:
+    """The qualified names of the functions whose bodies import."""
+    out = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef) and any(
+                        isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(child)):
+                    out.add(name)
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return out
+
+
+def test_imports_sit_at_module_level():
+    found = {name: sorted(_importing_functions(tree)) for name, tree in _trees().items()}
+    assert {name: fns for name, fns in found.items() if fns} == {"complexes.py": ["CarrierModel.canonical"]}
+
+
+def test_homotopy_data_and_sl2_name_no_summand_key():
+    trees = _trees()
+    literals = {name: [ast.unparse(node) for node in ast.walk(trees[name])
+                       if isinstance(node, ast.Tuple) and node.elts
+                       and isinstance(node.elts[0], ast.Constant) and node.elts[0].value in ("f", "p")]
+                for name in ("contraction.py", "sl2.py")}
+    assert literals == {"contraction.py": [], "sl2.py": []}
+    # the check sees the literals that complexes does spell out
+    assert any(isinstance(node, ast.Tuple) and node.elts and isinstance(node.elts[0], ast.Constant)
+               and node.elts[0].value == "p" for node in ast.walk(trees["complexes.py"]))

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from polyvec import pvcalc
-from polyvec.complexes import DescendantField, Variant, cohomology_model, collect
+from polyvec.complexes import DescendantField, Variant, cohomology_model, collect, phi_map
 from polyvec.contraction import HomotopyDatum, build_datum, contraction_K, perturb_side_conditions
 from polyvec.linf import (
     LInftyStructure,
@@ -20,7 +20,7 @@ from polyvec.linf import (
     transfer,
     tree_sum,
 )
-from polyvec.superpoly import SuperPoly, random_poly
+from polyvec.superpoly import SuperPoly, random_poly, sample_seed
 
 
 def xi(d, i):
@@ -277,7 +277,7 @@ def _toy_source(d):
     """Schouten plus the ternary product: vertices of arity 2 and 3, so
     trees of every shape contribute."""
     base = schouten_structure(d, with_differential=False)
-    return LInftyStructure(base.zero, {**base.brackets, 3: lambda a, b, c: a * b * c}, name="toy")
+    return LInftyStructure(base.zero, {**base.brackets, 3: lambda a, b, c: a * b * c})
 
 
 def _toy_tree_sums(polys):
@@ -500,6 +500,23 @@ def _product_divergence_model(d, k):
         return DescendantField.single(d, variant, ("p", d - k - 1), SuperPoly.top(d, prod.top_constant()))
 
     return b2, l_top
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_content_is_the_sum_of_the_parts_of_phi(d):
+    # degree d + 1 leaves the tower head x-dependence, so its divergence,
+    # the only part phi moves, is nonzero
+    heads = 0
+    for k in range(2, d):
+        carrier = cohomology_model(d, Variant.potential(k))
+        head = carrier.home(("quot",) if k < d - 1 else ("pot",))
+        for t in range(6):
+            parts = [carrier.random_element(slot, d + 1, seed=sample_seed("content", d, k, slot, t))
+                     for slot in carrier.slots]
+            for v in parts + [sum(parts, DescendantField.zero(d, carrier.variant))]:
+                assert _content(v) == sum(phi_map(v).parts.values(), SuperPoly.zero(d))
+                heads += not pvcalc.divergence(v.part(head)).is_zero()
+    assert heads >= 6 * (d - 2)
 
 
 # named carrier elements per (d, k), as slot -> part texts, chosen so that
