@@ -145,9 +145,23 @@ def collect(pairs) -> dict:
     return out
 
 
+def invalid_summand(key: FieldKey, d: int, variant: Variant) -> ValueError:
+    """The error for a part placed at a key that is not a summand."""
+    return ValueError(f"invalid summand {key} for {variant.label}, d={d}")
+
+
 @dataclass
 class DescendantField:
-    """Finitely supported map from summand keys to xi-homogeneous SuperPolys."""
+    """Finitely supported map from summand keys to xi-homogeneous SuperPolys.
+
+    Validation happens at the public edge: the constructor (and so single),
+    CarrierModel.element and phi_map reject a key that is not a summand and
+    a part of the wrong xi-degree with ValueError.  The field layer's own
+    results (+, -, scale, step and so Q and H, CarrierModel.project and
+    random_element) and linf's source b2, whose parts are valid by
+    construction, are built by _trusted.  Both paths drop zero parts, so
+    == compares the parts dicts.
+    """
 
     d: int
     variant: Variant
@@ -158,13 +172,23 @@ class DescendantField:
         cleaned = {}
         for key, poly in self.parts.items():
             if key not in degrees:
-                raise ValueError(f"invalid summand {key} for {self.variant.label}, d={self.d}")
+                raise invalid_summand(key, self.d, self.variant)
             if poly.is_zero():
                 continue
             if poly.xi_degrees() - {degrees[key]}:
                 raise ValueError(f"summand {key} holds a wrong xi-degree")
             cleaned[key] = poly
         self.parts = cleaned
+
+    @classmethod
+    def _trusted(cls, d: int, variant: Variant, parts: dict) -> "DescendantField":
+        """The field with parts already valid summand parts (each key a
+        summand, each poly of its xi-degree); only zero parts are dropped."""
+        psi = cls.__new__(cls)
+        psi.d = d
+        psi.variant = variant
+        psi.parts = {key: poly for key, poly in parts.items() if not poly.is_zero()}
+        return psi
 
     @classmethod
     def zero(cls, d: int, variant: Variant) -> "DescendantField":
@@ -177,18 +201,19 @@ class DescendantField:
     def __add__(self, other: "DescendantField") -> "DescendantField":
         if (self.d, self.variant) != (other.d, other.variant):
             raise ValueError("cannot add fields of different complexes")
-        return DescendantField(self.d, self.variant,
-                               collect(chain(self.parts.items(), other.parts.items())))
+        return DescendantField._trusted(self.d, self.variant,
+                                        collect(chain(self.parts.items(), other.parts.items())))
 
     def __neg__(self) -> "DescendantField":
-        return DescendantField(self.d, self.variant, {key: -poly for key, poly in self.parts.items()})
+        return DescendantField._trusted(self.d, self.variant, {key: -poly for key, poly in self.parts.items()})
 
     def __sub__(self, other: "DescendantField") -> "DescendantField":
         return self + (-other)
 
     def scale(self, value) -> "DescendantField":
         """value * self, part by part."""
-        return DescendantField(self.d, self.variant, {key: poly.scale(value) for key, poly in self.parts.items()})
+        return DescendantField._trusted(self.d, self.variant,
+                                        {key: poly.scale(value) for key, poly in self.parts.items()})
 
     def is_zero(self) -> bool:
         return not self.parts
@@ -205,8 +230,10 @@ class DescendantField:
 def step(psi: DescendantField, table: dict, op) -> DescendantField:
     """op on every part of psi, moved to the part's neighbour in table, a
     step table of psi's grid; a part with no neighbour is dropped.  A step
-    table is injective, so no two parts meet."""
-    return DescendantField(psi.d, psi.variant, {
+    table is injective, so no two parts meet.  op must shift the xi-degree
+    as the table does (Delta one down for up, K one up for down), so the
+    moved parts are valid and the field is built trusted."""
+    return DescendantField._trusted(psi.d, psi.variant, {
         table[key]: op(poly) for key, poly in psi.parts.items() if key in table})
 
 
@@ -293,9 +320,13 @@ class CarrierModel:
         return poly == self.canonical(slot, poly)
 
     def project(self, psi: DescendantField) -> DescendantField:
-        """p: each slot reads its home summand and canonicalizes it."""
+        """p: each slot reads its home summand and canonicalizes it.  A
+        canonical form keeps the home's xi-degree, so psi, which must be a
+        field of this complex, gives valid parts."""
+        if (psi.d, psi.variant) != (self.d, self.variant):
+            raise ValueError("cannot project a field of a different complex")
         homes = ((slot, self.home(slot)) for slot in self.slots)
-        return DescendantField(self.d, self.variant, {
+        return DescendantField._trusted(self.d, self.variant, {
             key: self.canonical(slot, psi.parts[key]) for slot, key in homes if key in psi.parts})
 
     def element(self, parts: dict) -> DescendantField:
@@ -312,7 +343,7 @@ class CarrierModel:
         else:
             raw = random_poly(self.d, max_degree, xi_degree_filter=self.slot_xi_degree(slot), seed=seed)
             value = self.canonical(slot, raw)
-        return DescendantField.single(self.d, self.variant, self.home(slot), value)
+        return DescendantField._trusted(self.d, self.variant, {self.home(slot): value})
 
     def to_dict(self, v: DescendantField) -> dict:
         """Slot id -> polyvector text in sorted slot order; SuperPoly.parse

@@ -40,6 +40,8 @@ from .complexes import (
     cohomology_model,
     collect,
     differential,
+    grid,
+    invalid_summand,
     phi_parts,
     t_power_of,
 )
@@ -80,7 +82,7 @@ def jacobi_defect(structure: LInftyStructure, n: int, inputs) -> Any:
     if len(inputs) != n or n < 1:
         raise ValueError("need exactly n >= 1 inputs")
     parities = [x.parity() for x in inputs]
-    acc = structure.zero()
+    acc = None  # no accumulator until the first term
     for i in range(1, n + 1):
         inner_bracket = structure.bracket(i)
         outer_bracket = structure.bracket(n - i + 1)
@@ -89,7 +91,8 @@ def jacobi_defect(structure: LInftyStructure, n: int, inputs) -> Any:
             sign = koszul_reorder_sign(subset + rest, parities)
             inner = inner_bracket(*(inputs[j] for j in subset))
             term = outer_bracket(inner, *(inputs[j] for j in rest))
-            acc = acc + (term if sign > 0 else -term)
+            term = term if sign > 0 else -term
+            acc = term if acc is None else acc + term
     return acc
 
 
@@ -125,9 +128,12 @@ def field_structure(d: int) -> LInftyStructure:
 
     An output outside the family of summands raises ValueError, as any
     DescendantField does; this never happens for the inputs reached
-    during transfer onto the divergence-free carrier.
+    during transfer onto the divergence-free carrier.  Each output part
+    is keyed by its own xi-degree, so b2 checks only that the key is a
+    summand and builds its result trusted.
     """
     variant = Variant.mbcov()
+    degrees = grid(d, variant).xi_degrees
 
     def b2(psi: DescendantField, chi: DescendantField) -> DescendantField:
         def pairs():
@@ -135,9 +141,12 @@ def field_structure(d: int) -> LInftyStructure:
                 for key2, p2 in chi.parts.items():
                     val = pvcalc.symmetric_bracket(p1, p2)
                     if not val.is_zero():
-                        yield ("f", t_power_of(key1) + t_power_of(key2), val.xi_degree()), val
+                        key = ("f", t_power_of(key1) + t_power_of(key2), val.xi_degree())
+                        if key not in degrees:
+                            raise invalid_summand(key, d, variant)
+                        yield key, val
 
-        return DescendantField(d, variant, collect(pairs()))
+        return DescendantField._trusted(d, variant, collect(pairs()))
 
     return LInftyStructure(zero=lambda: DescendantField.zero(d, variant), brackets={1: differential, 2: b2})
 
@@ -258,7 +267,9 @@ def tree_sum(structure: LInftyStructure, homotopy: Callable, inputs) -> Any:
     count is a vertex arity, in which the subtree over each index subset
     is evaluated once per call.  By multilinearity a zero subtree zeroes
     every tree it grafts into, so a partition is dropped at its first
-    zero block, before any bracket or sign.
+    zero block, before any bracket or sign.  A sum starts at its first
+    nonzero vertex value, so structure.zero() is called only for a zero
+    root.
     """
     inputs = tuple(inputs)
     parities = [x.parity() for x in inputs]
@@ -269,15 +280,16 @@ def tree_sum(structure: LInftyStructure, homotopy: Callable, inputs) -> Any:
     def theta(idx):
         if idx not in thetas:
             val = big_b(idx)
-            if not val.is_zero():
+            if val is not None:
                 val = homotopy(val)
-            thetas[idx] = None if val.is_zero() else val
+            thetas[idx] = None if val is None or val.is_zero() else val
         return thetas[idx]
 
     def big_b(idx):
+        """The sum over the partitions of idx, None where it is zero."""
         # blocks of an increasing tuple are increasing subsequences, so the
         # sign of the global indices equals the sign of the local ones
-        acc = structure.zero()
+        acc = None
         for blocks in _vertex_partitions(len(idx), arities):
             args = []
             for blk in blocks:
@@ -289,10 +301,12 @@ def tree_sum(structure: LInftyStructure, homotopy: Callable, inputs) -> Any:
                 val = structure.brackets[len(blocks)](*args)
                 if not val.is_zero():
                     sign = koszul_reorder_sign([idx[i] for blk in blocks for i in blk], parities)
-                    acc = acc + (val if sign > 0 else -val)
-        return acc
+                    val = val if sign > 0 else -val
+                    acc = val if acc is None else acc + val
+        return None if acc is None or acc.is_zero() else acc
 
-    return big_b(tuple(range(len(inputs))))
+    total = big_b(tuple(range(len(inputs))))
+    return structure.zero() if total is None else total
 
 
 def transfer(structure: LInftyStructure, datum: HomotopyDatum, arity_cap: int) -> LInftyStructure:

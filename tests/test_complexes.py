@@ -16,6 +16,8 @@ from polyvec.complexes import (
     t_power_of,
     xi_degree_of,
 )
+from polyvec.contraction import build_datum, contraction_K
+from polyvec.linf import field_structure, tree_sum
 from polyvec.superpoly import SuperPoly, random_poly
 
 
@@ -114,6 +116,68 @@ def test_field_validation():
         DescendantField(d, v, {("f", 0, 5): SuperPoly.xi(d, 1)})
     with pytest.raises(ValueError):
         DescendantField(d, v, {("f", 0, 1): SuperPoly.x(d, 1)})  # wrong xi-degree
+
+
+def test_edge_rejects_mixed_complexes_and_off_grid_brackets():
+    psi = DescendantField.single(3, Variant.mbcov(), ("f", 0, 1), SuperPoly.xi(3, 1))
+    for other in [DescendantField.single(4, Variant.mbcov(), ("f", 0, 1), SuperPoly.xi(4, 1)),
+                  DescendantField.single(3, Variant.potential(2), ("f", 0, 1), SuperPoly.xi(3, 1))]:
+        with pytest.raises(ValueError, match="different complexes"):
+            psi + other
+        with pytest.raises(ValueError, match="different complex"):
+            cohomology_model(3, Variant.mbcov()).project(other)
+    # the source b2 keys its output by t-power and xi-degree; ("f", 2, 1)
+    # is off the d = 3 grid
+    x, xi = SuperPoly.x, SuperPoly.xi
+    a = DescendantField.single(3, Variant.mbcov(), ("f", 1, 1), x(3, 1) * xi(3, 2))
+    b = DescendantField.single(3, Variant.mbcov(), ("f", 1, 1), x(3, 2) * xi(3, 1))
+    with pytest.raises(ValueError, match=r"invalid summand \('f', 2, 1\) for mbcov, d=3"):
+        field_structure(3).brackets[2](a, b)
+
+
+@pytest.mark.parametrize("d", range(2, 6))
+def test_internal_paths_build_valid_fields(d):
+    # the field layer builds its results without re-validating them; each
+    # must be what the validating constructor gives on the same parts
+    dropped = {"Q": 0, "H": 0, "p": 0}
+    for variant in [Variant.mbcov()] + [Variant.potential(k) for k in range(2, d)]:
+        g = grid(d, variant)
+        keys = summands(d, variant)
+        psi, chi = (DescendantField(d, variant, {
+            key: random_poly(d, 2, xi_degree_filter=g.xi_degrees[key], seed=31 * s + i)
+            for i, key in enumerate(keys)}) for s in (1, 2))
+        # x-free parts, which Delta kills, and parts in the image of K,
+        # which K kills (K^2 = 0) and p sends to zero at a pv home
+        by_delta = DescendantField(d, variant, {key: SuperPoly.monomial(d, (0,) * d, tuple(range(1, j + 1)))
+                                                for key, j in g.xi_degrees.items() if key in g.up})
+        by_k = DescendantField(d, variant, {
+            key: contraction_K(random_poly(d, 2, xi_degree_filter=j - 1, seed=50 + i))
+            for i, (key, j) in enumerate(g.xi_degrees.items()) if j >= 1})
+        datum = build_datum(d, variant)
+        carrier = datum.carrier
+        elements = [carrier.random_element(slot, 3, seed=90 + i) for i, slot in enumerate(carrier.slots)]
+        outs = [psi + chi, psi + (-psi), -psi, psi - chi, (psi + chi) - psi,
+                psi.scale(Fraction(-2, 3)), psi.scale(0)]
+        for field_in in (psi, chi, by_delta, by_k):
+            outs += [differential(field_in), datum.homotopy(field_in), carrier.project(field_in)]
+        outs += elements
+        if variant.kind == "mbcov":
+            b2 = field_structure(d).brackets[2]
+            outs += [b2(u, w) for u in elements for w in elements]
+            outs += [tree_sum(field_structure(d), datum.homotopy, elements[:n]) for n in (2, 3)]
+        for out in outs:
+            # equal to its validated rebuild, with no zero part
+            assert (out.d, out.variant) == (d, variant)
+            assert out == DescendantField(d, variant, dict(out.parts))
+            assert not any(poly.is_zero() for poly in out.parts.values())
+        assert ((psi + chi) - psi) == chi and (psi + (-psi)).is_zero() and psi.scale(0).is_zero()
+        dropped["Q"] += differential(by_delta).is_zero() and len(by_delta.parts)
+        dropped["H"] += datum.homotopy(by_k).is_zero() and sum(key in g.down for key in by_k.parts)
+        dropped["p"] += sum(carrier.home(slot) in by_k.parts for slot in carrier.slots) - len(
+            carrier.project(by_k).parts)
+    # the killed fields gave zero parts, which were dropped; at d = 2 the
+    # only step down starts at xi-degree 0, where K is injective
+    assert dropped["Q"] and dropped["p"] and (dropped["H"] or d == 2), dropped
 
 
 def test_cohomology_model_membership():

@@ -8,7 +8,10 @@ no module keeps a per-Monomial rule path.  Likewise the summand keys
 ("f", i, j) and ("p", m) are spelled out by complexes, which places a
 part through the grid's step tables, phi's rule or a carrier home, and
 by linf's mbcov source; the homotopy data and the sl2 field side never
-name a summand.  Imports sit at module level, apart from the one that
+name a summand.  Fields are validated at the public edge: only complexes
+and linf's source b2, whose parts are valid by construction, build one
+through the trusted constructor; sl2 and the homotopy data go through the
+validating one.  Imports sit at module level, apart from the one that
 breaks the complexes <-> contraction cycle.  The modules are read with
 ast, without importing them.
 """
@@ -85,3 +88,17 @@ def test_homotopy_data_and_sl2_name_no_summand_key():
     # the check sees the literals that complexes does spell out
     assert any(isinstance(node, ast.Tuple) and node.elts and isinstance(node.elts[0], ast.Constant)
                and node.elts[0].value == "p" for node in ast.walk(trees["complexes.py"]))
+
+
+def test_only_complexes_and_linf_build_trusted_fields():
+    # receivers of ._trusted outside superpoly, whose SuperPoly._trusted
+    # stays its own
+    trees = _trees()
+    callers = {name: sorted({ast.unparse(node.value) for node in ast.walk(tree)
+                             if isinstance(node, ast.Attribute) and node.attr == "_trusted"})
+               for name, tree in trees.items() if name != "superpoly.py"}
+    assert {name: found for name, found in callers.items() if found} == {
+        "complexes.py": ["DescendantField"], "linf.py": ["DescendantField"]}
+    # sl2 builds its fields through the validating constructor
+    assert any(isinstance(node, ast.Call) and ast.unparse(node.func) == "DescendantField"
+               for node in ast.walk(trees["sl2.py"]))
