@@ -150,6 +150,13 @@ def invalid_summand(key: FieldKey, d: int, variant: Variant) -> ValueError:
     return ValueError(f"invalid summand {key} for {variant.label}, d={d}")
 
 
+def check_complex(psi: DescendantField, d: int, variant: Variant) -> None:
+    """Raise ValueError unless psi is a field of the (d, variant) complex:
+    a map built on that complex's grid would misread another's parts."""
+    if (psi.d, psi.variant) != (d, variant):
+        raise ValueError("cannot project a field of a different complex")
+
+
 @dataclass
 class DescendantField:
     """Finitely supported map from summand keys to xi-homogeneous SuperPolys.
@@ -323,8 +330,7 @@ class CarrierModel:
         """p: each slot reads its home summand and canonicalizes it.  A
         canonical form keeps the home's xi-degree, so psi, which must be a
         field of this complex, gives valid parts."""
-        if (psi.d, psi.variant) != (self.d, self.variant):
-            raise ValueError("cannot project a field of a different complex")
+        check_complex(psi, self.d, self.variant)
         homes = ((slot, self.home(slot)) for slot in self.slots)
         return DescendantField._trusted(self.d, self.variant, {
             key: self.canonical(slot, psi.parts[key]) for slot, key in homes if key in psi.parts})

@@ -27,6 +27,7 @@ from .complexes import (
     CarrierModel,
     DescendantField,
     Variant,
+    check_complex,
     cohomology_model,
     differential,
     grid,
@@ -93,12 +94,15 @@ def build_datum(d: int, variant: Variant) -> HomotopyDatum:
 
     H = t^{-1} K: K moved one step down the grid, bound once per datum.  It
     vanishes on the minimal t^0 summands and on the final potential
-    summand, which have no neighbour below.
+    summand, which have no neighbour below.  The step table is this
+    complex's, so a field of another complex raises the ValueError of
+    CarrierModel.project.
     """
     carrier = cohomology_model(d, variant)
     down = grid(d, variant).down
 
     def homotopy(psi: DescendantField) -> DescendantField:
+        check_complex(psi, d, variant)
         return step(psi, down, contraction_K)
 
     return HomotopyDatum(carrier, homotopy)

@@ -17,14 +17,20 @@ carrier elements themselves on the leaves (a carrier element is a field,
 so iota is the identity), the homotopy on internal edges, and the
 projection at the root, organized as a recursion over set partitions of
 the inputs; within one bracket call each input subset's subtree is
-evaluated once.  Only partitions whose block count is a vertex arity of
-the source are visited, read from one memoized table per (subset size,
-vertex arities).  A zero subtree (a zero input, a zero sum of trees, or
-one the homotopy kills) is pruned: the brackets are multilinear and the
-homotopy linear, so every partition with a zero block is skipped before
-its bracket is called, and a zero sum is never passed to the homotopy.
-It requires the side conditions (H^2 = 0, H iota = 0, p H = 0); data
-lacking them are normalized first.
+evaluated once.  It requires the side conditions (H^2 = 0, H iota = 0,
+p H = 0); data lacking them are normalized first.
+
+Both sums skip every term that multilinearity already makes zero: a
+bracket the structure lacks is zero, and so is a bracket with a zero
+argument.  jacobi_defect visits only the splits (i, n-i+1) whose two
+arities are both brackets of the structure, and drops a zero inner value
+before its sign, its remaining inputs and its outer bracket.  tree_sum
+visits only the partitions whose block count is a vertex arity of the
+source, read from one memoized table per (subset size, vertex arities),
+and drops a partition at its first zero block (a zero input, a zero sum
+of trees, or one the homotopy kills) before its bracket is called; the
+homotopy is linear, so a zero sum is never passed to it.  A sum starts
+at its first term, and one with no term is structure.zero().
 """
 
 from __future__ import annotations
@@ -77,23 +83,29 @@ def koszul_reorder_sign(order, parities) -> int:
 
 
 def jacobi_defect(structure: LInftyStructure, n: int, inputs) -> Any:
-    """The arity-n generalized Jacobi combination; zero iff the identity holds."""
+    """The arity-n generalized Jacobi combination; zero iff the identity
+    holds.  Splits with an absent bracket and zero inner values add no
+    term (see the module docstring)."""
     inputs = tuple(inputs)
     if len(inputs) != n or n < 1:
         raise ValueError("need exactly n >= 1 inputs")
     parities = [x.parity() for x in inputs]
+    brackets = structure.brackets
     acc = None  # no accumulator until the first term
     for i in range(1, n + 1):
-        inner_bracket = structure.bracket(i)
-        outer_bracket = structure.bracket(n - i + 1)
+        if i not in brackets or n - i + 1 not in brackets:
+            continue
+        inner_bracket, outer_bracket = brackets[i], brackets[n - i + 1]
         for subset in combinations(range(n), i):
+            inner = inner_bracket(*(inputs[j] for j in subset))
+            if inner.is_zero():
+                continue
             rest = tuple(j for j in range(n) if j not in subset)
             sign = koszul_reorder_sign(subset + rest, parities)
-            inner = inner_bracket(*(inputs[j] for j in subset))
             term = outer_bracket(inner, *(inputs[j] for j in rest))
             term = term if sign > 0 else -term
             acc = term if acc is None else acc + term
-    return acc
+    return structure.zero() if acc is None else acc
 
 
 def symmetry_defects(structure: LInftyStructure, n: int, inputs) -> list:
@@ -265,11 +277,8 @@ def tree_sum(structure: LInftyStructure, homotopy: Callable, inputs) -> Any:
 
     A recursion over the set partitions of the input indices whose block
     count is a vertex arity, in which the subtree over each index subset
-    is evaluated once per call.  By multilinearity a zero subtree zeroes
-    every tree it grafts into, so a partition is dropped at its first
-    zero block, before any bracket or sign.  A sum starts at its first
-    nonzero vertex value, so structure.zero() is called only for a zero
-    root.
+    is evaluated once per call; a partition is dropped at its first zero
+    block, before any bracket or sign (see the module docstring).
     """
     inputs = tuple(inputs)
     parities = [x.parity() for x in inputs]

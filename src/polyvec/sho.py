@@ -150,7 +150,7 @@ def membership(f: SuperPoly) -> str:
     the top monomial), "SHO".  Constant parts are disregarded, matching
     the carving of the center.
     """
-    core = f - SuperPoly.const(f.d, f.constant_term())
+    core = SuperPoly._reduced(f.d, {k: c for k, c in f._terms.items() if k}, f._den)
     if core.is_zero():
         return "not-HO-generator"
     if not pvcalc.divergence(core).is_zero():

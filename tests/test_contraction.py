@@ -236,3 +236,14 @@ def test_datum_is_carrier_plus_homotopy():
     for derived in (scale_homotopy(datum, 2), perturb_side_conditions(datum),
                     normalize_homotopy(datum)):
         assert derived.carrier is datum.carrier and derived.homotopy is not datum.homotopy
+
+
+def test_homotopy_rejects_a_field_of_another_complex():
+    # an mbcov d = 3 field with a part at every summand; the potential(2)
+    # datum's step table would keep only the parts at keys it shares
+    psi = reduce(add, (random_field(3, Variant.mbcov(), key, 3, seed=i)
+                       for i, key in enumerate(summands(3, Variant.mbcov()))))
+    assert set(psi.parts) == set(summands(3, Variant.mbcov()))
+    assert len(build_datum(3, Variant.mbcov()).homotopy(psi).parts) == 3
+    with pytest.raises(ValueError, match="cannot project a field of a different complex"):
+        build_datum(3, Variant.potential(2)).homotopy(psi)

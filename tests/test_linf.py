@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -71,6 +71,94 @@ def test_jacobi_defect_input_validation():
     S = schouten_structure(2)
     with pytest.raises(ValueError):
         jacobi_defect(S, 3, [x(2, 1)])
+
+
+# -- the pruned Jacobi sum -----------------------------------------------
+
+
+def _reference_jacobi_defect(structure, n, inputs):
+    """The generalized Jacobi sum written out in full: every split, the zero
+    bracket for an absent arity, and outer brackets on zero inner values."""
+    parities = [v.parity() for v in inputs]
+    acc = structure.zero()
+    for i in range(1, n + 1):
+        for subset in combinations(range(n), i):
+            rest = tuple(j for j in range(n) if j not in subset)
+            sign = koszul_reorder_sign(subset + rest, parities)
+            inner = structure.bracket(i)(*(inputs[j] for j in subset))
+            term = structure.bracket(n - i + 1)(inner, *(inputs[j] for j in rest))
+            acc = acc + (term if sign > 0 else -term)
+    return acc
+
+
+@pytest.mark.parametrize("d,variant", [(3, Variant.mbcov()), (4, Variant.mbcov()),
+                                       (4, Variant.potential(2)), (5, Variant.potential(2))])
+def test_jacobi_defect_matches_full_sum_on_carrier_draws(d, variant):
+    S = minimal_model_structure(d, variant)
+    carrier = cohomology_model(d, variant)
+    slots = carrier.slots
+    nonzero_b2 = 0  # the draws reach terms the pruning keeps
+    for n in (2, 3, 4, 5):
+        for t in range(4):
+            seeds = [sample_seed(11, "full_jacobi", d, variant.label, n, t, i) for i in range(n)]
+            xs = [carrier.random_element(slots[s % len(slots)], 4, seed=s) for s in seeds]
+            assert jacobi_defect(S, n, xs) == _reference_jacobi_defect(S, n, xs)
+            nonzero_b2 += sum(not S.brackets[2](a, b).is_zero() for a, b in combinations(xs, 2))
+    assert nonzero_b2 > 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_jacobi_defect_matches_full_sum_with_a_differential(n):
+    # b1 is present, so the splits i = 1 and i = n run
+    d = 3
+    S = schouten_structure(d, with_differential=True)
+    for seed in range(6):
+        polys = [random_poly(d, 3, xi_degree_filter=(seed + i) % 4, seed=40 * seed + i)
+                 for i in range(n)]
+        assert jacobi_defect(S, n, polys) == _reference_jacobi_defect(S, n, polys)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_jacobi_defect_matches_full_sum_where_the_identity_fails(n):
+    # the ternary product breaks the identity at arities 3 and 4, where
+    # it meets b1 or b2, so the sums compared there are not all zero;
+    # brackets of arity 4 and 5 are absent
+    d = 3
+    base = schouten_structure(d, with_differential=True)
+    S = LInftyStructure(base.zero, {**base.brackets, 3: lambda a, b, c: a * b * c})
+    nonzero = 0
+    for seed in range(4):
+        polys = [random_poly(d, 2, xi_degree_filter=(seed + i) % 3, seed=70 * seed + i, n_terms=3)
+                 for i in range(n)]
+        got = jacobi_defect(S, n, polys)
+        assert got == _reference_jacobi_defect(S, n, polys)
+        nonzero += not got.is_zero()
+    assert nonzero > 0 or n not in (3, 4)
+
+
+def test_jacobi_defect_calls_no_bracket_where_no_split_is_present():
+    # the (5, 2) model has brackets of arity 2 and 4 only: no split of
+    # arity 2 or 4 pairs two of them
+    d, variant = 5, Variant.potential(2)
+    model = minimal_model_structure(d, variant)
+    assert model.arities() == [2, 4]
+    calls = []
+
+    def counted(n, fn):
+        def call(*args):
+            calls.append(n)
+            return fn(*args)
+        return call
+
+    S = LInftyStructure(model.zero, {n: counted(n, b) for n, b in model.brackets.items()})
+    carrier = cohomology_model(d, variant)
+    for n in (2, 4):
+        xs = [carrier.element({("pv", 1): xi(d, 1 + i) + x(d, 1) * xi(d, 2 + i)}) for i in range(n)]
+        assert jacobi_defect(S, n, xs) == carrier.element({})
+    assert calls == []
+    xs = [carrier.element({("pv", 1): xi(d, 1 + i)}) for i in range(3)]
+    jacobi_defect(S, 3, xs)
+    assert calls  # arity 3 pairs b2 with b2
 
 
 # -- transfer -----------------------------------------------------------

@@ -194,6 +194,16 @@ def test_membership_examples():
     assert membership(SuperPoly.zero(3)) == "not-HO-generator"
 
 
+def test_membership_disregards_the_constant_term_of_a_sum():
+    c = SuperPoly.const(3, 7)
+    assert membership(c) == "not-HO-generator"
+    # the constant's denominator and the top coefficient's share a factor
+    top = (xi(1) * xi(2) * xi(3)).scale(Fraction(2, 3))
+    assert membership(SuperPoly.const(3, Fraction(1, 2)) + top) == "SHO-prime"
+    assert membership(c + x(1)) == "SHO"
+    assert membership(c + x(1) * xi(1)) == "HO"
+
+
 def test_membership_against_criterion_on_basis():
     d = 3
     for mono in monomial_basis(d, 5):
