@@ -11,23 +11,24 @@ Delta, de Rham, the Euler contraction and both transports are calls of
 superpoly's kernels with the mode fixed here; no key layout is read.
 
 The bracket is the one Delta derives, evaluated by its bidifferential
-formula in one pass over first partials, with no divergence or product
-call; the suites' derivation family checks the two against each other.
+formula as one call of superpoly's bracket kernel, which pairs first
+partials only at the indices both inputs carry, with no divergence or
+product call; the suites' derivation family checks the two against each
+other.  schouten is that bracket with the decalage sign of mu's parity
+applied to the output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import comb
 
 from .superpoly import (
     SuperPoly,
     _complement_transport,
     _index_operator,
+    bracket_products,
     key_layout,
-    partial_terms,
-    term_products,
     value_of,
 )
 
@@ -51,9 +52,15 @@ def schouten(mu: SuperPoly, nu: SuperPoly) -> SuperPoly:
 
     |mu| is the xi-degree; non-homogeneous first arguments are handled by
     bilinear extension over xi-homogeneous components.  It is the
-    symmetric bracket with the decalage sign (-1)^(|mu|-1) on mu.
+    symmetric bracket with the decalage sign (-1)^(|mu|-1) on mu: on a
+    parity-homogeneous mu that is one sign, applied to the output, and
+    only a mixed-parity mu is signed term by term first.
     """
-    return symmetric_bracket(mu.scale_by_xi_degree(decalage_sign), nu)
+    parities = {k & 1 for k in mu.xi_degrees()}
+    if len(parities) > 1:
+        return symmetric_bracket(mu.scale_by_xi_degree(decalage_sign), nu)
+    out = symmetric_bracket(mu, nu)
+    return out if 1 in parities else -out
 
 
 def symmetric_bracket(mu: SuperPoly, nu: SuperPoly) -> SuperPoly:
@@ -64,16 +71,15 @@ def symmetric_bracket(mu: SuperPoly, nu: SuperPoly) -> SuperPoly:
 
         b2(mu, nu) = sum_i d_xi_i(mu) d_x_i(nu) + (-1)^|mu| d_x_i(mu) d_xi_i(nu)
 
-    (left odd derivatives; |mu| read per monomial): the terms of the
-    first partials of mu and nu are paired index by index, with no
-    intermediate product or Laplacian.  Graded symmetric for the plain
-    xi-parity, and equal to Delta(mu nu) when both inputs are divergence
-    free.  Related to schouten() by the decalage sign (-1)^(|mu| - 1).
+    (left odd derivatives; |mu| read per monomial): superpoly's bracket
+    kernel pairs the first partials of mu and nu at the indices both
+    carry, with no intermediate product or Laplacian.  Graded symmetric
+    for the plain xi-parity, and equal to Delta(mu nu) when both inputs
+    are divergence free.  Related to schouten() by the decalage sign
+    (-1)^(|mu| - 1).
     """
     mu._check_same(nu)
-    mu_xi, mu_x = partial_terms(mu, True)
-    nu_xi, nu_x = partial_terms(nu, False)
-    return term_products(mu.d, chain(zip(mu_xi, nu_x), zip(mu_x, nu_xi)), mu._den * nu._den)
+    return bracket_products(mu.d, mu._terms.items(), nu._terms.items(), mu._den * nu._den)
 
 
 # -- transport through Omega -----------------------------------------

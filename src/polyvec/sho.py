@@ -63,7 +63,7 @@ class SuperVectorField:
         """sum_i mu_x[i] dg/dx_i + mu_xi[i] dg/dxi_i in one pass: the terms
         of each coefficient, over the lcm of the coefficients' denominators,
         are paired with those of g's first partial."""
-        g_xi, g_x = partial_terms(g, False)
+        g_xi, g_x = partial_terms(g)
         coeffs = self.mu_x + self.mu_xi
         den = lcm(*(c._den for c in coeffs))
         lefts = [c._terms.items() if c._den == den else
@@ -94,7 +94,7 @@ def hamiltonian_vf(f: SuperPoly) -> SuperVectorField:
     """The odd-Hamiltonian field of a parity-homogeneous generator, every
     coefficient read from one pass over f's first partials."""
     d = f.d
-    d_xi, d_x = partial_terms(f, False)
+    d_xi, d_x = partial_terms(f)
     sign = -1 if f.parity() else 1
     den = f._den
     return SuperVectorField(d, tuple(SuperPoly._of(d, {k: sign * c for k, c in t}, den) for t in d_xi),
@@ -107,8 +107,8 @@ def super_divergence(mu: SuperVectorField) -> SuperPoly:
     The 2d derivative terms are accumulated once."""
     sign = 1 if mu.parity() else -1
     return term_sum(mu.d, chain.from_iterable(
-        ((partial_terms(a, False)[1][i], a._den),
-         (((k, sign * c) for k, c in partial_terms(b, False)[0][i]), b._den))
+        ((partial_terms(a)[1][i], a._den),
+         (((k, sign * c) for k, c in partial_terms(b)[0][i]), b._den))
         for i, (a, b) in enumerate(zip(mu.mu_x, mu.mu_xi))))
 
 
@@ -249,7 +249,7 @@ def c1_pairing(f: SuperPoly, g: SuperPoly) -> int | Fraction:
     """The top-pairing cocycle of the c1 channel: the top-constant pairing
     of each xi-component of f with g, times its decalage sign and the
     pinned global sign."""
-    signed = f.scale_by_xi_degree(pvcalc.decalage_sign)
+    signed = f.x_constant_part().scale_by_xi_degree(pvcalc.decalage_sign)
     return conventions.EXT_C1_SIGN * pvcalc.top_constant_pairing(signed, g)
 
 

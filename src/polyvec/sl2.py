@@ -97,16 +97,25 @@ def extend_f(v: ExtElement) -> ExtElement | None:
     Different decompositions are not checked against each other.
     """
     _require_d3(v)
+    return _extend_f(v, {})
+
+
+def _principal_basis(n: int, bases: dict) -> list[SuperPoly]:
+    """The SHO(3|3) basis generators of principal degree exactly n, built
+    once per extend_f call and kept in bases."""
+    if n not in bases:
+        bases[n] = [g for g in sho_basis(3, n) if set(g.principal_components()) == {n}]
+    return bases[n]
+
+
+def _extend_f(v: ExtElement, bases: dict) -> ExtElement | None:
     by_degree = v.gen.principal_components()
     total = act_f(ExtElement(SuperPoly.zero(3), v.c1, v.c2))
     for deg, comp in by_degree.items():
         if deg <= 1:
             total = total + act_f(ExtElement(comp))
             continue
-        ones = [g for g in sho_basis(3, 1)
-                if set(g.principal_components()) == {1}]
-        lowers = [g for g in sho_basis(3, deg - 1)
-                  if set(g.principal_components()) == {deg - 1}]
+        ones, lowers = _principal_basis(1, bases), _principal_basis(deg - 1, bases)
         pairs = [(u, w) for u in ones for w in lowers]
         columns = [pvcalc.schouten(u, w).key_values() for u, w in pairs]
         coeffs = solve_combination(columns, comp.key_values())
@@ -116,7 +125,7 @@ def extend_f(v: ExtElement) -> ExtElement | None:
             if c == 0:
                 continue
             fu = act_f(ext_element(u))
-            fw = extend_f(ext_element(w)) if deg - 1 > 1 else act_f(ext_element(w))
+            fw = _extend_f(ext_element(w), bases) if deg - 1 > 1 else act_f(ext_element(w))
             if fw is None:
                 return None
             piece = ext_bracket_d3(fu, ext_element(w)) + ext_bracket_d3(ext_element(u), fw)

@@ -30,6 +30,11 @@ d + 8(i-1), whose top bit is a guard: an exponent is at most EXP_CAP =
   S[mask]), as xi_i * does when it sets the bit: Delta, K, de Rham and
   the Euler contraction are modes of one kernel (_index_operator).
 
+The Schouten bracket is one kernel beside the product loop
+(bracket_products): it indexes the second input's first partials only at
+the indices that input carries and pairs each first partial of the first
+input with the list there, building no intermediate polynomial.
+
 The table bounds d by MAX_D = 16; key_layout rejects a larger d.
 
 Every kernel that raises an exponent checks the guard bits of its
@@ -185,8 +190,15 @@ class SuperPoly:
     @classmethod
     def _of(cls, d: int, terms: dict[int, int], den: int = 1) -> "SuperPoly":
         """The element (1/den) sum terms[k] m_k, den >= 1: the one normalizer,
-        which drops zero numerators and divides out gcd(den, numerators)."""
-        return cls._reduced(d, {k: c for k, c in terms.items() if c}, den)
+        which drops zero numerators and divides out gcd(den, numerators).
+
+        It takes ownership of terms: the zeros are deleted from that dict
+        in place and the element may keep it, so every caller passes a
+        fresh dict that it does not touch again."""
+        if 0 in terms.values():
+            for k in [k for k, c in terms.items() if not c]:
+                del terms[k]
+        return cls._reduced(d, terms, den)
 
     @classmethod
     def _reduced(cls, d: int, terms: dict[int, int], den: int) -> "SuperPoly":
@@ -298,10 +310,17 @@ class SuperPoly:
     # -- algebra -----------------------------------------------------
 
     def __add__(self, other: "SuperPoly") -> "SuperPoly":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "SuperPoly") -> "SuperPoly":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "SuperPoly", sign: int) -> "SuperPoly":
+        """self + sign * other, accumulated over the lcm of the denominators."""
         self._check_same(other)
         a, b = self._den, other._den
         den = a if a == b else lcm(a, b)
-        fa, fb = den // a, den // b
+        fa, fb = den // a, sign * den // b
         terms = dict(self._terms) if fa == 1 else {k: fa * c for k, c in self._terms.items()}
         get = terms.get
         if fb == 1:
@@ -314,9 +333,6 @@ class SuperPoly:
 
     def __neg__(self) -> "SuperPoly":
         return SuperPoly._trusted(self.d, {k: -c for k, c in self._terms.items()}, self._den)
-
-    def __sub__(self, other: "SuperPoly") -> "SuperPoly":
-        return self + (-other)
 
     def scale(self, value) -> "SuperPoly":
         """value * self for an int or Fraction value."""
@@ -359,12 +375,12 @@ class SuperPoly:
     def d_even(self, i: int) -> "SuperPoly":
         """Partial derivative with respect to x_i."""
         _check_index(self.d, i)
-        return SuperPoly._of(self.d, dict(partial_terms(self, False)[1][i - 1]), self._den)
+        return SuperPoly._of(self.d, dict(partial_terms(self)[1][i - 1]), self._den)
 
     def d_odd(self, i: int) -> "SuperPoly":
         """Left derivative with respect to xi_i."""
         _check_index(self.d, i)
-        return SuperPoly._of(self.d, dict(partial_terms(self, False)[0][i - 1]), self._den)
+        return SuperPoly._of(self.d, dict(partial_terms(self)[0][i - 1]), self._den)
 
     # -- decompositions ----------------------------------------------
 
@@ -544,12 +560,77 @@ def term_products(d: int, pairs, den: int) -> SuperPoly:
     return SuperPoly._of(d, guard_checked(layout, out), den)
 
 
-def partial_terms(p: SuperPoly, signed: bool):
+def bracket_products(d: int, left, right, den: int) -> SuperPoly:
+    """1/den times sum_i d_xi_i(L) d_x_i(R) + (-1)^|L| d_x_i(L) d_xi_i(R)
+    of the (key, numerator) terms of L and R (left odd derivatives, |L|
+    the xi-degree of each term of L): the Schouten bracket in the
+    shifted-symmetric convention, in one pass.
+
+    R's first partials are indexed only at the indices R carries, each
+    term already in term_products' (key, odd, S[odd], numerator) form.
+    Each term of L then derives only at those indices, and each derived
+    term is paired with R's list there, so an index on one side only
+    costs nothing.  No SuperPoly is built on the way.
+    """
+    layout = key_layout(d)
+    mask, table, shifts, ones = layout.odd_mask, layout.sign_table, layout.shifts, layout.ones
+    # by the bit of index i: R's d/dx_i terms, and its d/dxi_i terms
+    r_x: dict[int, list] = {}
+    r_xi: dict[int, list] = {}
+    for k, c in right:
+        odd = k & mask
+        if odd:
+            signs = table[odd]
+            rest = odd
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                b = odd ^ bit
+                r_xi.setdefault(bit, []).append((k ^ bit, b, table[b], -c if signs & bit else c))
+        xs = k >> d
+        i = 0
+        while xs:
+            e = xs & EXP_FIELD
+            if e:
+                r_x.setdefault(1 << i, []).append((k - ones[i], odd, table[odd], e * c))
+            xs >>= EXP_BITS
+            i += 1
+    x_reach = reduce(or_, r_x, 0)
+    xi_lists = [(shifts[bit.bit_length() - 1], ones[bit.bit_length() - 1], terms)
+                for bit, terms in r_xi.items()]
+    out: dict[int, int] = {}
+    get = out.get
+    for k, c in left:
+        odd = k & mask
+        derived = []
+        reach = odd & x_reach
+        if reach:
+            signs = table[odd]
+            while reach:
+                bit = reach & -reach
+                reach ^= bit
+                derived.append((k ^ bit, odd ^ bit, -c if signs & bit else c, r_x[bit]))
+        if k > mask:
+            c_x = -c if odd.bit_count() & 1 else c
+            for shift, one, terms in xi_lists:
+                e = (k >> shift) & EXP_FIELD
+                if e:
+                    derived.append((k - one, odd, e * c_x, terms))
+        for ka, a, ca, terms in derived:
+            for kb, b, sb, cb in terms:
+                if a & b:
+                    continue
+                key = ka + kb
+                out[key] = get(key, 0) + (-ca * cb if (a & sb).bit_count() & 1 else ca * cb)
+    return SuperPoly._of(d, guard_checked(layout, out), den)
+
+
+def partial_terms(p: SuperPoly):
     """Per index i, the (key, numerator) terms of the left derivative
     d/dxi_i p and of d/dx_i p, in one pass over p: d/dxi_i clears bit i-1
-    and signs by bit i-1 of S[mask]; with signed, each d/dx_i term carries
-    (-1)^(xi-degree of its monomial).  The numerators stay over p._den;
-    every first partial in the package comes from here."""
+    and signs by bit i-1 of S[mask].  The numerators stay over p._den;
+    every first partial in the package comes from here, except those of
+    bracket_products, which are built in its own pairing form."""
     d = p.d
     layout = key_layout(d)
     mask, table, ones = layout.odd_mask, layout.sign_table, layout.ones
@@ -567,15 +648,13 @@ def partial_terms(p: SuperPoly, signed: bool):
                 d_xi[bit.bit_length() - 1].append((k ^ bit, -c if signs & bit else c))
                 rest ^= bit
         xs = k >> d
-        if xs:
-            c_x = -c if signed and odd.bit_count() & 1 else c
-            i = 0
-            while xs:
-                e = xs & EXP_FIELD
-                if e:
-                    d_x[i].append((k - ones[i], e * c_x))
-                xs >>= EXP_BITS
-                i += 1
+        i = 0
+        while xs:
+            e = xs & EXP_FIELD
+            if e:
+                d_x[i].append((k - ones[i], e * c))
+            xs >>= EXP_BITS
+            i += 1
     return d_xi, d_x
 
 
@@ -692,6 +771,9 @@ def sample_seed(*parts) -> int:
     return int.from_bytes(blake2b(repr(parts).encode(), digest_size=8).digest(), "big")
 
 
+_COEFFICIENTS = (-3, -2, -1, 1, 2, 3)
+
+
 def random_poly(d: int, max_total_degree: int, xi_degree_filter=None, seed: int = 0,
                 n_terms: int = 4) -> SuperPoly:
     """Deterministic random element with coefficients in {-3..3} \\ {0}.
@@ -709,5 +791,5 @@ def random_poly(d: int, max_total_degree: int, xi_degree_filter=None, seed: int 
     terms: dict[int, int] = {}
     for _ in range(min(n_terms, len(basis))):
         key = rng.choice(basis)
-        terms[key] = terms.get(key, 0) + rng.choice([-3, -2, -1, 1, 2, 3])
+        terms[key] = terms.get(key, 0) + rng.choice(_COEFFICIENTS)
     return SuperPoly._of(d, terms)

@@ -295,4 +295,4 @@ def test_an_unreduced_element_is_not_equal_to_its_value():
         unreduced = SuperPoly._trusted(p.d, {k: 2 * c for k, c in p._terms.items()}, 2 * p._den)
         assert list(unreduced.terms()) == list(p.terms())
         assert unreduced != p
-        assert SuperPoly._of(p.d, unreduced._terms, unreduced._den) == p
+        assert SuperPoly._of(p.d, dict(unreduced._terms), unreduced._den) == p

@@ -394,8 +394,14 @@ def test_products_past_the_exponent_cap_raise():
     with pytest.raises(OverflowError):
         SuperPoly.monomial(d, (64, 0, 0), ()) * SuperPoly.monomial(d, (64, 0, 0), (1,))
     from polyvec.contraction import contraction_K
-    from polyvec.pvcalc import euler_contraction
+    from polyvec.pvcalc import euler_contraction, symmetric_bracket
 
+    # the bracket kernel: d_xi_1(x1^100 xi1) d_x_1(x1^n) = n x1^(99 + n)
+    mu = SuperPoly.monomial(d, (100, 0, 0), (1,))
+    with pytest.raises(OverflowError):
+        symmetric_bracket(mu, SuperPoly.monomial(d, (60, 0, 0), ()))
+    at_cap = symmetric_bracket(mu, SuperPoly.monomial(d, (EXP_CAP - 99, 0, 0), ()))
+    assert at_cap == SuperPoly.monomial(d, (EXP_CAP, 0, 0), (), EXP_CAP - 99)
     assert not contraction_K(SuperPoly.monomial(d, (EXP_CAP - 1, 0, 0), ())).is_zero()
     with pytest.raises(OverflowError):
         contraction_K(SuperPoly.monomial(d, (EXP_CAP, 0, 0), ()))
