@@ -2,6 +2,7 @@
 
 from .superpoly import Monomial, SuperPoly, monomial_basis, random_poly
 from .pvcalc import (
+    contraction_K,
     de_rham,
     descendent_coefficient,
     divergence,
@@ -24,7 +25,6 @@ from .complexes import (
 from .contraction import (
     HomotopyDatum,
     build_datum,
-    contraction_K,
     normalize_homotopy,
     verify_datum,
 )

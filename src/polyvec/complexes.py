@@ -301,16 +301,14 @@ class CarrierModel:
         return ("p", 0)
 
     def canonical(self, slot: SlotKey, poly: SuperPoly) -> SuperPoly:
-        """The slot's canonical representative of poly: the divergence-free
-        part (id - K Delta) for pv, K Delta for the quotient, the constant
-        top polyvector for the central line, poly itself for the full PV^d
-        slot."""
-        from .contraction import contraction_K, divergence_free_part  # avoids a cycle
-
+        """The slot's canonical representative of poly, through pvcalc's K:
+        the divergence-free part (id - K Delta) for pv, K Delta for the
+        quotient, the constant top polyvector for the central line, poly
+        itself for the full PV^d slot."""
         if slot[0] == "pv":
-            return divergence_free_part(poly)
+            return pvcalc.divergence_free_part(poly)
         if slot[0] == "quot":
-            return contraction_K(pvcalc.divergence(poly))
+            return pvcalc.contraction_K(pvcalc.divergence(poly))
         if slot == ("c",):
             return SuperPoly.top(self.d, poly.top_constant())
         return poly

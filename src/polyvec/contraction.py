@@ -1,28 +1,23 @@
-"""Contraction homotopies: the operator K and the homotopy data (H, p, iota).
+"""Homotopy data (H, p, iota) between a field complex and its carrier.
 
-K inverts the divergence up to homotopy: Delta K + K Delta = id on
-xi-degrees 0..d-1, with K into top degree producing no constant term.
-It is obtained by transporting the Euler-scaling homotopy of the
-polynomial de Rham complex through contraction with the volume element,
-with a per-degree sign fixed in conventions.py.
-
-Homotopy data relate a field complex to its cohomology carrier.  A
-datum is the carrier, which supplies p (CarrierModel.project), plus a
-homotopy H; a carrier element is a field, so iota is the identity, and
-Q is complexes.differential.  The relations p iota = id and
-id - iota p = Q H + H Q are checked summand by summand by verify_datum.
-The side conditions H^2 = 0, H iota = 0, p H = 0 are not required, only
-probed by side_conditions; normalize_homotopy arranges them when absent.
+This module holds homotopy data only; the contraction homotopy K of the
+divergence lives in pvcalc, and is imported here (and so also resolves
+as contraction.contraction_K) to build H.  A datum is the carrier, which
+supplies p (CarrierModel.project), plus a homotopy H; a carrier element
+is a field, so iota is the identity, and Q is complexes.differential.
+The relations p iota = id and id - iota p = Q H + H Q are checked
+summand by summand by verify_datum.  The side conditions H^2 = 0,
+H iota = 0, p H = 0 are not required, only probed on seeded samples by
+side_conditions, which can miss a failure; normalize_homotopy arranges
+them when absent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable
 
-from . import conventions, pvcalc
 from .complexes import (
     CarrierModel,
     DescendantField,
@@ -35,45 +30,9 @@ from .complexes import (
     step,
     summands,
 )
+from .pvcalc import contraction_K
 from .reporting import Report
-from .superpoly import SuperPoly, _index_operator, key_layout, sample_seed, x_degree_of
-
-
-def contraction_K(mu: SuperPoly) -> SuperPoly:
-    """Degree-raising homotopy for the divergence: PV^j -> PV^{j+1}.
-
-    The Euler-scaling homotopy of the de Rham complex, transported through
-    vee_omega and signed by euler_homotopy_sign(k) on xi-degree k.  That
-    composite is multiplication by the Euler field sum_j x_j xi_j divided
-    by the weight:
-
-        K(x^a xi_S) = s_k / (|a| + d - k) * sum_{j not in S} x_j x^a * xi_j xi_S,
-
-    with s_k = euler_homotopy_sign(k) * (-1)^k read at call time.  The
-    constant top monomial, of weight 0, is annihilated, so output into
-    PV^d never has a constant term.
-
-    The weights present are brought over their lcm L once per call: the
-    (xi_j *, x_j *) mode of the index kernel runs on numerators prescaled
-    by s_k L / w, over mu's denominator times L, and builds no Fraction.
-    """
-    d = mu.d
-    layout = key_layout(d)
-    mask = layout.odd_mask
-    rows = []
-    for key, c in mu._terms.items():
-        k = (key & mask).bit_count()
-        weight = x_degree_of(layout, key) + d - k
-        if weight:
-            rows.append((key, conventions.euler_homotopy_sign(k) * (-c if k & 1 else c), weight))
-    den = lcm(*{weight for _, _, weight in rows})
-    return _index_operator(d, [(key, (den // weight) * c) for key, c, weight in rows], mu._den * den,
-                           raise_xi=True, raise_x=True)
-
-
-def divergence_free_part(p: SuperPoly) -> SuperPoly:
-    """The projection id - K Delta onto divergence-free polyvectors."""
-    return p - contraction_K(pvcalc.divergence(p))
+from .superpoly import SuperPoly, sample_seed
 
 
 @dataclass(frozen=True)

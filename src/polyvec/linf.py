@@ -51,7 +51,8 @@ from .complexes import (
     phi_parts,
     t_power_of,
 )
-from .contraction import HomotopyDatum, contraction_K, normalize_homotopy, side_conditions
+from .contraction import HomotopyDatum, normalize_homotopy, side_conditions
+from .pvcalc import contraction_K
 from .superpoly import SuperPoly, koszul_sign, term_sum
 
 
@@ -324,8 +325,8 @@ def transfer(structure: LInftyStructure, datum: HomotopyDatum, arity_cap: int) -
     The n-ary bracket is the projection of tree_sum, whose leaves are the
     carrier elements themselves (iota is the identity) and whose internal
     edges carry the homotopy; each input subset's subtree is evaluated
-    once per bracket call.
-    """
+    once per bracket call.  The datum is normalized first when the
+    sampled probe side_conditions, which can miss, finds a failure."""
     if arity_cap < 2:
         raise ValueError("arity_cap must be at least 2")
     if not all(side_conditions(datum, seed=0, max_degree=3).values()):

@@ -2,13 +2,16 @@
 
 A polyvector field of degree i is encoded as a SuperPoly of xi-degree i
 (xi_i stands for d/dx_i).  This module provides the divergence operator
-(the odd Laplacian), the Schouten bracket in both the Lie and the
+(the odd Laplacian), its contraction homotopy K and the divergence-free
+projection, the Schouten bracket in both the Lie and the
 shifted-symmetric convention, transport through contraction with the
 holomorphic volume element Omega = dx_1 ^ ... ^ dx_d, the top-constant
-pairing, and the descendent integral coefficients.
+pairing (superpoly's, imported as it is), and the descendent integral
+coefficients.
 
-Delta, de Rham, the Euler contraction and both transports are calls of
-superpoly's kernels with the mode fixed here; no key layout is read.
+Delta, K, de Rham, the Euler contraction and both transports are calls
+of superpoly's kernels with the mode, or K's sign convention, fixed
+here; no key layout is read.
 
 The bracket is the one Delta derives, evaluated by its bidifferential
 formula as one call of superpoly's bracket kernel, which pairs first
@@ -20,16 +23,16 @@ applied to the output.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
+from . import conventions
 from .superpoly import (
     SuperPoly,
     _complement_transport,
+    _euler_homotopy,
     _index_operator,
     bracket_products,
-    key_layout,
-    value_of,
+    top_constant_pairing,
 )
 
 
@@ -40,6 +43,21 @@ def divergence(p: SuperPoly) -> SuperPoly:
     (-1)^pos a_i x^(a - e_i) xi_(S - i).
     """
     return _index_operator(p.d, p._terms.items(), p._den, raise_xi=False, raise_x=False)
+
+
+def contraction_K(mu: SuperPoly) -> SuperPoly:
+    """The contraction homotopy of the divergence, PV^j -> PV^{j+1}: the
+    Euler-scaling homotopy of the de Rham complex transported through
+    vee_omega and signed by euler_homotopy_sign(k) on xi-degree k, the
+    sign read at call time.  Delta K + K Delta = id on xi-degrees 0..d-1,
+    and output into PV^d has no constant term.  One call of superpoly's
+    K kernel (_euler_homotopy), which builds no Fraction."""
+    return _euler_homotopy(mu, conventions.euler_homotopy_sign)
+
+
+def divergence_free_part(p: SuperPoly) -> SuperPoly:
+    """The projection id - K Delta onto divergence-free polyvectors."""
+    return p - contraction_K(divergence(p))
 
 
 def decalage_sign(k: int) -> int:
@@ -115,31 +133,6 @@ def divergence_via_transport(mu: SuperPoly) -> SuperPoly:
 def euler_contraction(w: SuperPoly) -> SuperPoly:
     """Contraction of a form with the Euler vector field sum_i x_i d/dx_i."""
     return _index_operator(w.d, w._terms.items(), w._den, raise_xi=False, raise_x=True)
-
-
-# -- pairings ---------------------------------------------------------
-
-
-def top_constant_pairing(a: SuperPoly, b: SuperPoly) -> int | Fraction:
-    """(a ^ b)(0) contracted with Omega: the constant top coefficient of a*b.
-
-    Only x-constant terms reach the constant top monomial, so only those
-    of a are paired, each with the x-constant term of b on the
-    complementary odd mask, signed by the key layout's sign table; the
-    numerators are paired and the sum divided once by both denominators.
-    """
-    if a.d != b.d:
-        raise ValueError("dimension mismatch")
-    layout = key_layout(a.d)
-    mask, table = layout.odd_mask, layout.sign_table
-    b_terms = b._terms
-    total = 0
-    for k, c in a._terms.items():
-        if k <= mask:
-            cb = b_terms.get(mask ^ k)
-            if cb:
-                total += -c * cb if (k & table[mask ^ k]).bit_count() & 1 else c * cb
-    return value_of(total, a._den * b._den)
 
 
 def descendent_coefficient(*ks: int) -> int:

@@ -31,12 +31,12 @@ from math import lcm
 
 from . import conventions, pvcalc
 from ._linalg import independent_indices
-from .contraction import divergence_free_part
+from .pvcalc import divergence_free_part
 from .reporting import Report
 from .superpoly import (
     SuperPoly,
-    _key_degree,
     homogeneous,
+    joint_xi_degrees,
     monomial_basis,
     partial_terms,
     random_poly,
@@ -84,9 +84,8 @@ class SuperVectorField:
     def parity(self) -> int:
         """Parity of a parity-homogeneous field (0 for zero): a coefficient
         on d/dx_i contributes its own parity, one on d/dxi_i the opposite."""
-        mask = (1 << self.d) - 1
-        return homogeneous([(k & mask).bit_count() & 1 for c in self.mu_x for k in c._terms]
-                           + [~(k & mask).bit_count() & 1 for c in self.mu_xi for k in c._terms],
+        return homogeneous([k & 1 for k in joint_xi_degrees(self.d, self.mu_x)]
+                           + [~k & 1 for k in joint_xi_degrees(self.d, self.mu_xi)],
                            "vector field is not parity-homogeneous")
 
 
@@ -130,15 +129,16 @@ def ham_generator(x: SuperVectorField) -> SuperPoly | None:
 
     Ham is odd, so |f| = |x| + 1.  By the Euler identities
     sum_i x_i mu_xi[i] + (-1)^{|f|} xi_i mu_x[i] = sum_n n f_n, f_n the
-    part of f of total degree n, so f is that sum with its degree-n part
-    divided by n.
+    part of f of total degree n, so f is that sum with its degree-n part,
+    of principal degree n - 2, divided by n.
     """
     d = x.d
     sign = 1 if x.parity() else -1  # (-1)^{|f|}
     euler = SuperPoly.zero(d)
     for i, (a, b) in enumerate(zip(x.mu_x, x.mu_xi), 1):
         euler = euler + SuperPoly.x(d, i) * b + (SuperPoly.xi(d, i) * a).scale(sign)
-    f = SuperPoly._rational(d, {k: Fraction(c, _key_degree(d, k)) for k, c in euler.key_values().items()})
+    f = term_sum(d, ((part._terms.items(), (n + 2) * part._den)
+                     for n, part in euler.principal_components().items()))
     return f if hamiltonian_vf(f) == x else None
 
 
@@ -148,14 +148,14 @@ def membership(f: SuperPoly) -> str:
     Returns one of "not-HO-generator" (constants: the field vanishes),
     "HO" (symplectic only), "SHO-prime" (super-divergence-free, contains
     the top monomial), "SHO".  Constant parts are disregarded, matching
-    the carving of the center.
+    the carving of the center; the constant top monomial has no divergence.
     """
-    core = SuperPoly._reduced(f.d, {k: c for k, c in f._terms.items() if k}, f._den)
-    if core.is_zero():
+    core, top = f.without_constant_and_top(), f.top_constant()
+    if core.is_zero() and top == 0:
         return "not-HO-generator"
     if not pvcalc.divergence(core).is_zero():
         return "HO"
-    if core.top_constant() != 0:
+    if top != 0:
         return "SHO-prime"
     return "SHO"
 
@@ -219,13 +219,7 @@ def ext_element(f: SuperPoly, c1=0, c2=0) -> ExtElement:
 
 def _carved(f: SuperPoly, c1, c2) -> ExtElement:
     """ext_element of a generator known to be divergence free."""
-    return ExtElement(_without_center(f), c1 + f.top_constant(), c2 + f.constant_term())
-
-
-def _without_center(f: SuperPoly) -> SuperPoly:
-    """f with its constant term and its constant top monomial dropped."""
-    top = (1 << f.d) - 1
-    return SuperPoly._reduced(f.d, {k: c for k, c in f._terms.items() if k and k != top}, f._den)
+    return ExtElement(f.without_constant_and_top(), c1 + f.top_constant(), c2 + f.constant_term())
 
 
 def ext_bracket_d3(a: ExtElement, b: ExtElement) -> ExtElement:
@@ -243,6 +237,21 @@ def ext_bracket_d3(a: ExtElement, b: ExtElement) -> ExtElement:
     raw = pvcalc.schouten(a.gen, b.gen)
     c2 = (conventions.EXT_C2_SIGN - 1) * raw.constant_term()  # carving supplies the +1 part
     return _carved(raw, c1_pairing(a.gen, b.gen), c2)
+
+
+def verbatim_pairs() -> dict[str, list]:
+    """The basis pairs of the two verbatim identities, vector fields named
+    through X = -Ham(f), each as (indices, a, b, (c1, c2)) with [a, b] =
+    c1 e1 + c2 e2: under "eps_e1", d/dx_i and xi_k d/dx_j - xi_j d/dx_k for
+    every permutation (i, j, k) of (1, 2, 3), with c1 = eps_ijk; under
+    "delta_e2", d/dxi_i and d/dx_j for every i, j in 1..3, with c2 = delta_ij."""
+    xi, x = (lambda i: SuperPoly.xi(3, i)), (lambda i: SuperPoly.x(3, i))
+    return {
+        "eps_e1": [((i, j, k), ext_element(xi(i)), ext_element(-(xi(j) * xi(k))), (levi_civita(i, j, k), 0))
+                   for i, j, k in permutations((1, 2, 3))],
+        "delta_e2": [((i, j), ext_element(-x(i)), ext_element(xi(j)), (0, int(i == j)))
+                     for i in (1, 2, 3) for j in (1, 2, 3)],
+    }
 
 
 def c1_pairing(f: SuperPoly, g: SuperPoly) -> int | Fraction:
@@ -290,7 +299,7 @@ def random_sho_generator(max_degree: int, seed: int, d: int = 3) -> SuperPoly:
 
 def _sho_part(p: SuperPoly) -> SuperPoly:
     """The divergence-free part of p with its constant term and top monomial carved off."""
-    return _without_center(divergence_free_part(p))
+    return divergence_free_part(p).without_constant_and_top()
 
 
 def _named_triples():

@@ -21,14 +21,12 @@ agree through it.
 
 from __future__ import annotations
 
-from itertools import permutations
-
 from . import conventions, pvcalc
 from ._linalg import solve_combination
 from .complexes import DescendantField, Variant, cohomology_model
-from .contraction import contraction_K
+from .pvcalc import contraction_K
 from .reporting import Report
-from .sho import ExtElement, ext_bracket_d3, ext_element, random_sho_generator, sho_basis
+from .sho import ExtElement, ext_bracket_d3, ext_element, random_sho_generator, sho_basis, verbatim_pairs
 from .superpoly import SuperPoly, sample_seed
 
 
@@ -196,18 +194,13 @@ def _random_principal(deg: int, seed: int) -> ExtElement:
 def equivariance_check_cocycle(trials: int = 30, seed: int = 0) -> Report:
     """The center action is compatible with the extension bracket.
 
-    Runs the named cases on constant and linear fields for every index
-    combination, then seeded pairs of principal degree <= 1, where the
-    central channels fire.
+    Runs the named cases, the pairs of both verbatim identities
+    (sho.verbatim_pairs: every index combination, so the diagonal
+    [d/dxi_i, d/dx_i] = e2 pairs fire the e2 channel), then seeded pairs
+    of principal degree <= 1, where the central channels fire.
     """
     report = Report()
-
-    # named cases: a = d/dx_i (generator xi_i), b = xi_k d/dx_j - xi_j d/dx_k
-    # (generator -xi_j xi_k), u = d/dxi_i (generator -x_i)
-    xi = lambda i: ext_element(SuperPoly.xi(3, i))
-    named = [pair for i, j, k in permutations((1, 2, 3))
-             for pair in ((xi(i), ext_element(-(SuperPoly.xi(3, j) * SuperPoly.xi(3, k)))),
-                          (ext_element(-SuperPoly.x(3, i)), xi(j)))]
+    named = [(a, b) for pairs in verbatim_pairs().values() for _, a, b, _ in pairs]
     for name, action in _actions().items():
         report.check(f"sl2.cocycle_equivariance.named.{name}", _leibniz_failures(name, action, named))
 

@@ -28,7 +28,8 @@ d + 8(i-1), whose top bit is a guard: an exponent is at most EXP_CAP =
 * d/dx_i subtracts 1 << (d + 8(i-1)); d/dxi_i clears bit i-1 and takes
   its sign from the popcount of the mask bits below it (bit i-1 of
   S[mask]), as xi_i * does when it sets the bit: Delta, K, de Rham and
-  the Euler contraction are modes of one kernel (_index_operator).
+  the Euler contraction are modes of one kernel (_index_operator), beside
+  which sit K's weight prescale (_euler_homotopy) and the top pairing.
 
 The Schouten bracket is one kernel beside the product loop
 (bracket_products): it indexes the second input's first partials only at
@@ -292,6 +293,11 @@ class SuperPoly:
         """Coefficient of xi_1...xi_d with all even exponents zero."""
         return value_of(self._terms.get((1 << self.d) - 1, 0), self._den)
 
+    def without_constant_and_top(self) -> "SuperPoly":
+        """self without the two terms that constant_term() and top_constant() read."""
+        top = (1 << self.d) - 1
+        return SuperPoly._reduced(self.d, {k: c for k, c in self._terms.items() if k and k != top}, self._den)
+
     def xi_degrees(self) -> set[int]:
         mask = (1 << self.d) - 1
         return {(k & mask).bit_count() for k in self._terms}
@@ -513,6 +519,12 @@ def homogeneous(values, message: str) -> int:
     return values.pop() if values else 0
 
 
+def joint_xi_degrees(d: int, polys) -> set[int]:
+    """The union of the xi_degrees() of several elements of dimension d, in one pass."""
+    mask = (1 << d) - 1
+    return {(k & mask).bit_count() for p in polys for k in p._terms}
+
+
 def _check_index(d: int, i: int):
     if not 1 <= i <= d:
         raise IndexError(f"index {i} out of range for dimension {d}")
@@ -702,6 +714,47 @@ def _index_operator(d: int, terms, den: int, *, raise_xi: bool, raise_x: bool) -
                         key = k + delta
                         out[key] = get(key, 0) + (-e * c if signs & bit else e * c)
     return SuperPoly._of(d, out, den)
+
+
+def _euler_homotopy(p: SuperPoly, sign) -> SuperPoly:
+    """K(x^a xi_S) = s_k / w * sum_{j not in S} x_j x^a xi_j xi_S, of weight
+    w = |a| + d - k on xi-degree k, with s_k = sign(k) (-1)^k; the constant
+    top monomial, of weight 0, is annihilated.  The weights present are
+    brought over their lcm L once: the (xi_j *, x_j *) mode of
+    _index_operator runs on numerators prescaled by s_k L / w, over p's
+    denominator times L."""
+    d = p.d
+    layout = key_layout(d)
+    mask = layout.odd_mask
+    rows = []
+    for key, c in p._terms.items():
+        k = (key & mask).bit_count()
+        weight = x_degree_of(layout, key) + d - k
+        if weight:
+            rows.append((key, sign(k) * (-c if k & 1 else c), weight))
+    den = lcm(*{weight for _, _, weight in rows})
+    return _index_operator(d, [(key, (den // weight) * c) for key, c, weight in rows], p._den * den,
+                           raise_xi=True, raise_x=True)
+
+
+def top_constant_pairing(a: SuperPoly, b: SuperPoly) -> int | Fraction:
+    """(a ^ b)(0) contracted with Omega: the constant top coefficient of a*b.
+
+    Only x-constant terms reach the constant top monomial: each of a's is
+    paired with b's on the complementary odd mask, signed by the sign
+    table, and the sum of numerators divided once by both denominators."""
+    if a.d != b.d:
+        raise ValueError("dimension mismatch")
+    layout = key_layout(a.d)
+    mask, table = layout.odd_mask, layout.sign_table
+    b_terms = b._terms
+    total = 0
+    for k, c in a._terms.items():
+        if k <= mask:
+            cb = b_terms.get(mask ^ k)
+            if cb:
+                total += -c * cb if (k & table[mask ^ k]).bit_count() & 1 else c * cb
+    return value_of(total, a._den * b._den)
 
 
 def _complement_transport(p: SuperPoly, *, inverse: bool) -> SuperPoly:

@@ -101,6 +101,15 @@ def test_degree_bound_follows_the_selected_suites():
                               arity_cap=w["arity_cap"], checks=tuple(w["suites"])).validate()
 
 
+def test_arity_cap_two_records_no_higher_bracket_family():
+    def ids(cap):
+        cfg = suites.CampaignConfig(d=3, max_degree=2, trials=3, arity_cap=cap, checks=("transfer",))
+        return [r.check_id for r in suites.run_campaign(cfg).records]
+
+    assert ids(2) == ["transfer.d3.l2_matches_schouten"]
+    assert ids(3) == ["transfer.d3.l2_matches_schouten", "transfer.d3.higher_brackets_vanish"]
+
+
 def test_transfer_requires_mbcov(capsys):
     # suite_transfer transfers the mbcov complex only, so asking for it on a
     # potential variant is a configuration error, not two mbcov PASS lines

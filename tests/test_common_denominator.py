@@ -17,8 +17,9 @@ from math import gcd
 import pytest
 
 from polyvec import conventions, pvcalc
-from polyvec.contraction import contraction_K, divergence_free_part
-from polyvec.sho import _without_center, hamiltonian_vf, super_divergence
+from polyvec.contraction import contraction_K
+from polyvec.pvcalc import divergence_free_part
+from polyvec.sho import hamiltonian_vf, super_divergence
 from polyvec.superpoly import Monomial, SuperPoly, koszul_sign, random_poly, term_sum
 
 SEEDS = range(200)
@@ -263,7 +264,7 @@ def test_filters_reduce_a_common_factor_they_leave():
     for seed in SEEDS:
         d, inputs = _inputs(seed)
         for p in inputs:
-            parts = [p.x_constant_part(), p.x_linear_part(), _without_center(p),
+            parts = [p.x_constant_part(), p.x_linear_part(), p.without_constant_and_top(),
                      *p.xi_components().values(), *p.principal_components().values()]
             for part in parts:
                 assert _canonical(part) and part == SuperPoly(d, dict(part.terms())), (seed, str(p))

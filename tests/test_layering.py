@@ -2,25 +2,27 @@
 behind complexes.py.
 
 A key's meaning depends on d and on the field widths, so only superpoly
-may read exponent fields, check guard bits or pack and unpack keys; the
-other modules call its kernels.  Linear operators run on packed keys, so
-no module keeps a per-Monomial rule path.  Likewise the summand keys
-("f", i, j) and ("p", m) are spelled out by complexes, which places a
-part through the grid's step tables, phi's rule or a carrier home, and
-by linf's mbcov source; the homotopy data and the sl2 field side never
-name a summand.  Fields are validated at the public edge: only complexes
-and linf's source b2, whose parts are valid by construction, build one
-through the trusted constructor; sl2 and the homotopy data go through the
-validating one.  Imports sit at module level, apart from the one that
-breaks the complexes <-> contraction cycle.  The modules are read with
-ast, without importing them.
+may read exponent fields, masks, the sign table or per-key degrees, check
+guard bits, shift bits or pack and unpack keys; the other modules call
+its kernels (Delta, K and the top-constant pairing among them).  Linear
+operators run on packed keys, so no module keeps a per-Monomial rule
+path.  Likewise the summand keys ("f", i, j) and ("p", m) are spelled out
+by complexes, which places a part through the grid's step tables, phi's
+rule or a carrier home, and by linf's mbcov source; the homotopy data and
+the sl2 field side never name a summand.  Fields are validated at the
+public edge: only complexes and linf's source b2, whose parts are valid
+by construction, build one through the trusted constructor; sl2 and the
+homotopy data go through the validating one.  Every import sits at
+module level, and the imports inside the package form an acyclic graph.
+The modules are read with ast, without importing them.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "polyvec"
-LAYOUT_NAMES = {"EXP_FIELD", "EXP_BITS", "guard_checked", "pack", "unpack"}
+LAYOUT_NAMES = {"EXP_FIELD", "EXP_BITS", "guard_checked", "pack", "unpack", "key_layout", "KeyLayout",
+                "x_degree_of", "_key_degree", "sign_table", "odd_mask", "bit_count"}
 
 
 def _trees():
@@ -42,9 +44,16 @@ def _names(tree) -> set[str]:
 def test_only_superpoly_uses_the_key_layout():
     trees = _trees()
     assert "superpoly.py" in trees
-    used = {name: sorted(_names(tree) & LAYOUT_NAMES) for name, tree in trees.items()
-            if name != "superpoly.py"}
-    assert not any(used.values()), used
+    used = {name: found for name, tree in trees.items()
+            if name != "superpoly.py" and (found := sorted(_names(tree) & LAYOUT_NAMES))}
+    assert not used, used
+
+
+def test_only_superpoly_shifts_bits():
+    shifting = sorted(name for name, tree in _trees().items() if name != "superpoly.py"
+                      and any(isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.LShift)
+                              for node in ast.walk(tree)))
+    assert not shifting, shifting
 
 
 def test_no_module_defines_map_monomials():
@@ -75,7 +84,42 @@ def _importing_functions(tree) -> set[str]:
 
 def test_imports_sit_at_module_level():
     found = {name: sorted(_importing_functions(tree)) for name, tree in _trees().items()}
-    assert {name: fns for name, fns in found.items() if fns} == {"complexes.py": ["CarrierModel.canonical"]}
+    assert {name: fns for name, fns in found.items() if fns} == {}
+
+
+def _package_imports(name: str, tree) -> set[str]:
+    """The polyvec modules (file names) that a module imports: from .x
+    import ..., and from . import x, where x is a module or else a name
+    of the package's __init__."""
+    modules = {path.name for path in SRC.glob("*.py")}
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                out.add(node.module.split(".")[0] + ".py")
+            else:
+                out |= {f"{a.name}.py" if f"{a.name}.py" in modules else "__init__.py" for a in node.names}
+    return out - {name}
+
+
+def test_package_imports_are_acyclic():
+    graph = {name: _package_imports(name, tree) for name, tree in _trees().items()}
+    assert graph["contraction.py"] >= {"complexes.py", "pvcalc.py"}
+    done, on_path = set(), []
+
+    def visit(name):
+        if name in on_path:
+            raise AssertionError("import cycle: " + " -> ".join(on_path[on_path.index(name):] + [name]))
+        if name in done:
+            return
+        on_path.append(name)
+        for target in sorted(graph.get(name, ())):
+            visit(target)
+        on_path.pop()
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name)
 
 
 def test_homotopy_data_and_sl2_name_no_summand_key():

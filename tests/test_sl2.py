@@ -5,10 +5,22 @@ import pytest
 
 from polyvec import conventions, pvcalc
 from polyvec.complexes import DescendantField, Variant
-from polyvec.contraction import contraction_K, divergence_free_part
+from polyvec.contraction import contraction_K
 from polyvec.linf import minimal_model_structure
-from polyvec.sho import ExtElement, ext_bracket_d3, ext_element, levi_civita, random_sho_generator, sho_basis
+from polyvec.pvcalc import divergence_free_part
+from polyvec import sl2
+from polyvec.sho import (
+    ExtElement,
+    ext_bracket_d3,
+    ext_element,
+    levi_civita,
+    random_sho_generator,
+    sho_basis,
+    verbatim_pairs,
+)
 from polyvec.sl2 import (
+    E_GENERATOR,
+    _leibniz_failures,
     act_e,
     act_f,
     act_h,
@@ -225,6 +237,36 @@ def test_principal_draw_gives_up_after_nine_zero_draws(monkeypatch):
 def test_named_cocycle_equivariance_bullets():
     report = equivariance_check_cocycle(trials=15, seed=2)
     assert report.ok, report.summary_text()
+
+
+def test_verbatim_pairs_cover_every_index_combination():
+    pairs = verbatim_pairs()
+    assert [ijk for ijk, *_ in pairs["eps_e1"]] == list(permutations((1, 2, 3)))
+    assert [ij for ij, *_ in pairs["delta_e2"]] == [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+    # the diagonal pairs are the ones whose bracket fires e2
+    assert [ij for ij, a, b, _ in pairs["delta_e2"] if ext_bracket_d3(a, b).c2] == [(1, 1), (2, 2), (3, 3)]
+    for ijk, a, b, central in pairs["eps_e1"]:
+        assert central == (levi_civita(*ijk), 0) and ext_bracket_d3(a, b) == ExtElement(SuperPoly.zero(3), *central)
+
+
+def _act_e_without_e2_term(v):
+    """act_e with its e2 -> e1 term dropped (a negative control)."""
+    out = ext_element(pvcalc.schouten(E_GENERATOR, v.gen))
+    return ExtElement(out.gen, out.c1, out.c2)
+
+
+def test_named_cocycle_equivariance_catches_act_e_without_its_e2_term(monkeypatch):
+    pairs = verbatim_pairs()
+    named = [(a, b) for ps in pairs.values() for _, a, b, _ in ps]
+    off_diagonal = [(a, b) for _, a, b, _ in pairs["eps_e1"]] + [
+        (a, b) for (i, j), a, b, _ in pairs["delta_e2"] if i != j]
+    assert not list(_leibniz_failures("e", act_e, named))
+    # the pairs with no diagonal [d/dxi_i, d/dx_i] miss the fault
+    assert not list(_leibniz_failures("e", _act_e_without_e2_term, off_diagonal))
+    assert len(list(_leibniz_failures("e", _act_e_without_e2_term, named))) == 3
+    monkeypatch.setattr(sl2, "act_e", _act_e_without_e2_term)
+    failed = {r.check_id for r in equivariance_check_cocycle(trials=1, seed=2).failures()}
+    assert "sl2.cocycle_equivariance.named.e" in failed
 
 
 def _pair(phi1, phi2):
