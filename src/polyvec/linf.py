@@ -22,9 +22,12 @@ p H = 0); data lacking them are normalized first.
 
 Both sums skip every term that multilinearity already makes zero: a
 bracket the structure lacks is zero, and so is a bracket with a zero
-argument.  jacobi_defect visits only the splits (i, n-i+1) whose two
-arities are both brackets of the structure, and drops a zero inner value
-before its sign, its remaining inputs and its outer bracket.  tree_sum
+argument.  jacobi_defect returns structure.zero() on a zero input before
+any parity or bracket: every term of the combination holds each input in
+its inner or its outer bracket, so the whole combination is zero.
+Otherwise it visits only the splits (i, n-i+1) whose two arities are both
+brackets of the structure, and drops a zero inner value before its sign,
+its remaining inputs and its outer bracket.  tree_sum
 visits only the partitions whose block count is a vertex arity of the
 source, read from one memoized table per (subset size, vertex arities),
 and drops a partition at its first zero block (a zero input, a zero sum
@@ -85,11 +88,14 @@ def koszul_reorder_sign(order, parities) -> int:
 
 def jacobi_defect(structure: LInftyStructure, n: int, inputs) -> Any:
     """The arity-n generalized Jacobi combination; zero iff the identity
-    holds.  Splits with an absent bracket and zero inner values add no
-    term (see the module docstring)."""
+    holds.  A zero input returns structure.zero() before any parity or
+    bracket, and splits with an absent bracket and zero inner values add
+    no term (see the module docstring)."""
     inputs = tuple(inputs)
     if len(inputs) != n or n < 1:
         raise ValueError("need exactly n >= 1 inputs")
+    if any(x.is_zero() for x in inputs):
+        return structure.zero()
     parities = [x.parity() for x in inputs]
     brackets = structure.brackets
     acc = None  # no accumulator until the first term

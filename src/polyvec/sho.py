@@ -35,13 +35,13 @@ from .pvcalc import divergence_free_part
 from .reporting import Report
 from .superpoly import (
     SuperPoly,
+    field_applications,
     homogeneous,
     joint_xi_degrees,
     monomial_basis,
     partial_terms,
     random_poly,
     sample_seed,
-    term_products,
     term_sum,
 )
 
@@ -60,15 +60,20 @@ class SuperVectorField:
         return cls(d, (z,) * d, (z,) * d)
 
     def apply(self, g: SuperPoly) -> SuperPoly:
-        """sum_i mu_x[i] dg/dx_i + mu_xi[i] dg/dxi_i in one pass: the terms
-        of each coefficient, over the lcm of the coefficients' denominators,
-        are paired with those of g's first partial."""
-        g_xi, g_x = partial_terms(g)
+        """sum_i mu_x[i] dg/dx_i + mu_xi[i] dg/dxi_i: one job of the
+        field_applications kernel."""
+        if g.d != self.d:
+            raise ValueError(f"dimension mismatch: {self.d} != {g.d}")
+        return field_applications(self.d, [(*self._coefficient_lists(), [g], 1)])[0]
+
+    def _coefficient_lists(self) -> tuple[list, int]:
+        """The terms of the 2d coefficients, mu_x before mu_xi, over the lcm
+        of their denominators, and that lcm: a field as field_applications
+        takes it."""
         coeffs = self.mu_x + self.mu_xi
         den = lcm(*(c._den for c in coeffs))
-        lefts = [c._terms.items() if c._den == den else
-                 [(k, den // c._den * n) for k, n in c._terms.items()] for c in coeffs]
-        return term_products(self.d, zip(lefts, g_x + g_xi), den * g._den)
+        return [c._terms.items() if c._den == den else [(k, den // c._den * n) for k, n in c._terms.items()]
+                for c in coeffs], den
 
     def __add__(self, other: "SuperVectorField") -> "SuperVectorField":
         return SuperVectorField(
@@ -114,13 +119,15 @@ def super_divergence(mu: SuperVectorField) -> SuperPoly:
 def vf_bracket(a: SuperVectorField, b: SuperVectorField) -> SuperVectorField:
     """Super-commutator [a, b] = a b - (-1)^{|a||b|} b a of parity-homogeneous
     fields.  A field's value on a coordinate is its coefficient there, so
-    [a, b]_j = a(b_j) - (-1)^{|a||b|} b(a_j)."""
-    odd = a.parity() & b.parity()
-
-    def comm(a_j: SuperPoly, b_j: SuperPoly) -> SuperPoly:
-        return a.apply(b_j) + b.apply(a_j) if odd else a.apply(b_j) - b.apply(a_j)
-
-    return SuperVectorField(a.d, tuple(map(comm, a.mu_x, b.mu_x)), tuple(map(comm, a.mu_xi, b.mu_xi)))
+    [a, b]_j = a(b_j) - (-1)^{|a||b|} b(a_j): one field_applications call
+    with two jobs, a on b's coefficients and b on a's."""
+    d = a.d
+    if b.d != d:
+        raise ValueError(f"dimension mismatch: {d} != {b.d}")
+    sign = -1 if a.parity() & b.parity() else 1
+    out = field_applications(d, [(*a._coefficient_lists(), b.mu_x + b.mu_xi, 1),
+                                 (*b._coefficient_lists(), a.mu_x + a.mu_xi, -sign)])
+    return SuperVectorField(d, tuple(out[:d]), tuple(out[d:]))
 
 
 def ham_generator(x: SuperVectorField) -> SuperPoly | None:

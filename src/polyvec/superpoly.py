@@ -31,10 +31,17 @@ d + 8(i-1), whose top bit is a guard: an exponent is at most EXP_CAP =
   the Euler contraction are modes of one kernel (_index_operator), beside
   which sit K's weight prescale (_euler_homotopy) and the top pairing.
 
-The Schouten bracket is one kernel beside the product loop
-(bracket_products): it indexes the second input's first partials only at
-the indices that input carries and pairs each first partial of the first
-input with the list there, building no intermediate polynomial.
+The kernels run on (key, numerator) terms and build no intermediate
+polynomial: sums (term_sum), products (term_products), the index operator
+with K's prescale, the top pairing and the complement transport, the
+Schouten bracket (bracket_products) and the application of vector fields
+to target elements (field_applications, which also gives the commutator
+of two fields in one call).  First partials come from partial_terms,
+except in the two pairing kernels: bracket_products and field_applications
+both read their second input's first partials from one helper,
+_pairing_partials, which indexes them only at the indices that input
+carries and already in the pairing form, and pair each left term only
+with the list at its index.
 
 The table bounds d by MAX_D = 16; key_layout rejects a larger d.
 
@@ -350,8 +357,7 @@ class SuperPoly:
 
     def __mul__(self, other: "SuperPoly") -> "SuperPoly":
         self._check_same(other)
-        return term_products(self.d, ((self._terms.items(), other._terms.items()),),
-                             self._den * other._den)
+        return term_products(self.d, self._terms.items(), other._terms.items(), self._den * other._den)
 
     def __eq__(self, other) -> bool:
         return (
@@ -544,52 +550,39 @@ def term_sum(d: int, term_lists) -> SuperPoly:
     return SuperPoly._of(d, out, den)
 
 
-def term_products(d: int, pairs, den: int) -> SuperPoly:
-    """1/den times the sum, over the (left, right) pairs of term lists, of
-    the product of every left term with every right term, left factor
-    first.
+def term_products(d: int, left, right, den: int) -> SuperPoly:
+    """1/den times the sum of the products of every left term with every
+    right term, left factor first.
 
-    A term is (key, numerator), as SuperPoly items and partial_terms give
-    them, every pair over the same den; a product of disjoint odd masks a
-    and b has key ka + kb and the sign of popcount(a & S[b]), and is
-    accumulated in place, with no SuperPoly built per pair.
+    A term is (key, numerator), as SuperPoly items give them; a product of
+    disjoint odd masks a and b has key ka + kb and the sign of
+    popcount(a & S[b]), and is accumulated in place, with no SuperPoly
+    built per pair.
     """
     layout = key_layout(d)
     mask, table = layout.odd_mask, layout.sign_table
+    right = [(kb, kb & mask, table[kb & mask], cb) for kb, cb in right]
     out: dict[int, int] = {}
     get = out.get
-    for left, right in pairs:
-        right = [(kb, kb & mask, table[kb & mask], cb) for kb, cb in right]
-        if not right:
-            continue
-        for ka, ca in left:
-            a = ka & mask
-            for kb, b, sb, cb in right:
-                if a & b:
-                    continue
-                k = ka + kb
-                out[k] = get(k, 0) + (-ca * cb if (a & sb).bit_count() & 1 else ca * cb)
+    for ka, ca in left:
+        a = ka & mask
+        for kb, b, sb, cb in right:
+            if a & b:
+                continue
+            k = ka + kb
+            out[k] = get(k, 0) + (-ca * cb if (a & sb).bit_count() & 1 else ca * cb)
     return SuperPoly._of(d, guard_checked(layout, out), den)
 
 
-def bracket_products(d: int, left, right, den: int) -> SuperPoly:
-    """1/den times sum_i d_xi_i(L) d_x_i(R) + (-1)^|L| d_x_i(L) d_xi_i(R)
-    of the (key, numerator) terms of L and R (left odd derivatives, |L|
-    the xi-degree of each term of L): the Schouten bracket in the
-    shifted-symmetric convention, in one pass.
-
-    R's first partials are indexed only at the indices R carries, each
-    term already in term_products' (key, odd, S[odd], numerator) form.
-    Each term of L then derives only at those indices, and each derived
-    term is paired with R's list there, so an index on one side only
-    costs nothing.  No SuperPoly is built on the way.
-    """
-    layout = key_layout(d)
-    mask, table, shifts, ones = layout.odd_mask, layout.sign_table, layout.shifts, layout.ones
-    # by the bit of index i: R's d/dx_i terms, and its d/dxi_i terms
-    r_x: dict[int, list] = {}
-    r_xi: dict[int, list] = {}
-    for k, c in right:
+def _pairing_partials(d: int, layout: KeyLayout, terms):
+    """The first partials of the (key, numerator) terms, indexed only at the
+    indices they carry and already in term_products' (key, odd, S[odd],
+    numerator) pairing form: (by_x, by_xi) map the bit of index i to the
+    terms of d/dx_i and of the left d/dxi_i."""
+    mask, table, ones = layout.odd_mask, layout.sign_table, layout.ones
+    by_x: dict[int, list] = {}
+    by_xi: dict[int, list] = {}
+    for k, c in terms:
         odd = k & mask
         if odd:
             signs = table[odd]
@@ -598,15 +591,32 @@ def bracket_products(d: int, left, right, den: int) -> SuperPoly:
                 bit = rest & -rest
                 rest ^= bit
                 b = odd ^ bit
-                r_xi.setdefault(bit, []).append((k ^ bit, b, table[b], -c if signs & bit else c))
+                by_xi.setdefault(bit, []).append((k ^ bit, b, table[b], -c if signs & bit else c))
         xs = k >> d
         i = 0
         while xs:
             e = xs & EXP_FIELD
             if e:
-                r_x.setdefault(1 << i, []).append((k - ones[i], odd, table[odd], e * c))
+                by_x.setdefault(1 << i, []).append((k - ones[i], odd, table[odd], e * c))
             xs >>= EXP_BITS
             i += 1
+    return by_x, by_xi
+
+
+def bracket_products(d: int, left, right, den: int) -> SuperPoly:
+    """1/den times sum_i d_xi_i(L) d_x_i(R) + (-1)^|L| d_x_i(L) d_xi_i(R)
+    of the (key, numerator) terms of L and R (left odd derivatives, |L|
+    the xi-degree of each term of L): the Schouten bracket in the
+    shifted-symmetric convention, in one pass.
+
+    R's first partials come from _pairing_partials.  Each term of L then
+    derives only at the indices R carries, and each derived term is
+    paired with R's list there, so an index on one side only costs
+    nothing.  No SuperPoly is built on the way.
+    """
+    layout = key_layout(d)
+    mask, table, shifts, ones = layout.odd_mask, layout.sign_table, layout.shifts, layout.ones
+    r_x, r_xi = _pairing_partials(d, layout, right)
     x_reach = reduce(or_, r_x, 0)
     xi_lists = [(shifts[bit.bit_length() - 1], ones[bit.bit_length() - 1], terms)
                 for bit, terms in r_xi.items()]
@@ -637,12 +647,57 @@ def bracket_products(d: int, left, right, den: int) -> SuperPoly:
     return SuperPoly._of(d, guard_checked(layout, out), den)
 
 
+def field_applications(d: int, jobs) -> list[SuperPoly]:
+    """Vector fields applied to target elements, in one pass: for each
+    target position t, the sum over the jobs of factor * field(targets[t]).
+
+    A job is (term_lists, den, targets, factor): the field's 2d coefficient
+    lists of (key, numerator) terms over the common denominator den, those
+    on d/dx_1..d/dx_d first and those on d/dxi_1..d/dxi_d after; a list of
+    targets, of one length in every job; and an int factor.  field(g) is
+    sum_i mu_x[i] dg/dx_i + mu_xi[i] dg/dxi_i, coefficient first.  Each
+    target's first partials come from _pairing_partials, and each
+    coefficient is paired only with the list at its index.  Each output
+    is accumulated over the lcm of the jobs' denominators and normalized
+    once; no SuperPoly is built on the way.
+    """
+    layout = key_layout(d)
+    mask = layout.odd_mask
+    prepared = []
+    for term_lists, den, targets, factor in jobs:
+        # factor times the coefficients on d/dx_i and on d/dxi_i, by the
+        # bit of index i
+        left_x, left_xi = ({1 << i: [(k, k & mask, factor * c) for k, c in terms]
+                            for i, terms in enumerate(half) if terms}
+                           for half in (term_lists[:d], term_lists[d:]))
+        prepared.append((left_x, left_xi, den, targets))
+    dens = ([den * g._den for g in targets] for _, _, den, targets in prepared)
+    out_dens = [lcm(*column) for column in zip(*dens)]
+    outs: list[dict[int, int]] = [{} for _ in out_dens]
+    for left_x, left_xi, den, targets in prepared:
+        for g, out, out_den in zip(targets, outs, out_dens):
+            if not g._terms:
+                continue
+            get = out.get
+            scale = out_den // (den * g._den)
+            terms = g._terms.items() if scale == 1 else [(k, scale * c) for k, c in g._terms.items()]
+            for lefts, partials in zip((left_x, left_xi), _pairing_partials(d, layout, terms)):
+                for bit, right in partials.items():
+                    for ka, a, ca in lefts.get(bit, ()):
+                        for kb, b, sb, cb in right:
+                            if a & b:
+                                continue
+                            key = ka + kb
+                            out[key] = get(key, 0) + (-ca * cb if (a & sb).bit_count() & 1 else ca * cb)
+    return [SuperPoly._of(d, guard_checked(layout, out), out_den) for out, out_den in zip(outs, out_dens)]
+
+
 def partial_terms(p: SuperPoly):
     """Per index i, the (key, numerator) terms of the left derivative
     d/dxi_i p and of d/dx_i p, in one pass over p: d/dxi_i clears bit i-1
     and signs by bit i-1 of S[mask].  The numerators stay over p._den;
-    every first partial in the package comes from here, except those of
-    bracket_products, which are built in its own pairing form."""
+    every first partial in the package comes from here, except those that
+    the two pairing kernels read from _pairing_partials."""
     d = p.d
     layout = key_layout(d)
     mask, table, ones = layout.odd_mask, layout.sign_table, layout.ones

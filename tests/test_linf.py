@@ -161,6 +161,80 @@ def test_jacobi_defect_calls_no_bracket_where_no_split_is_present():
     assert calls  # arity 3 pairs b2 with b2
 
 
+def test_jacobi_defect_calls_no_bracket_on_a_zero_input():
+    # the combination is multilinear, so a zero input makes it zero before
+    # any bracket; the same tuple without the zero calls brackets
+    d, variant = 5, Variant.potential(2)
+    model = minimal_model_structure(d, variant)
+    calls = []
+
+    def counted(n, fn):
+        def call(*args):
+            calls.append(n)
+            return fn(*args)
+        return call
+
+    S = LInftyStructure(model.zero, {n: counted(n, b) for n, b in model.brackets.items()})
+    carrier = cohomology_model(d, variant)
+    xs = [carrier.element({("pv", 1): xi(d, 1 + i) + x(d, 1) * xi(d, 1 + (i + 1) % d)}) for i in range(5)]
+    jacobi_defect(S, 5, xs)
+    assert set(calls) == {2, 4}
+    calls.clear()
+    for n in (4, 5):
+        for p in range(n):
+            args = xs[:p] + [carrier.element({})] + xs[p + 1:n]
+            assert jacobi_defect(S, n, args) == carrier.element({})
+    assert calls == []
+
+
+def _central_tuple(d, k):
+    """Inputs of the (d-k+1)-ary central bracket of the potential(k) model
+    whose contents multiply to the top monomial: the constant 1, xi_1, ...,
+    xi_{d-k-1} and xi_{d-k} ... xi_d."""
+    carrier = cohomology_model(d, Variant.potential(k))
+    tail = SuperPoly.const(d, 1)
+    for i in range(d - k, d + 1):
+        tail = tail * xi(d, i)
+    return ([carrier.element({("pv", 0): SuperPoly.const(d, 1)})]
+            + [carrier.element({("pv", 1): xi(d, i)}) for i in range(1, d - k)]
+            + [carrier.element({("pv", k + 1): tail})])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_every_minimal_model_bracket_is_zero_on_a_zero_argument(d):
+    # jacobi_defect returns zero on a zero input without calling a bracket,
+    # which is sound because every bracket is zero with a zero argument;
+    # each arity also meets tuples on which it is nonzero
+    for variant in [Variant.mbcov()] + [Variant.potential(k) for k in range(2, d)]:
+        S = minimal_model_structure(d, variant)
+        carrier = cohomology_model(d, variant)
+        slots = carrier.slots
+        for n in S.arities():
+            tuples = [[carrier.random_element(slots[(t + i) % len(slots)], 2,
+                                              seed=sample_seed("zero_argument", d, variant.label, n, t, i))
+                       for i in range(n)] for t in range(2 * len(slots))]
+            if n > 2:
+                tuples.append(_central_tuple(d, variant.k))
+            assert any(not S.brackets[n](*xs).is_zero() for xs in tuples), (variant.label, n)
+            for xs in tuples:
+                for p in range(n):
+                    assert S.brackets[n](*xs[:p], S.zero(), *xs[p + 1:]).is_zero(), (variant.label, n, p)
+
+
+@pytest.mark.parametrize("d,variant", [(3, Variant.mbcov()), (4, Variant.mbcov()),
+                                       (4, Variant.potential(2)), (5, Variant.potential(2))])
+def test_jacobi_defect_matches_full_sum_on_carrier_draws_with_a_zero_input(d, variant):
+    S = minimal_model_structure(d, variant)
+    carrier = cohomology_model(d, variant)
+    slots = carrier.slots
+    for n in (2, 3, 4, 5):
+        for p in range(n):
+            seeds = [sample_seed(11, "full_jacobi_zero", d, variant.label, n, p, i) for i in range(n)]
+            xs = [carrier.random_element(slots[s % len(slots)], 4, seed=s) for s in seeds]
+            xs[p] = S.zero()
+            assert jacobi_defect(S, n, xs) == _reference_jacobi_defect(S, n, xs) == S.zero()
+
+
 # -- transfer -----------------------------------------------------------
 
 

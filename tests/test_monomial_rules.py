@@ -220,6 +220,43 @@ def test_vf_bracket_equals_commutator_on_every_hamiltonian_basis_pair(d, pairs, 
     assert (len(brackets), count) == (pairs, nontrivial)
 
 
+def _rational_field(d, parity, seed):
+    """A field of the given parity whose 2d coefficients carry different
+    denominators: a coefficient on d/dx_i has the field's parity, one on
+    d/dxi_i the opposite."""
+    def coefficient(i, p):
+        draw = random_poly(d, 2, xi_degree_filter=range(p, d + 1, 2), seed=seed + i, n_terms=3)
+        return draw.scale(Fraction(1 + i % 3, 2 + i))
+
+    return SuperVectorField(d, tuple(coefficient(i, parity) for i in range(d)),
+                            tuple(coefficient(d + i, 1 - parity) for i in range(d)))
+
+
+@pytest.mark.parametrize("pa, pb", [(1, 1), (1, 0), (0, 1), (0, 0)])
+def test_vf_bracket_and_apply_equal_references_over_different_denominators(pa, pb):
+    # the kernel brings each field's coefficients over their lcm and each
+    # output over the lcm of both jobs' denominators
+    d = 3
+    for seed in range(0, 60, 10):
+        a, b = _rational_field(d, pa, seed), _rational_field(d, pb, seed + 100)
+        assert (a.parity(), b.parity()) == (pa, pb)
+        assert all(len({c._den for c in f.mu_x + f.mu_xi}) > 2 for f in (a, b))
+        g = _mixed(d, seed).scale(Fraction(3, 7))
+        assert a.apply(g) == _apply(a, g)
+        got = vf_bracket(a, b)
+        assert got == _vf_bracket(a, b)
+        assert any(c._den > 1 for c in got.mu_x + got.mu_xi)
+
+
+def test_vf_bracket_and_apply_of_the_zero_field():
+    d = 3
+    zero = SuperVectorField.zero(d)
+    for parity in (0, 1):
+        a = _rational_field(d, parity, 7)
+        assert zero.apply(_mixed(d, 7)).is_zero()
+        assert vf_bracket(zero, a) == vf_bracket(a, zero) == zero == _vf_bracket(a, zero)
+
+
 def test_vee_omega_round_trip():
     for d in range(2, 6):
         for seed in range(10):

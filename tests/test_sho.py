@@ -125,6 +125,14 @@ def test_vector_field_layer_rejects_mixed_parity():
             vf_bracket(field, d_dx1)
 
 
+def test_vector_field_layer_rejects_a_dimension_mismatch():
+    field = hamiltonian_vf(x(1) * x(2))
+    with pytest.raises(ValueError):
+        field.apply(x(1, d=2))
+    with pytest.raises(ValueError):
+        vf_bracket(field, hamiltonian_vf(x(1, d=2) * x(2, d=2)))
+
+
 def test_sigma_is_pinned(monkeypatch):
     from polyvec.suites import CampaignConfig, suite_sho
 
@@ -138,9 +146,11 @@ def test_sigma_is_pinned(monkeypatch):
     assert failed() == {"sho.d3.hamiltonian_anti_map"}
 
 
-def test_flipped_odd_branch_of_apply_fails_the_anti_map(monkeypatch):
-    # vf_bracket applies each field to the other's coefficients, so a sign
-    # error in the d/dxi branch of apply reaches the bracket
+def _anti_map_failures_with_a_negated_half(monkeypatch, half):
+    """The failed checks of a d = 3 sho suite, first with the code as it is
+    and then with one half of every field's coefficient lists negated
+    where sho hands them to the kernel: the d/dx_i half (0) or the
+    d/dxi_i half (1)."""
     from polyvec.suites import CampaignConfig, suite_sho
 
     cfg = CampaignConfig(d=3, max_degree=3, trials=10, seed=1, checks=("sho",))
@@ -148,14 +158,25 @@ def test_flipped_odd_branch_of_apply_fails_the_anti_map(monkeypatch):
     def failed():
         return {r.check_id for r in suite_sho(cfg).failures()}
 
-    assert failed() == set()
-    apply = SuperVectorField.apply
+    before = failed()
+    lists = SuperVectorField._coefficient_lists
 
-    def flipped(field, g):
-        return apply(SuperVectorField(field.d, field.mu_x, tuple(-c for c in field.mu_xi)), g)
+    def negated(field):
+        terms, den = lists(field)
+        return [[(k, -c) for k, c in t] if i // field.d == half else t for i, t in enumerate(terms)], den
 
-    monkeypatch.setattr(SuperVectorField, "apply", flipped)
-    assert failed() == {"sho.d3.hamiltonian_anti_map"}
+    monkeypatch.setattr(SuperVectorField, "_coefficient_lists", negated)
+    return before, failed()
+
+
+def test_flipped_odd_branch_of_apply_fails_the_anti_map(monkeypatch):
+    # vf_bracket applies each field to the other's coefficients through
+    # the kernel, so a sign error in the d/dxi branch reaches the bracket
+    assert _anti_map_failures_with_a_negated_half(monkeypatch, 1) == (set(), {"sho.d3.hamiltonian_anti_map"})
+
+
+def test_flipped_even_branch_of_apply_fails_the_anti_map(monkeypatch):
+    assert _anti_map_failures_with_a_negated_half(monkeypatch, 0) == (set(), {"sho.d3.hamiltonian_anti_map"})
 
 
 def test_ham_generator_inversion():

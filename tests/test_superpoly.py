@@ -402,6 +402,19 @@ def test_products_past_the_exponent_cap_raise():
         symmetric_bracket(mu, SuperPoly.monomial(d, (60, 0, 0), ()))
     at_cap = symmetric_bracket(mu, SuperPoly.monomial(d, (EXP_CAP - 99, 0, 0), ()))
     assert at_cap == SuperPoly.monomial(d, (EXP_CAP, 0, 0), (), EXP_CAP - 99)
+    from polyvec.sho import SuperVectorField, vf_bracket
+
+    # the vector-field kernel: [x1^100 d/dx1, x1^n d/dx1] = (n - 100) x1^(99 + n) d/dx1
+    zero = SuperPoly.zero(d)
+
+    def along_x1(p):
+        return SuperVectorField(d, (p, zero, zero), (zero,) * d)
+
+    a = along_x1(SuperPoly.monomial(d, (100, 0, 0), ()))
+    with pytest.raises(OverflowError):
+        vf_bracket(a, along_x1(SuperPoly.monomial(d, (60, 0, 0), ())))
+    at_cap = vf_bracket(a, along_x1(SuperPoly.monomial(d, (EXP_CAP - 99, 0, 0), ())))
+    assert at_cap == along_x1(SuperPoly.monomial(d, (EXP_CAP, 0, 0), (), EXP_CAP - 199))
     assert not contraction_K(SuperPoly.monomial(d, (EXP_CAP - 1, 0, 0), ())).is_zero()
     with pytest.raises(OverflowError):
         contraction_K(SuperPoly.monomial(d, (EXP_CAP, 0, 0), ()))
