@@ -7,9 +7,12 @@ supplies p (CarrierModel.project), plus a homotopy H; a carrier element
 is a field, so iota is the identity, and Q is complexes.differential.
 The relations p iota = id and id - iota p = Q H + H Q are checked
 summand by summand by verify_datum.  The side conditions H^2 = 0,
-H iota = 0, p H = 0 are not required, only probed on seeded samples by
-side_conditions, which can miss a failure; normalize_homotopy arranges
-them when absent.
+H iota = 0, p H = 0 are not required.  A datum states whether it has
+them (side_conditions_hold): build_datum's H has them by construction,
+and normalize_homotopy arranges them; every other datum, hand-built ones
+included, leaves the flag False.  verify_datum reports them from the
+seeded probe side_conditions, which can miss a failure, and is the only
+caller of that probe.
 """
 
 from __future__ import annotations
@@ -42,10 +45,13 @@ class HomotopyDatum:
     The complex is the carrier's (carrier.d, carrier.variant), Q is
     complexes.differential, p is carrier.project and iota is the identity
     (a carrier element is a field); only H varies between data.
+    side_conditions_hold states that H^2 = 0, H iota = 0 and p H = 0
+    hold exactly; transfer normalizes a datum without it.
     """
 
     carrier: CarrierModel
     homotopy: Callable[[DescendantField], DescendantField]
+    side_conditions_hold: bool = False
 
 
 def build_datum(d: int, variant: Variant) -> HomotopyDatum:
@@ -55,7 +61,9 @@ def build_datum(d: int, variant: Variant) -> HomotopyDatum:
     vanishes on the minimal t^0 summands and on the final potential
     summand, which have no neighbour below.  The step table is this
     complex's, so a field of another complex raises the ValueError of
-    CarrierModel.project.
+    CarrierModel.project.  H has the side conditions, so the datum sets
+    side_conditions_hold; tier-1 certifies them exactly on every basis
+    monomial through degree 3 for d = 2..5 and every variant.
     """
     carrier = cohomology_model(d, variant)
     down = grid(d, variant).down
@@ -64,7 +72,7 @@ def build_datum(d: int, variant: Variant) -> HomotopyDatum:
         check_complex(psi, d, variant)
         return step(psi, down, contraction_K)
 
-    return HomotopyDatum(carrier, homotopy)
+    return HomotopyDatum(carrier, homotopy, side_conditions_hold=True)
 
 
 def scale_homotopy(datum: HomotopyDatum, factor) -> HomotopyDatum:
@@ -100,7 +108,8 @@ def normalize_homotopy(datum: HomotopyDatum) -> HomotopyDatum:
 
     Applies the classical replacements H <- H (1 - iota p),
     H <- (1 - iota p) H, H <- H Q H; each step preserves the homotopy
-    relations (Q iota = 0 and p Q = 0 hold for every datum built here).
+    relations (Q iota = 0 and p Q = 0 hold for every datum built here),
+    and the result has side_conditions_hold set.
     """
     carrier = datum.carrier
 
@@ -110,7 +119,7 @@ def normalize_homotopy(datum: HomotopyDatum) -> HomotopyDatum:
     h1 = lambda psi: datum.homotopy(one_minus_ip(psi))
     h2 = lambda psi: one_minus_ip(h1(psi))
     h3 = lambda psi: h2(differential(h2(psi)))
-    return HomotopyDatum(carrier, h3)
+    return HomotopyDatum(carrier, h3, side_conditions_hold=True)
 
 
 def verify_datum(datum: HomotopyDatum, sample_budget: int = 50, seed: int = 0,

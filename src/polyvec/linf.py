@@ -18,7 +18,9 @@ so iota is the identity), the homotopy on internal edges, and the
 projection at the root, organized as a recursion over set partitions of
 the inputs; within one bracket call each input subset's subtree is
 evaluated once.  It requires the side conditions (H^2 = 0, H iota = 0,
-p H = 0); data lacking them are normalized first.
+p H = 0): transfer reads them from the datum's side_conditions_hold flag,
+set by build_datum and normalize_homotopy, and normalizes once every
+datum without it; it runs no sampled probe.
 
 Both sums skip every term that multilinearity already makes zero: a
 bracket the structure lacks is zero, and so is a bracket with a zero
@@ -27,13 +29,16 @@ any parity or bracket: every term of the combination holds each input in
 its inner or its outer bracket, so the whole combination is zero.
 Otherwise it visits only the splits (i, n-i+1) whose two arities are both
 brackets of the structure, and drops a zero inner value before its sign,
-its remaining inputs and its outer bracket.  tree_sum
-visits only the partitions whose block count is a vertex arity of the
-source, read from one memoized table per (subset size, vertex arities),
-and drops a partition at its first zero block (a zero input, a zero sum
-of trees, or one the homotopy kills) before its bracket is called; the
-homotopy is linear, so a zero sum is never passed to it.  A sum starts
-at its first term, and one with no term is structure.zero().
+its remaining inputs and its outer bracket.  tree_sum visits only the
+partitions whose block count is a vertex arity of the source, read from
+one memoized table per (index subset, vertex arities) that gives each
+partition's blocks in global indices with their concatenation, the order
+its Koszul sign reads; the table holds indices only, never a value, so
+it spares no bracket or homotopy call.  tree_sum drops a partition at
+its first zero block (a zero input, a zero sum of trees, or one the
+homotopy kills) before its bracket is called; the homotopy is linear, so
+a zero sum is never passed to it.  A sum starts at its first term, and
+one with no term is structure.zero().
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from .complexes import (
     phi_parts,
     t_power_of,
 )
-from .contraction import HomotopyDatum, normalize_homotopy, side_conditions
+from .contraction import HomotopyDatum, normalize_homotopy
 from .pvcalc import contraction_K
 from .superpoly import SuperPoly, koszul_sign, term_sum
 
@@ -113,22 +118,6 @@ def jacobi_defect(structure: LInftyStructure, n: int, inputs) -> Any:
             term = term if sign > 0 else -term
             acc = term if acc is None else acc + term
     return structure.zero() if acc is None else acc
-
-
-def symmetry_defects(structure: LInftyStructure, n: int, inputs) -> list:
-    """Defects of graded symmetry under adjacent transpositions."""
-    inputs = list(inputs)
-    parities = [x.parity() for x in inputs]
-    bracket = structure.bracket(n)
-    base = bracket(*inputs)
-    out = []
-    for a in range(n - 1):
-        swapped = list(inputs)
-        swapped[a], swapped[a + 1] = swapped[a + 1], swapped[a]
-        sign = -1 if (parities[a] & parities[a + 1] & 1) else 1
-        val = bracket(*swapped)
-        out.append(base - (val if sign > 0 else -val))
-    return out
 
 
 # -- concrete structures ----------------------------------------------
@@ -249,31 +238,42 @@ def minimal_model_structure(d: int, variant: Variant) -> LInftyStructure:
 
 
 @lru_cache(maxsize=None)
-def _vertex_partitions(m: int, arities: frozenset) -> tuple:
-    """Partitions of range(m) whose block count is in arities: each block a
-    sorted tuple, blocks ordered by least element.
+def _subset_partitions(idx: tuple, arities: frozenset) -> tuple:
+    """Partitions of the increasing index tuple idx whose block count is in
+    arities, as (blocks, order) pairs: each block a sorted tuple of idx's
+    own elements, blocks ordered by least element, and order their
+    concatenation, the input order koszul_reorder_sign reads.
 
-    The Bell recursion (partitions of the tail, then the head as a new
-    block or joined to one), restricted at each step to the tails whose
-    block count can still reach an allowed count; the table lists the
-    unfiltered enumeration's partitions of an allowed count in its order.
+    The Bell recursion over idx (partitions of the tail, then the head as
+    a new block or joined to one), restricted at each step to the tails
+    whose block count can still reach an allowed count; the table lists
+    the unfiltered enumeration's partitions of an allowed count in its
+    order.  It holds index combinatorics only, never a value.
     """
+    m = len(idx)
+
     def helper(start, counts):
         if start == m:
             if 0 in counts:
                 yield []
             return
+        head = (idx[start],)
         # the tail holds m - start - 1 indices, so at most that many blocks
         tail_counts = {c - j for c in counts for j in (0, 1) if 0 <= c - j < m - start}
         for sub in helper(start + 1, tail_counts):
             if len(sub) + 1 in counts:
-                yield [[start]] + sub
+                yield [head] + sub
             if len(sub) in counts:
                 for i in range(len(sub)):
-                    yield sub[:i] + [[start] + sub[i]] + sub[i + 1:]
+                    yield sub[:i] + [head + sub[i]] + sub[i + 1:]
 
-    # start precedes its tail, so every block is already sorted
-    return tuple(tuple(map(tuple, sorted(part, key=min))) for part in helper(0, arities))
+    # the head precedes its tail, so every block is already sorted, and
+    # disjoint blocks sort by their least elements
+    table = []
+    for part in helper(0, arities):
+        blocks = tuple(sorted(part))
+        table.append((blocks, sum(blocks, ())))
+    return tuple(table)
 
 
 def tree_sum(structure: LInftyStructure, homotopy: Callable, inputs) -> Any:
@@ -303,20 +303,18 @@ def tree_sum(structure: LInftyStructure, homotopy: Callable, inputs) -> Any:
 
     def big_b(idx):
         """The sum over the partitions of idx, None where it is zero."""
-        # blocks of an increasing tuple are increasing subsequences, so the
-        # sign of the global indices equals the sign of the local ones
         acc = None
-        for blocks in _vertex_partitions(len(idx), arities):
+        for blocks, order in _subset_partitions(idx, arities):
             args = []
             for blk in blocks:
-                arg = theta(tuple(idx[i] for i in blk))
+                arg = theta(blk)
                 if arg is None:
                     break
                 args.append(arg)
             else:
                 val = structure.brackets[len(blocks)](*args)
                 if not val.is_zero():
-                    sign = koszul_reorder_sign([idx[i] for blk in blocks for i in blk], parities)
+                    sign = koszul_reorder_sign(order, parities)
                     val = val if sign > 0 else -val
                     acc = val if acc is None else acc + val
         return None if acc is None or acc.is_zero() else acc
@@ -331,11 +329,13 @@ def transfer(structure: LInftyStructure, datum: HomotopyDatum, arity_cap: int) -
     The n-ary bracket is the projection of tree_sum, whose leaves are the
     carrier elements themselves (iota is the identity) and whose internal
     edges carry the homotopy; each input subset's subtree is evaluated
-    once per bracket call.  The datum is normalized first when the
-    sampled probe side_conditions, which can miss, finds a failure."""
+    once per bracket call.  The tree formula needs the side conditions,
+    so a datum that does not state them (side_conditions_hold False:
+    scaled, perturbed or hand-built data) is normalized once, here; no
+    side condition is probed."""
     if arity_cap < 2:
         raise ValueError("arity_cap must be at least 2")
-    if not all(side_conditions(datum, seed=0, max_degree=3).values()):
+    if not datum.side_conditions_hold:
         datum = normalize_homotopy(datum)
     carrier = datum.carrier
 

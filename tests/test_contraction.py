@@ -261,16 +261,35 @@ def test_exact_side_conditions_flag_the_perturbed_datum():
     assert held == {"H_squared": True, "p_H": False, "H_iota": False}
 
 
+def test_normalized_data_have_the_side_conditions_exactly():
+    # what normalize_homotopy's side_conditions_hold asserts, on data that
+    # lack the side conditions (perturbed) or the homotopy relations (scaled)
+    total = 0
+    for d, variant in [(2, Variant.mbcov()), (3, Variant.mbcov()),
+                       (3, Variant.potential(2)), (4, Variant.potential(2))]:
+        datum = build_datum(d, variant)
+        for broken in (perturb_side_conditions(datum), scale_homotopy(datum, 2)):
+            held, count = _exact_side_conditions(normalize_homotopy(broken))
+            assert held == {"H_squared": True, "p_H": True, "H_iota": True}, (d, variant)
+            total += count
+    assert total == 996
+
+
 def test_datum_is_carrier_plus_homotopy():
     from dataclasses import fields
 
     from polyvec.contraction import HomotopyDatum
 
-    assert [f.name for f in fields(HomotopyDatum)] == ["carrier", "homotopy"]
+    assert [f.name for f in fields(HomotopyDatum)] == ["carrier", "homotopy", "side_conditions_hold"]
     datum = build_datum(3, Variant.mbcov())
+    assert datum.side_conditions_hold is True
     for derived in (scale_homotopy(datum, 2), perturb_side_conditions(datum),
                     normalize_homotopy(datum)):
         assert derived.carrier is datum.carrier and derived.homotopy is not datum.homotopy
+    assert scale_homotopy(datum, 2).side_conditions_hold is False
+    assert perturb_side_conditions(datum).side_conditions_hold is False
+    assert normalize_homotopy(perturb_side_conditions(datum)).side_conditions_hold is True
+    assert HomotopyDatum(datum.carrier, datum.homotopy).side_conditions_hold is False
 
 
 def test_homotopy_rejects_a_field_of_another_complex():

@@ -1,22 +1,28 @@
+import dataclasses
 import random
 from itertools import combinations, product
 
 import pytest
 
-from polyvec import pvcalc
+from polyvec import contraction, linf, pvcalc
 from polyvec.complexes import DescendantField, Variant, cohomology_model, collect, phi_map
-from polyvec.contraction import HomotopyDatum, build_datum, contraction_K, perturb_side_conditions
+from polyvec.contraction import (
+    HomotopyDatum,
+    build_datum,
+    contraction_K,
+    normalize_homotopy,
+    perturb_side_conditions,
+)
 from polyvec.linf import (
     LInftyStructure,
     _content,
-    _vertex_partitions,
+    _subset_partitions,
     _x_constant_content,
     field_structure,
     jacobi_defect,
     koszul_reorder_sign,
     minimal_model_structure,
     schouten_structure,
-    symmetry_defects,
     transfer,
     tree_sum,
 )
@@ -34,6 +40,22 @@ def x(d, i):
 def _div_free(d, deg, xi_degree, seed):
     raw = random_poly(d, deg, xi_degree_filter=xi_degree, seed=seed)
     return raw - contraction_K(pvcalc.divergence(raw))
+
+
+def symmetry_defects(structure: LInftyStructure, n: int, inputs) -> list:
+    """Defects of graded symmetry under adjacent transpositions."""
+    inputs = list(inputs)
+    parities = [x.parity() for x in inputs]
+    bracket = structure.bracket(n)
+    base = bracket(*inputs)
+    out = []
+    for a in range(n - 1):
+        swapped = list(inputs)
+        swapped[a], swapped[a + 1] = swapped[a + 1], swapped[a]
+        sign = -1 if (parities[a] & parities[a + 1] & 1) else 1
+        val = bracket(*swapped)
+        out.append(base - (val if sign > 0 else -val))
+    return out
 
 
 def test_jacobi_defect_named_triple():
@@ -292,7 +314,8 @@ def _recording_transfer(d, arity_cap):
 
     wrapped = LInftyStructure(source.zero, {n: b if n == 1 else recorded(b, brackets)
                                             for n, b in source.brackets.items()})
-    wrapped_datum = HomotopyDatum(datum.carrier, recorded(datum.homotopy, homotopies))
+    # the recorded H returns H's values, so the datum keeps its side conditions
+    wrapped_datum = dataclasses.replace(datum, homotopy=recorded(datum.homotopy, homotopies))
     transferred = transfer(wrapped, wrapped_datum, arity_cap=arity_cap)
     brackets.clear()
     homotopies.clear()
@@ -381,6 +404,47 @@ def test_transfer_with_normalized_homotopy():
         assert transferred.brackets[3](a, b, c).is_zero()
 
 
+def test_transfer_of_built_datum_neither_probes_nor_normalizes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(linf, "normalize_homotopy", refuse)
+    monkeypatch.setattr(contraction, "side_conditions", refuse)
+    d = 3
+    transferred = transfer(field_structure(d), build_datum(d, Variant.mbcov()), arity_cap=5)
+    model = minimal_model_structure(d, Variant.mbcov())
+    carrier = cohomology_model(d, Variant.mbcov())
+    slots = carrier.slots
+    for n in range(2, 6):
+        xs = [carrier.random_element(slots[i % len(slots)], 3, seed=40 * n + i) for i in range(n)]
+        want = model.brackets[2](*xs) if n == 2 else DescendantField.zero(d, Variant.mbcov())
+        assert transferred.brackets[n](*xs) == want
+
+
+def test_transfer_normalizes_a_hand_built_datum_once(monkeypatch):
+    normalized = []
+
+    def counting(datum):
+        normalized.append(datum)
+        return normalize_homotopy(datum)
+
+    monkeypatch.setattr(linf, "normalize_homotopy", counting)
+    d = 3
+    built = build_datum(d, Variant.mbcov())
+    hand_built = HomotopyDatum(built.carrier, built.homotopy)
+    transferred = transfer(field_structure(d), hand_built, arity_cap=4)
+    carrier = built.carrier
+    for n in (2, 3, 4):
+        for t in range(2):
+            transferred.brackets[n](*(carrier.random_element(("pv", 1), 2, seed=10 * n + t + i)
+                                      for i in range(n)))
+    assert normalized == [hand_built]
+    # a datum that states its side conditions is passed through untouched
+    transfer(field_structure(d), normalize_homotopy(hand_built), arity_cap=3)
+    transfer(field_structure(d), built, arity_cap=3)
+    assert normalized == [hand_built]
+
+
 def _bell_partitions(n):
     """Every partition of range(n), unfiltered: each block sorted, blocks
     ordered by least element."""
@@ -425,14 +489,28 @@ def _reference_tree_sum(structure, homotopy, inputs):
     return big_b(tuple(inputs))
 
 
+def _table_entries(idx, arities):
+    """The expected partition table of the index tuple idx: the Bell
+    partitions of its positions with an allowed block count, each block
+    mapped to idx's elements, with the blocks' concatenation."""
+    out = []
+    for blocks in _bell_partitions(len(idx)):
+        if len(blocks) in arities:
+            glob = tuple(tuple(idx[i] for i in blk) for blk in blocks)
+            out.append((glob, tuple(i for blk in glob for i in blk)))
+    return out
+
+
 @pytest.mark.parametrize("arities", [{2}, {3}, {2, 3}, {2, 4}, set()])
 def test_vertex_partitions_are_the_bell_partitions_of_a_vertex_arity(arities):
     for m in range(1, 8):
-        want = [tuple(map(tuple, blocks)) for blocks in _bell_partitions(m) if len(blocks) in arities]
-        assert list(_vertex_partitions(m, frozenset(arities))) == want
+        assert list(_subset_partitions(tuple(range(m)), frozenset(arities))) == _table_entries(range(m), arities)
+    # a subset that is not an initial segment: blocks come back in its own indices
+    idx = (0, 2, 3, 5)
+    assert list(_subset_partitions(idx, frozenset(arities))) == _table_entries(idx, arities)
     # Bell(7) = 877 partitions, of which S(7, 2) = 63 have two blocks
     assert len(list(_bell_partitions(7))) == 877
-    assert len(_vertex_partitions(7, frozenset({2}))) == 63
+    assert len(_subset_partitions(tuple(range(7)), frozenset({2}))) == 63
 
 
 def _toy_source(d):
