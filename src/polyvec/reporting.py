@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 from typing import Iterator
+
+from .superpoly import sample_seed
 
 
 @dataclass
@@ -30,23 +34,39 @@ class Report:
     def add(self, check_id: str, passed: bool, required: bool = True, **details):
         self.records.append(CheckRecord(check_id, bool(passed), required, details))
 
-    def check(self, check_id: str, failures: Iterator[dict]):
+    def check(self, check_id: str, failures: Iterator[dict], **counts):
         """Record a required check family from its failing cases.
 
         failures yields one witness dict per failing case; the first one
-        fails the check and the family is not resumed.  A family that
-        counts its cases returns the counts (e.g. {"pairs": n}); they are
-        recorded when no case failed, and the check then passes only if
-        every count is positive, since a family that checked nothing
-        proves nothing.
+        fails the check and the family is not resumed.  counts (e.g.
+        pairs=n) are recorded when no case failed, and the check then
+        passes only if every count is positive, since a family that
+        checked nothing proves nothing.  A family that raises fails with
+        the witness {"error": "<type>: <message>"}, and the campaign goes on.
         """
         try:
             witness = next(failures)
-        except StopIteration as done:
-            counts = done.value or {}
+        except StopIteration:
             self.add(check_id, all(counts.values()), **counts)
+        except Exception as exc:
+            self.add(check_id, False, witness={"error": f"{type(exc).__name__}: {exc}"})
         else:
             self.add(check_id, False, witness=witness)
+
+    def sampled(self, check_id: str, seed: int, trials, evaluate, count: str | None = None):
+        """Record a seeded check family through check.
+
+        trials is a number n of trials 0..n-1, or a list of key tuples
+        such as (xi_degree, t).  evaluate(draw, t) yields the witnesses of
+        trial t, and draw(*position) is sample_seed(seed, check_id, *key,
+        *position), the key being t or (t,): the check id is the family
+        of every draw.  count names the detail, if any, that records the
+        number of trials.
+        """
+        keys = range(trials) if isinstance(trials, int) else trials
+        failures = chain.from_iterable(
+            evaluate(partial(sample_seed, seed, check_id, *(t if isinstance(t, tuple) else (t,))), t) for t in keys)
+        self.check(check_id, failures, **({count: len(keys)} if count else {}))
 
     def extend(self, other: "Report"):
         self.records.extend(other.records)

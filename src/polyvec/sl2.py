@@ -21,6 +21,8 @@ agree through it.
 
 from __future__ import annotations
 
+from functools import partial
+
 from . import conventions, pvcalc
 from ._linalg import solve_combination
 from .complexes import DescendantField, Variant, cohomology_model
@@ -136,37 +138,34 @@ def sl2_relations_check(truncation: int = 3, trials: int = 40, seed: int = 0) ->
     [h, f] = -2f, [e, f] = h hold, on seeded elements of SHO(3|3)."""
     report = Report()
 
-    # h, e and f are derivations at every sampled principal degree
-    def derivation(name, action):
-        draw = lambda s: ext_element(random_sho_generator(truncation + 2, seed=s))
-        yield from _leibniz_failures(name, action, _seeded_pairs(draw, seed, f"sl2.derivation.{name}", trials))
-        # the report schema gives only the f record a pair count
-        return {"pairs": trials} if name == "f" else {}
-
+    # h, e and f are derivations at every sampled principal degree; the
+    # report schema gives only the f record a pair count
+    generator = lambda s: ext_element(random_sho_generator(truncation + 2, seed=s))
     for name, action in _actions().items():
-        report.check(f"sl2.derivation.{name}", derivation(name, action))
+        report.sampled(f"sl2.derivation.{name}", seed, trials, partial(_seeded_leibniz, name, action, generator),
+                       count="pairs" if name == "f" else None)
 
     # operator relations on elements of one principal degree in [-1, 4]
-    def relation(name, lhs_fn, rhs_fn):
-        for t in range(trials):
-            s = sample_seed(seed, f"sl2.relation.{name}", t)
-            deg = sample_seed(s, "degree") % 6 - 1
-            v = _random_principal(deg, seed=s)
-            if lhs_fn(v) != rhs_fn(v):
-                yield {"element": str(v), "degree": deg}
+    def relation(lhs_fn, rhs_fn, draw, t):
+        s = draw()
+        deg = sample_seed(s, "degree") % 6 - 1
+        v = _random_principal(deg, seed=s)
+        if lhs_fn(v) != rhs_fn(v):
+            yield {"element": str(v), "degree": deg}
 
     for name, lhs_fn, rhs_fn in (
         ("h_e", lambda v: _comm(act_h, act_e, v), lambda v: act_e(v).scale(2)),
         ("h_f", lambda v: _comm(act_h, act_f, v), lambda v: act_f(v).scale(-2)),
         ("e_f", lambda v: _comm(act_e, act_f, v), act_h),
     ):
-        report.check(f"sl2.relation.{name}", relation(name, lhs_fn, rhs_fn))
+        report.sampled(f"sl2.relation.{name}", seed, trials, partial(relation, lhs_fn, rhs_fn))
     return report
 
 
-def _seeded_pairs(draw, seed: int, family: str, trials: int):
-    """trials pairs (draw(s0), draw(s1)), s_i = sample_seed(seed, family, t, i)."""
-    return ((draw(sample_seed(seed, family, t, 0)), draw(sample_seed(seed, family, t, 1))) for t in range(trials))
+def _seeded_leibniz(name: str, action, element, draw, t):
+    """The Leibniz failures of x = name on trial t's pair (element(draw(0)),
+    element(draw(1))), for Report.sampled."""
+    return _leibniz_failures(name, action, [(element(draw(0)), element(draw(1)))])
 
 
 def _comm(first, second, v: ExtElement) -> ExtElement:
@@ -205,8 +204,8 @@ def equivariance_check_cocycle(trials: int = 30, seed: int = 0) -> Report:
         report.check(f"sl2.cocycle_equivariance.named.{name}", _leibniz_failures(name, action, named))
 
     for name, action in _actions().items():
-        family = f"sl2.cocycle_equivariance.seeded.{name}"
-        report.check(family, _leibniz_failures(name, action, _seeded_pairs(_random_low_degree, seed, family, trials)))
+        report.sampled(f"sl2.cocycle_equivariance.seeded.{name}", seed, trials,
+                       partial(_seeded_leibniz, name, action, _random_low_degree))
     return report
 
 
@@ -265,15 +264,14 @@ def equivariance_compare_theorem(truncation: int = 3, trials: int = 40, seed: in
     for label, (name, v) in named.items():
         report.check(f"sl2.field_equivariance.named.{label}", mismatch(name, v))
 
-    def seeded(name):
-        for t in range(trials):
-            s = sample_seed(seed, f"sl2.field_equivariance.seeded.{name}", t)
-            deg = sample_seed(s, "degree") % (truncation + 2) - 1
-            v = _random_principal(deg, seed=s) + ExtElement(
-                SuperPoly.zero(3), sample_seed(s, "e1") % 5 - 2, sample_seed(s, "e2") % 5 - 2)
-            yield from mismatch(name, v)
-        return {"elements": trials}
+    def seeded(name, draw, t):
+        s = draw()
+        deg = sample_seed(s, "degree") % (truncation + 2) - 1
+        v = _random_principal(deg, seed=s) + ExtElement(
+            SuperPoly.zero(3), sample_seed(s, "e1") % 5 - 2, sample_seed(s, "e2") % 5 - 2)
+        return mismatch(name, v)
 
     for name in ("e", "h", "f"):
-        report.check(f"sl2.field_equivariance.seeded.{name}", seeded(name))
+        report.sampled(f"sl2.field_equivariance.seeded.{name}", seed, trials, partial(seeded, name),
+                       count="elements")
     return report

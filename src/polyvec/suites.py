@@ -1,14 +1,16 @@
 """Named verification suites assembled into reports.
 
-Each suite draws seeded samples, checks exact identities, and emits one
-CheckRecord per identity family.  The CLI composes them into campaigns;
-the acceptance tests call them directly.
+Each suite checks exact identities and emits one CheckRecord per
+identity family; a seeded family draws its samples through
+Report.sampled, under its check id.  The CLI composes them into
+campaigns; the acceptance tests call them directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from . import conventions, pvcalc
 from .complexes import Variant, cohomology_model
@@ -57,6 +59,8 @@ class CampaignConfig:
         unknown = set(self.checks) - set(SUITES)
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
+        if len(set(self.checks)) < len(self.checks):
+            raise ValueError(f"repeated checks: {sorted({c for c in self.checks if self.checks.count(c) > 1})}")
         for name in self.checks:
             if need := _unmet_prerequisite(name, self):
                 raise ValueError(f"suite {name!r} requires {need}")
@@ -80,61 +84,56 @@ def suite_algebra(cfg: CampaignConfig) -> Report:
     d, deg, seed = cfg.d, cfg.max_degree, cfg.seed
     n = cfg.trials
 
-    def ring():
-        for t in range(n):
-            a, b, c = (_homog(d, deg, sample_seed(seed, f"algebra.d{d}.ring", t, i)) for i in range(3))
-            ab = a * b
-            if ab * c != a * (b * c):
-                yield {"a": str(a), "b": str(b), "c": str(c)}
-            pa, pb = a.parity(), b.parity()
-            sign = -1 if pa & pb else 1
-            if ab != (b * a).scale(sign):
-                yield {"a": str(a), "b": str(b)}
+    def ring(draw, t):
+        a, b, c = (_homog(d, deg, draw(i)) for i in range(3))
+        ab = a * b
+        if ab * c != a * (b * c):
+            yield {"a": str(a), "b": str(b), "c": str(c)}
+        pa, pb = a.parity(), b.parity()
+        sign = -1 if pa & pb else 1
+        if ab != (b * a).scale(sign):
+            yield {"a": str(a), "b": str(b)}
 
-    report.check(f"algebra.d{d}.ring", ring())
+    report.sampled(f"algebra.d{d}.ring", seed, n, ring)
 
-    def leibniz():
-        for t in range(n):
-            a, b = (_homog(d, deg, sample_seed(seed, f"algebra.d{d}.leibniz", t, i)) for i in range(2))
-            i = 1 + (t % d)
-            lhs = (a * b).d_odd(i)
-            rhs = a.d_odd(i) * b + (a * b.d_odd(i)).scale(-1 if a.parity() else 1)
-            if lhs != rhs:
-                yield {"a": str(a), "b": str(b), "i": i}
-            j = 1 + ((t + 1) % d)
-            if a.d_odd(i).d_odd(j) != -(a.d_odd(j).d_odd(i)):
-                yield {"a": str(a), "i": i, "j": j}
+    def leibniz(draw, t):
+        a, b = (_homog(d, deg, draw(i)) for i in range(2))
+        i = 1 + (t % d)
+        lhs = (a * b).d_odd(i)
+        rhs = a.d_odd(i) * b + (a * b.d_odd(i)).scale(-1 if a.parity() else 1)
+        if lhs != rhs:
+            yield {"a": str(a), "b": str(b), "i": i}
+        j = 1 + ((t + 1) % d)
+        if a.d_odd(i).d_odd(j) != -(a.d_odd(j).d_odd(i)):
+            yield {"a": str(a), "i": i, "j": j}
 
-    report.check(f"algebra.d{d}.leibniz", leibniz())
+    report.sampled(f"algebra.d{d}.leibniz", seed, n, leibniz)
 
-    def laplacian():
-        for t in range(n):
-            mu = _homog(d, deg, sample_seed(seed, f"algebra.d{d}.laplacian_squares_to_zero", t))
-            if not pvcalc.divergence(pvcalc.divergence(mu)).is_zero():
-                yield {"mu": str(mu)}
+    def laplacian(draw, t):
+        mu = _homog(d, deg, draw())
+        if not pvcalc.divergence(pvcalc.divergence(mu)).is_zero():
+            yield {"mu": str(mu)}
 
-    report.check(f"algebra.d{d}.laplacian_squares_to_zero", laplacian())
+    report.sampled(f"algebra.d{d}.laplacian_squares_to_zero", seed, n, laplacian)
 
-    def antisymmetry():
-        for t in range(n):
-            a, b = (_homog(d, deg, sample_seed(seed, f"algebra.d{d}.shifted_antisymmetry", t, i)) for i in range(2))
-            pa, pb = a.xi_degree(), b.xi_degree()
-            sign = -1 if ((pa - 1) * (pb - 1)) & 1 else 1
-            if pvcalc.schouten(a, b) != pvcalc.schouten(b, a).scale(-sign):
-                yield {"a": str(a), "b": str(b)}
+    def antisymmetry(draw, t):
+        a, b = (_homog(d, deg, draw(i)) for i in range(2))
+        pa, pb = a.xi_degree(), b.xi_degree()
+        sign = -1 if ((pa - 1) * (pb - 1)) & 1 else 1
+        if pvcalc.schouten(a, b) != pvcalc.schouten(b, a).scale(-sign):
+            yield {"a": str(a), "b": str(b)}
 
-    report.check(f"algebra.d{d}.shifted_antisymmetry", antisymmetry())
+    report.sampled(f"algebra.d{d}.shifted_antisymmetry", seed, n, antisymmetry)
 
-    def jacobi():
-        for t in range(n):
-            a, b, c = (_homog(d, deg, sample_seed(seed, f"algebra.d{d}.shifted_jacobi", t, i)) for i in range(3))
-            sign = -1 if ((a.xi_degree() - 1) * (b.xi_degree() - 1)) & 1 else 1
-            lhs = pvcalc.schouten(a, pvcalc.schouten(b, c))
-            rhs = pvcalc.schouten(pvcalc.schouten(a, b), c) + pvcalc.schouten(b, pvcalc.schouten(a, c)).scale(sign)
-            if lhs != rhs:
-                yield {"a": str(a), "b": str(b), "c": str(c)}
+    def jacobi(draw, t):
+        a, b, c = (_homog(d, deg, draw(i)) for i in range(3))
+        sign = -1 if ((a.xi_degree() - 1) * (b.xi_degree() - 1)) & 1 else 1
+        lhs = pvcalc.schouten(a, pvcalc.schouten(b, c))
+        rhs = pvcalc.schouten(pvcalc.schouten(a, b), c) + pvcalc.schouten(b, pvcalc.schouten(a, c)).scale(sign)
+        if lhs != rhs:
+            yield {"a": str(a), "b": str(b), "c": str(c)}
 
-    report.check(f"algebra.d{d}.shifted_jacobi", jacobi())
+    report.sampled(f"algebra.d{d}.shifted_jacobi", seed, n, jacobi)
 
     def delta_bracket(mu, nu):
         # Delta's own derived bracket, with the decalage sign; Delta is read
@@ -143,44 +142,40 @@ def suite_algebra(cfg: CampaignConfig) -> Report:
         raw = delta(mu * nu) - delta(mu) * nu - (mu * delta(nu)).scale(-1 if k & 1 else 1)
         return raw.scale(pvcalc.decalage_sign(k))
 
-    def derivation():
-        for t in range(n):
-            mu, nu = (_homog(d, deg, sample_seed(seed, f"algebra.d{d}.derivation_and_second_order", t, i))
-                      for i in range(2))
-            # Delta's bracket of (mu, nu), read by all three comparisons
-            mu_nu = delta_bracket(mu, nu)
-            sign = -1 if (mu.xi_degree() - 1) & 1 else 1
-            lhs = pvcalc.divergence(mu_nu)
-            rhs = delta_bracket(pvcalc.divergence(mu), nu) + delta_bracket(mu, pvcalc.divergence(nu)).scale(sign)
-            if lhs != rhs:
-                yield {"mu": str(mu), "nu": str(nu)}
-            # Gerstenhaber Leibniz rule: holds exactly when Delta is second order
-            rho = _homog(d, deg, sample_seed(seed, f"algebra.d{d}.derivation_and_second_order", t, 2))
-            sign = -1 if ((mu.xi_degree() - 1) * nu.xi_degree()) & 1 else 1
-            lhs = delta_bracket(mu, nu * rho)
-            rhs = mu_nu * rho + (nu * delta_bracket(mu, rho)).scale(sign)
-            if lhs != rhs:
-                yield {"mu": str(mu), "nu": str(nu), "rho": str(rho), "kind": "second-order"}
-            # the bidifferential Schouten kernel is the bracket Delta derives
-            if pvcalc.schouten(mu, nu) != mu_nu:
-                yield {"mu": str(mu), "nu": str(nu), "kind": "kernel"}
+    def derivation(draw, t):
+        mu, nu = (_homog(d, deg, draw(i)) for i in range(2))
+        # Delta's bracket of (mu, nu), read by all three comparisons
+        mu_nu = delta_bracket(mu, nu)
+        sign = -1 if (mu.xi_degree() - 1) & 1 else 1
+        lhs = pvcalc.divergence(mu_nu)
+        rhs = delta_bracket(pvcalc.divergence(mu), nu) + delta_bracket(mu, pvcalc.divergence(nu)).scale(sign)
+        if lhs != rhs:
+            yield {"mu": str(mu), "nu": str(nu)}
+        # Gerstenhaber Leibniz rule: holds exactly when Delta is second order
+        rho = _homog(d, deg, draw(2))
+        sign = -1 if ((mu.xi_degree() - 1) * nu.xi_degree()) & 1 else 1
+        lhs = delta_bracket(mu, nu * rho)
+        rhs = mu_nu * rho + (nu * delta_bracket(mu, rho)).scale(sign)
+        if lhs != rhs:
+            yield {"mu": str(mu), "nu": str(nu), "rho": str(rho), "kind": "second-order"}
+        # the bidifferential Schouten kernel is the bracket Delta derives
+        if pvcalc.schouten(mu, nu) != mu_nu:
+            yield {"mu": str(mu), "nu": str(nu), "kind": "kernel"}
 
-    report.check(f"algebra.d{d}.derivation_and_second_order", derivation())
+    report.sampled(f"algebra.d{d}.derivation_and_second_order", seed, n, derivation)
 
-    def lifted_bracket():
-        top = SuperPoly.top(3, 1)
-        for t in range(n):
-            mu = random_poly(3, cfg.max_degree, xi_degree_filter=1,
-                             seed=sample_seed(seed, "algebra.d3.lifted_bracket_identity", t, 0))
-            beta = random_poly(3, cfg.max_degree, xi_degree_filter=0,
-                               seed=sample_seed(seed, "algebra.d3.lifted_bracket_identity", t, 1))
-            lhs = mu * pvcalc.divergence(beta * top)
-            rhs = (pvcalc.schouten(mu, beta) * top).scale(conventions.LIFT_SIGN)
-            if lhs != rhs:
-                yield {"mu": str(mu), "beta": str(beta)}
+    top = SuperPoly.top(3, 1)
+
+    def lifted_bracket(draw, t):
+        mu = random_poly(3, deg, xi_degree_filter=1, seed=draw(0))
+        beta = random_poly(3, deg, xi_degree_filter=0, seed=draw(1))
+        lhs = mu * pvcalc.divergence(beta * top)
+        rhs = (pvcalc.schouten(mu, beta) * top).scale(conventions.LIFT_SIGN)
+        if lhs != rhs:
+            yield {"mu": str(mu), "beta": str(beta)}
 
     if d == 3:
-        report.check("algebra.d3.lifted_bracket_identity", lifted_bracket())
+        report.sampled("algebra.d3.lifted_bracket_identity", seed, n, lifted_bracket)
     return report
 
 
@@ -190,35 +185,31 @@ def suite_contraction(cfg: CampaignConfig) -> Report:
     d, deg, seed = cfg.d, cfg.max_degree, cfg.seed
     per_degree = max(1, cfg.trials // max(1, d))
 
-    def homotopy_identity():
-        for j in range(d):
-            for t in range(per_degree):
-                mu = random_poly(d, deg, xi_degree_filter=j,
-                                 seed=sample_seed(seed, f"contraction.d{d}.homotopy_identity", j, t))
-                if pvcalc.divergence(contraction_K(mu)) + contraction_K(pvcalc.divergence(mu)) != mu:
-                    yield {"xi_degree": j, "mu": str(mu)}
+    def homotopy_identity(draw, key):
+        j = key[0]
+        mu = random_poly(d, deg, xi_degree_filter=j, seed=draw())
+        if pvcalc.divergence(contraction_K(mu)) + contraction_K(pvcalc.divergence(mu)) != mu:
+            yield {"xi_degree": j, "mu": str(mu)}
 
-    report.check(f"contraction.d{d}.homotopy_identity", homotopy_identity())
+    report.sampled(f"contraction.d{d}.homotopy_identity", seed,
+                   [(j, t) for j in range(d) for t in range(per_degree)], homotopy_identity)
 
-    def top_constant():
-        for t in range(cfg.trials):
-            mu = random_poly(d, deg, xi_degree_filter=d - 1,
-                             seed=sample_seed(seed, f"contraction.d{d}.top_constant_vanishes", t))
-            if contraction_K(mu).top_constant() != 0:
-                yield {"mu": str(mu)}
+    def top_constant(draw, t):
+        mu = random_poly(d, deg, xi_degree_filter=d - 1, seed=draw())
+        if contraction_K(mu).top_constant() != 0:
+            yield {"mu": str(mu)}
 
-    report.check(f"contraction.d{d}.top_constant_vanishes", top_constant())
+    report.sampled(f"contraction.d{d}.top_constant_vanishes", seed, cfg.trials, top_constant)
 
-    def transport_sign():
-        for j in range(d + 1):
-            for t in range(max(1, per_degree // 2)):
-                mu = random_poly(d, deg, xi_degree_filter=j,
-                                 seed=sample_seed(seed, f"contraction.d{d}.transport_sign", j, t))
-                want = pvcalc.divergence(mu).scale(conventions.transport_sign(j))
-                if pvcalc.divergence_via_transport(mu) != want:
-                    yield {"xi_degree": j, "mu": str(mu)}
+    def transport_sign(draw, key):
+        j = key[0]
+        mu = random_poly(d, deg, xi_degree_filter=j, seed=draw())
+        want = pvcalc.divergence(mu).scale(conventions.transport_sign(j))
+        if pvcalc.divergence_via_transport(mu) != want:
+            yield {"xi_degree": j, "mu": str(mu)}
 
-    report.check(f"contraction.d{d}.transport_sign", transport_sign())
+    report.sampled(f"contraction.d{d}.transport_sign", seed,
+                   [(j, t) for j in range(d + 1) for t in range(max(1, per_degree // 2))], transport_sign)
     return report
 
 
@@ -248,30 +239,26 @@ def suite_transfer(cfg: CampaignConfig) -> Report:
     slots = carrier.slots
     per = max(1, cfg.trials // max(1, len(slots) ** 2))
 
-    def l2():
-        for s1 in slots:
-            for s2 in slots:
-                for t in range(per):
-                    a, b = (carrier.random_element(s, cfg.max_degree, seed=sample_seed(
-                        cfg.seed, f"transfer.d{d}.l2_matches_schouten", s1, s2, t, i))
-                        for i, s in enumerate((s1, s2)))
-                    if transferred.brackets[2](a, b) != model.brackets[2](a, b):
-                        yield {"slots": [list(s1), list(s2)], "inputs": [carrier.to_dict(a), carrier.to_dict(b)]}
-                    if not transferred.brackets[1](a).is_zero():
-                        yield {"kind": "differential", "slot": list(s1), "inputs": [carrier.to_dict(a)]}
+    def l2(draw, key):
+        s1, s2, _ = key
+        a, b = (carrier.random_element(s, cfg.max_degree, seed=draw(i)) for i, s in enumerate((s1, s2)))
+        if transferred.brackets[2](a, b) != model.brackets[2](a, b):
+            yield {"slots": [list(s1), list(s2)], "inputs": [carrier.to_dict(a), carrier.to_dict(b)]}
+        if not transferred.brackets[1](a).is_zero():
+            yield {"kind": "differential", "slot": list(s1), "inputs": [carrier.to_dict(a)]}
 
-    report.check(f"transfer.d{d}.l2_matches_schouten", l2())
+    report.sampled(f"transfer.d{d}.l2_matches_schouten", cfg.seed,
+                   [(s1, s2, t) for s1 in slots for s2 in slots for t in range(per)], l2)
 
-    def higher():
-        for n in range(3, cfg.arity_cap + 1):
-            for t in range(max(1, cfg.trials // 2)):
-                xs = [carrier.random_element(slots[(t + i) % len(slots)], cfg.max_degree, seed=sample_seed(
-                    cfg.seed, f"transfer.d{d}.higher_brackets_vanish", n, t, i)) for i in range(n)]
-                if not transferred.brackets[n](*xs).is_zero():
-                    yield {"arity": n, "inputs": [carrier.to_dict(x) for x in xs]}
+    def higher(draw, key):
+        n, t = key
+        xs = [carrier.random_element(slots[(t + i) % len(slots)], cfg.max_degree, seed=draw(i)) for i in range(n)]
+        if not transferred.brackets[n](*xs).is_zero():
+            yield {"arity": n, "inputs": [carrier.to_dict(x) for x in xs]}
 
     if cfg.arity_cap >= 3:  # a cap of 2 transfers no higher bracket
-        report.check(f"transfer.d{d}.higher_brackets_vanish", higher())
+        report.sampled(f"transfer.d{d}.higher_brackets_vanish", cfg.seed,
+                       [(n, t) for n in range(3, cfg.arity_cap + 1) for t in range(max(1, cfg.trials // 2))], higher)
     return report
 
 
@@ -299,34 +286,28 @@ def suite_jacobi(cfg: CampaignConfig) -> Report:
     top_arity = max(arities)
     jacobi_range = _jacobi_range(top_arity)
 
-    def draw(family, t, i):
-        """The draw's seed s also picks its slot."""
-        s = sample_seed(cfg.seed, family, t, i)
+    def element(s):
+        """The element drawn with seed s, which also picks its slot."""
         return carrier.random_element(slots[sample_seed(s, "slot") % len(slots)], cfg.max_degree, seed=s)
 
-    def jacobi(n):
-        for t in range(max(1, cfg.trials // max(1, len(jacobi_range)))):
-            xs = [draw(f"jacobi.{variant.label}.d{d}.arity{n}", t, i) for i in range(n)]
-            if not jacobi_defect(structure, n, xs).is_zero():
-                yield {"arity": n}
+    def jacobi(n, draw, t):
+        if not jacobi_defect(structure, n, [element(draw(i)) for i in range(n)]).is_zero():
+            yield {"arity": n}
 
     for n in jacobi_range:
-        report.check(f"jacobi.{variant.label}.d{d}.arity{n}", jacobi(n))
+        report.sampled(f"jacobi.{variant.label}.d{d}.arity{n}", cfg.seed,
+                       max(1, cfg.trials // len(jacobi_range)), partial(jacobi, n))
 
-    def centrality():
-        family = f"jacobi.{variant.label}.d{d}.centrality"
-        for t in range(max(1, cfg.trials // 2)):
-            xs = [draw(family, t, i) for i in range(top_arity)]
-            out = structure.brackets[top_arity](*xs)
-            if set(out.parts) - {carrier.home(("c",))}:
-                yield {"witness": "non-central output"}
-            probe = carrier.random_element(slots[t % len(slots)], cfg.max_degree,
-                                           seed=sample_seed(cfg.seed, family, t, top_arity))
-            if not structure.brackets[2](out, probe).is_zero():
-                yield {"witness": "center is not central"}
+    def centrality(draw, t):
+        out = structure.brackets[top_arity](*(element(draw(i)) for i in range(top_arity)))
+        if set(out.parts) - {carrier.home(("c",))}:
+            yield {"witness": "non-central output"}
+        probe = carrier.random_element(slots[t % len(slots)], cfg.max_degree, seed=draw(top_arity))
+        if not structure.brackets[2](out, probe).is_zero():
+            yield {"witness": "center is not central"}
 
     if top_arity > 2:
-        report.check(f"jacobi.{variant.label}.d{d}.centrality", centrality())
+        report.sampled(f"jacobi.{variant.label}.d{d}.centrality", cfg.seed, max(1, cfg.trials // 2), centrality)
     return report
 
 
@@ -335,31 +316,29 @@ def suite_sho(cfg: CampaignConfig) -> Report:
     report = Report()
     d, deg, seed = cfg.d, cfg.max_degree, cfg.seed
 
-    def divergence_law():
-        for t in range(cfg.trials):
-            f = _homog(d, deg, sample_seed(seed, f"sho.d{d}.divergence_law", t))
-            if f.is_zero():
-                continue
-            kappa = conventions.KAPPA_EVEN if f.parity() == 0 else conventions.KAPPA_ODD
-            lhs, div = super_divergence(hamiltonian_vf(f)), pvcalc.divergence(f)
-            if lhs != div.scale(kappa):
-                yield {"f": str(f)}
-            if div.is_zero() != lhs.is_zero():
-                yield {"f": str(f), "kind": "kernel"}
+    def divergence_law(draw, t):
+        f = _homog(d, deg, draw())
+        if f.is_zero():
+            return
+        kappa = conventions.KAPPA_EVEN if f.parity() == 0 else conventions.KAPPA_ODD
+        lhs, div = super_divergence(hamiltonian_vf(f)), pvcalc.divergence(f)
+        if lhs != div.scale(kappa):
+            yield {"f": str(f)}
+        if div.is_zero() != lhs.is_zero():
+            yield {"f": str(f), "kind": "kernel"}
 
-    report.check(f"sho.d{d}.divergence_law", divergence_law())
+    report.sampled(f"sho.d{d}.divergence_law", seed, cfg.trials, divergence_law)
 
-    def anti_map():
-        for t in range(cfg.trials):
-            f, g = (_homog(d, deg, sample_seed(seed, f"sho.d{d}.hamiltonian_anti_map", t, i)) for i in range(2))
-            if f.is_zero() or g.is_zero():
-                continue
-            lhs = vf_bracket(hamiltonian_vf(f), hamiltonian_vf(g))
-            rhs = hamiltonian_vf(pvcalc.schouten(f, g)).scale(conventions.SIGMA)
-            if lhs != rhs:
-                yield {"f": str(f), "g": str(g)}
+    def anti_map(draw, t):
+        f, g = (_homog(d, deg, draw(i)) for i in range(2))
+        if f.is_zero() or g.is_zero():
+            return
+        lhs = vf_bracket(hamiltonian_vf(f), hamiltonian_vf(g))
+        rhs = hamiltonian_vf(pvcalc.schouten(f, g)).scale(conventions.SIGMA)
+        if lhs != rhs:
+            yield {"f": str(f), "g": str(g)}
 
-    report.check(f"sho.d{d}.hamiltonian_anti_map", anti_map())
+    report.sampled(f"sho.d{d}.hamiltonian_anti_map", seed, cfg.trials, anti_map)
 
     def membership_criterion():
         for mono in monomial_basis(d, min(5, deg + 2)):
@@ -380,19 +359,17 @@ def suite_sho(cfg: CampaignConfig) -> Report:
 
     report.check(f"sho.d{d}.membership_criterion", membership_criterion())
 
-    def principal_grading():
-        for t in range(max(1, cfg.trials // 2)):
-            f, g = (random_sho_generator(deg, seed=sample_seed(seed, f"sho.d{d}.principal_grading", t, i), d=d)
-                    for i in range(2))
-            br = pvcalc.schouten(f, g)
-            degs_f = set(f.principal_components())
-            degs_g = set(g.principal_components())
-            if len(degs_f) == 1 and len(degs_g) == 1 and not br.is_zero():
-                want = {degs_f.pop() + degs_g.pop()}
-                if set(br.principal_components()) - want:
-                    yield {"f": str(f), "g": str(g)}
+    def principal_grading(draw, t):
+        f, g = (random_sho_generator(deg, seed=draw(i), d=d) for i in range(2))
+        br = pvcalc.schouten(f, g)
+        degs_f = set(f.principal_components())
+        degs_g = set(g.principal_components())
+        if len(degs_f) == 1 and len(degs_g) == 1 and not br.is_zero():
+            want = {degs_f.pop() + degs_g.pop()}
+            if set(br.principal_components()) - want:
+                yield {"f": str(f), "g": str(g)}
 
-    report.check(f"sho.d{d}.principal_grading", principal_grading())
+    report.sampled(f"sho.d{d}.principal_grading", seed, max(1, cfg.trials // 2), principal_grading)
     return report
 
 
@@ -410,14 +387,12 @@ def suite_cocycles(cfg: CampaignConfig) -> Report:
     report.check("extension.identity_eps_e1", identity("eps_e1", "ijk"))
     report.check("extension.identity_delta_e2", identity("delta_e2", "ij"))
 
-    def super_jacobi():
-        for t in range(cfg.trials):
-            a, b, c = (ext_element(random_sho_generator(
-                cfg.max_degree, seed=sample_seed(cfg.seed, "extension.super_jacobi", t, i))) for i in range(3))
-            if not lie_jacobi_defect(a, b, c).is_zero():
-                yield {"a": str(a), "b": str(b), "c": str(c)}
+    def super_jacobi(draw, t):
+        a, b, c = (ext_element(random_sho_generator(cfg.max_degree, seed=draw(i))) for i in range(3))
+        if not lie_jacobi_defect(a, b, c).is_zero():
+            yield {"a": str(a), "b": str(b), "c": str(c)}
 
-    report.check("extension.super_jacobi", super_jacobi())
+    report.sampled("extension.super_jacobi", cfg.seed, cfg.trials, super_jacobi)
 
     report.extend(cocycle_check(c1_pairing, trials=max(1, cfg.trials // 2), seed=cfg.seed,
                                 max_degree=cfg.max_degree, label="extension.c1_cocycle"))
@@ -432,15 +407,14 @@ def suite_cocycles(cfg: CampaignConfig) -> Report:
                            max_degree=cfg.max_degree, label="extension.broken_pairing")
     report.add("extension.negative_control", not broken.ok)
 
-    def centrality():
-        center = ext_element(SuperPoly.zero(3), c1=1, c2=-2)
-        for t in range(max(1, cfg.trials // 2)):
-            v = ext_element(random_sho_generator(cfg.max_degree,
-                                                 seed=sample_seed(cfg.seed, "extension.centrality", t)))
-            if not ext_bracket_d3(center, v).is_zero() or not ext_bracket_d3(v, center).is_zero():
-                yield {"v": str(v)}
+    center = ext_element(SuperPoly.zero(3), c1=1, c2=-2)
 
-    report.check("extension.centrality", centrality())
+    def centrality(draw, t):
+        v = ext_element(random_sho_generator(cfg.max_degree, seed=draw()))
+        if not ext_bracket_d3(center, v).is_zero() or not ext_bracket_d3(v, center).is_zero():
+            yield {"v": str(v)}
+
+    report.sampled("extension.centrality", cfg.seed, max(1, cfg.trials // 2), centrality)
     return report
 
 

@@ -10,7 +10,7 @@ from polyvec.cli import TIMING_MARKER, build_parser, config_from_args, main
 from polyvec.complexes import Variant
 from polyvec.reporting import Report
 from polyvec.superpoly import EXP_CAP, SuperPoly
-from polyvec import cli, suites
+from polyvec import cli, conventions, suites
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -35,6 +35,35 @@ def test_exit_zero_on_pass(tmp_path, capsys):
 def test_single_trial_campaign_passes():
     # families that draw trials // 2 samples still draw one at trials 1
     assert main(["--d", "3", "--deg", "3", "--trials", "1", "--seed", "42"]) == 0
+
+
+def test_exit_two_on_a_repeated_check(monkeypatch, capsys):
+    # a repeated suite would write its check ids into one report twice
+    def refuse(cfg):
+        raise AssertionError("a campaign started")
+
+    monkeypatch.setattr(cli, "run_campaign", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(DEFAULT_ARGS + ["--check", "algebra", "--check", "contraction", "--check", "algebra"])
+    assert exc.value.code == 2
+    assert "repeated checks: ['algebra']" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="repeated"):
+        suites.CampaignConfig(checks=("sho", "sho")).validate()
+
+
+def test_a_family_that_raises_fails_and_the_campaign_goes_on(tmp_path, monkeypatch):
+    # a negated Euler-homotopy sign breaks K, so the minimal model's b2 and
+    # the SHO generators' divergence-free projection raise inside families
+    pinned = conventions.euler_homotopy_sign
+    monkeypatch.setattr(conventions, "euler_homotopy_sign", lambda k: -pinned(k))
+    assert main(DEFAULT_ARGS + ["--out", str(tmp_path)]) == 1
+    records = [json.loads(line) for line in (tmp_path / "report.jsonl").read_text().splitlines()[2:]]
+    assert len(records) == 56
+    witnesses = {r["check"]: r["details"].get("witness", {}) for r in records}
+    assert witnesses["jacobi.mbcov.d3.arity3"] == {"error": "KeyError: ('pv', 3)"}
+    for check in ("extension.super_jacobi", "sl2.derivation.h"):
+        assert witnesses[check] == {"error": "ValueError: generator must be divergence free"}
+    assert set(witnesses["contraction.d3.homotopy_identity"]) == {"mu", "xi_degree"}
 
 
 def test_exit_two_on_bad_config(capsys):

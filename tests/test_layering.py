@@ -14,6 +14,8 @@ public edge: only complexes and linf's source b2, whose parts are valid
 by construction, build one through the trusted constructor; sl2 and the
 homotopy data go through the validating one.  Every import sits at
 module level, and the imports inside the package form an acyclic graph.
+The suites and sl2 seed their families through Report.sampled, so their
+own sample_seed calls are secondary choices named by a string literal.
 The modules are read with ast, without importing them.
 """
 
@@ -146,3 +148,17 @@ def test_only_complexes_and_linf_build_trusted_fields():
     # sl2 builds its fields through the validating constructor
     assert any(isinstance(node, ast.Call) and ast.unparse(node.func) == "DescendantField"
                for node in ast.walk(trees["sl2.py"]))
+
+
+def test_suites_and_sl2_seed_families_only_through_the_runner():
+    # sample_seed(seed, "<choice>"): a family-level call would name its
+    # family by an expression (a check id), which Report.sampled owns
+    trees = _trees()
+    seconds = {name: [node.args[1] for node in ast.walk(trees[name])
+                      if isinstance(node, ast.Call) and ast.unparse(node.func) == "sample_seed"]
+               for name in ("suites.py", "sl2.py")}
+    assert all(seconds.values()), seconds
+    spelled = {name: [ast.unparse(arg) for arg in args
+                      if not (isinstance(arg, ast.Constant) and isinstance(arg.value, str))]
+               for name, args in seconds.items()}
+    assert spelled == {"suites.py": [], "sl2.py": []}
