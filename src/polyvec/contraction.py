@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from .complexes import (
@@ -133,36 +134,29 @@ def verify_datum(datum: HomotopyDatum, sample_budget: int = 50, seed: int = 0,
     report = Report()
     carrier = datum.carrier
     d, variant = carrier.d, carrier.variant
-    keys = summands(d, variant)
-    slots = carrier.slots
-    per_slot = max(1, sample_budget // max(1, len(slots)))
-    per_key = max(1, sample_budget // max(1, len(keys)))
-    label = variant.label
 
-    def p_iota(slot):
-        for t in range(per_slot):
-            v = carrier.random_element(slot, max_degree, seed=sample_seed(seed, slot, t))
-            got = carrier.project(v)
-            if got != v:
-                yield {"slot": list(slot), "element": carrier.to_dict(v), "projected": carrier.to_dict(got)}
+    def p_iota(slot, draw, t):
+        v = carrier.random_element(slot, max_degree, seed=draw())
+        got = carrier.project(v)
+        if got != v:
+            yield {"slot": list(slot), "element": carrier.to_dict(v), "projected": carrier.to_dict(got)}
 
-    for slot in slots:
-        report.check(f"datum.{label}.d{d}.p_iota.{_key_id(slot)}", p_iota(slot))
+    def homotopy(key, draw, t):
+        psi = random_field(d, variant, key, max_degree, seed=draw())
+        lhs = psi - carrier.project(psi)
+        rhs = differential(datum.homotopy(psi)) + datum.homotopy(differential(psi))
+        if lhs != rhs:
+            yield {"summand": list(key), "poly": str(psi.part(key))}
 
-    def homotopy(key):
-        for t in range(per_key):
-            psi = random_field(d, variant, key, max_degree, seed=sample_seed(seed, key, t))
-            lhs = psi - carrier.project(psi)
-            rhs = differential(datum.homotopy(psi)) + datum.homotopy(differential(psi))
-            if lhs != rhs:
-                yield {"summand": list(key), "poly": str(psi.part(key))}
-
-    for key in keys:
-        report.check(f"datum.{label}.d{d}.homotopy.{_key_id(key)}", homotopy(key))
+    # the sample budget is split evenly over the slots, and over the summands
+    for name, cases, evaluate in (("p_iota", carrier.slots, p_iota), ("homotopy", summands(d, variant), homotopy)):
+        for case in cases:
+            report.sampled(f"datum.{variant.label}.d{d}.{name}.{_key_id(case)}", seed,
+                           max(1, sample_budget // len(cases)), partial(evaluate, case))
 
     # side conditions, informational only
     for name, ok in side_conditions(datum, seed, max_degree).items():
-        report.add(f"datum.{label}.d{d}.side.{name}", ok, required=False)
+        report.add(f"datum.{variant.label}.d{d}.side.{name}", ok, required=False)
     return report
 
 

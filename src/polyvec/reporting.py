@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
 from typing import Iterator
 
 from .superpoly import sample_seed
@@ -49,24 +48,34 @@ class Report:
         except StopIteration:
             self.add(check_id, all(counts.values()), **counts)
         except Exception as exc:
-            self.add(check_id, False, witness={"error": f"{type(exc).__name__}: {exc}"})
+            self.add(check_id, False, witness={"error": _error(exc)})
         else:
             self.add(check_id, False, witness=witness)
 
-    def sampled(self, check_id: str, seed: int, trials, evaluate, count: str | None = None):
-        """Record a seeded check family through check.
+    def sampled(self, check_id: str, seed: int, trials, evaluate, count: str | None = None, named=()):
+        """Record a seeded check family through check, its named cases first.
 
-        trials is a number n of trials 0..n-1, or a list of key tuples
-        such as (xi_degree, t).  evaluate(draw, t) yields the witnesses of
-        trial t, and draw(*position) is sample_seed(seed, check_id, *key,
-        *position), the key being t or (t,): the check id is the family
-        of every draw.  count names the detail, if any, that records the
-        number of trials.
+        named yields the witnesses of the named cases.  trials is a number
+        n of trials 0..n-1, or a list of key tuples such as (xi_degree, t).
+        evaluate(draw, t) yields the witnesses of trial t, and
+        draw(*position) is sample_seed(seed, check_id, *key, *position),
+        the key being t or (t,): the check id is the family of every draw.
+        A trial that raises fails with the witness {"error": ..., "trial":
+        t}, a tuple t given as a list.  count names the detail, if any,
+        that records the number of trials.
         """
         keys = range(trials) if isinstance(trials, int) else trials
-        failures = chain.from_iterable(
-            evaluate(partial(sample_seed, seed, check_id, *(t if isinstance(t, tuple) else (t,))), t) for t in keys)
-        self.check(check_id, failures, **({count: len(keys)} if count else {}))
+
+        def failures():
+            yield from named
+            for t in keys:
+                key = t if isinstance(t, tuple) else (t,)
+                try:
+                    yield from evaluate(partial(sample_seed, seed, check_id, *key), t)
+                except Exception as exc:
+                    yield {"error": _error(exc), "trial": list(t) if isinstance(t, tuple) else t}
+
+        self.check(check_id, failures(), **({count: len(keys)} if count else {}))
 
     def extend(self, other: "Report"):
         self.records.extend(other.records)
@@ -96,3 +105,7 @@ class Report:
         lines.append(f"{'OK' if self.ok else 'FAILED'}: "
                      f"{sum(r.passed for r in self.records)}/{len(self.records)} checks passed")
         return "\n".join(lines)
+
+
+def _error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"

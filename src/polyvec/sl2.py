@@ -32,9 +32,6 @@ from .sho import ExtElement, ext_bracket_d3, ext_element, random_sho_generator, 
 from .superpoly import SuperPoly, sample_seed
 
 
-E_GENERATOR = SuperPoly.top(3, conventions.E_GENERATOR_COEFF)
-
-
 def act_h(v: ExtElement) -> ExtElement:
     """h: a generator of xi-degree s has weight s - 1; h e1 = e1, h e2 = -e2."""
     _require_d3(v)
@@ -44,11 +41,11 @@ def act_h(v: ExtElement) -> ExtElement:
 def act_e(v: ExtElement) -> ExtElement:
     """e: the adjoint of the outer generator; e e2 = e1, e e1 = 0.
 
-    The Schouten bracket against the outer generator lands in the
-    2-polyvectors, so it needs no carving and feeds no channel.
+    The outer generator's coefficient is read at call time, and its Schouten
+    bracket lands in the 2-polyvectors: it needs no carving, feeds no channel.
     """
     _require_d3(v)
-    image = pvcalc.schouten(E_GENERATOR, v.gen)
+    image = pvcalc.schouten(SuperPoly.top(3, conventions.E_GENERATOR_COEFF), v.gen)
     out = ext_element(image)
     return ExtElement(out.gen, out.c1 + v.c2, out.c2)
 

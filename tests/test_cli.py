@@ -60,9 +60,10 @@ def test_a_family_that_raises_fails_and_the_campaign_goes_on(tmp_path, monkeypat
     records = [json.loads(line) for line in (tmp_path / "report.jsonl").read_text().splitlines()[2:]]
     assert len(records) == 56
     witnesses = {r["check"]: r["details"].get("witness", {}) for r in records}
-    assert witnesses["jacobi.mbcov.d3.arity3"] == {"error": "KeyError: ('pv', 3)"}
+    # a seeded trial that raises names its trial key
+    assert witnesses["jacobi.mbcov.d3.arity3"] == {"error": "KeyError: ('pv', 3)", "trial": 1}
     for check in ("extension.super_jacobi", "sl2.derivation.h"):
-        assert witnesses[check] == {"error": "ValueError: generator must be divergence free"}
+        assert witnesses[check] == {"error": "ValueError: generator must be divergence free", "trial": 0}
     assert set(witnesses["contraction.d3.homotopy_identity"]) == {"mu", "xi_degree"}
 
 
@@ -291,8 +292,8 @@ def test_failing_report_identical_across_hash_seeds(tmp_path):
 
 @pytest.mark.parametrize("seed", ["63186545", "1563"])
 def test_cocycle_negative_control_is_deterministic(seed):
-    # at 1563 the sampled triples alone miss the perturbed pairing; the
-    # named basis triples of cocycle_check expose it at every seed
+    # the named basis triples of cocycle_check expose the perturbed
+    # pairing at every seed, before any triple is drawn
     argv = ["--d", "3", "--deg", "4", "--trials", "20", "--seed", seed, "--check", "cocycles"]
     assert main(argv) == 0
 

@@ -14,8 +14,9 @@ public edge: only complexes and linf's source b2, whose parts are valid
 by construction, build one through the trusted constructor; sl2 and the
 homotopy data go through the validating one.  Every import sits at
 module level, and the imports inside the package form an acyclic graph.
-The suites and sl2 seed their families through Report.sampled, so their
-own sample_seed calls are secondary choices named by a string literal.
+The suites, sho and sl2 seed their families through Report.sampled, so
+their own sample_seed calls are secondary choices named by a string
+literal, and verify_datum and cocycle_check do not call sample_seed.
 The modules are read with ast, without importing them.
 """
 
@@ -150,15 +151,32 @@ def test_only_complexes_and_linf_build_trusted_fields():
                for node in ast.walk(trees["sl2.py"]))
 
 
-def test_suites_and_sl2_seed_families_only_through_the_runner():
+def test_suites_sho_and_sl2_seed_families_only_through_the_runner():
     # sample_seed(seed, "<choice>"): a family-level call would name its
     # family by an expression (a check id), which Report.sampled owns
     trees = _trees()
     seconds = {name: [node.args[1] for node in ast.walk(trees[name])
                       if isinstance(node, ast.Call) and ast.unparse(node.func) == "sample_seed"]
-               for name in ("suites.py", "sl2.py")}
+               for name in ("suites.py", "sho.py", "sl2.py")}
     assert all(seconds.values()), seconds
     spelled = {name: [ast.unparse(arg) for arg in args
                       if not (isinstance(arg, ast.Constant) and isinstance(arg.value, str))]
                for name, args in seconds.items()}
-    assert spelled == {"suites.py": [], "sl2.py": []}
+    assert spelled == {"suites.py": [], "sho.py": [], "sl2.py": []}
+    # what sho has left is random_sho_generator's xi-degree choice
+    assert [arg.value for arg in seconds["sho.py"]] == ["xi_degree"]
+
+
+def test_datum_and_cocycle_families_draw_only_through_the_runner():
+    trees = _trees()
+    bodies = {f"{module}:{node.name}": node for module, name in (("contraction.py", "verify_datum"),
+                                                                 ("sho.py", "cocycle_check"))
+              for node in ast.walk(trees[module]) if isinstance(node, ast.FunctionDef) and node.name == name}
+    assert len(bodies) == 2
+    calls = {name: [ast.unparse(node) for node in ast.walk(body)
+                    if isinstance(node, ast.Call) and ast.unparse(node.func) == "sample_seed"]
+             for name, body in bodies.items()}
+    assert calls == {"contraction.py:verify_datum": [], "sho.py:cocycle_check": []}
+    # both record their seeded families through the runner
+    assert all(any(isinstance(node, ast.Call) and ast.unparse(node.func) == "report.sampled"
+                   for node in ast.walk(body)) for body in bodies.values())

@@ -2,13 +2,13 @@
 
 A family-level seed is sample_seed(campaign seed, family, ...).  Its
 family is the check id of a record of the report, since a seeded family
-draws through Report.sampled.  The exceptions are verify_datum, whose
-families are its carrier slots and summands and whose side-condition
-probes draw under "H_squared", "p_H" and "Hi", and cocycle_check, whose
-family is its label.  Secondary choices (a draw's xi-degree, slot or
-redraw) are seeded from the draw's own seed, so every random_poly draw
-traces back to one family, and no two families draw the same arguments.
-Only verify_datum's families draw one set of arguments twice: the
+draws through Report.sampled, verify_datum's and cocycle_check's
+included.  The one exception is verify_datum's informational
+side-condition probe, whose families are "H_squared", "p_H" and "Hi".
+Secondary choices (a draw's xi-degree, slot or redraw) are seeded from
+the draw's own seed, so every random_poly draw traces back to one
+family, and no two families draw the same arguments.  Only the datum's
+families, its probe included, draw one set of arguments twice: the
 datum's negative control re-runs them on a corrupted homotopy.
 """
 
@@ -23,7 +23,6 @@ from polyvec.complexes import Variant
 from polyvec.suites import CampaignConfig, run_campaign
 
 SIDE_CONDITION_PROBES = {"H_squared", "p_H", "Hi"}
-COCYCLE_LABELS = {"extension.c1_cocycle", "extension.c2_cocycle", "extension.broken_pairing"}
 
 CONFIGS = {
     "mbcov_d3": CampaignConfig(d=3, max_degree=3, trials=25, seed=42),
@@ -32,7 +31,7 @@ CONFIGS = {
 
 
 def _is_datum_family(family) -> bool:
-    return isinstance(family, tuple) or family in SIDE_CONDITION_PROBES
+    return family.startswith("datum.") or family in SIDE_CONDITION_PROBES
 
 
 def _record_draws(monkeypatch, campaign_seed):
@@ -74,7 +73,7 @@ def test_every_family_draws_under_a_check_id(monkeypatch, name):
     ids = {r.check_id for r in report.records}
     named = set(families)
     assert named & ids
-    assert {f for f in named - ids if not _is_datum_family(f)} <= COCYCLE_LABELS
+    assert named - ids == SIDE_CONDITION_PROBES
     # every draw is seeded from one family
     assert draws and all(family is not None for family, _ in draws)
     by_arguments = defaultdict(list)
@@ -83,4 +82,5 @@ def test_every_family_draws_under_a_check_id(monkeypatch, name):
     shared = {args: fams for args, fams in by_arguments.items() if len(set(fams)) > 1}
     assert not shared
     repeated = {fams[0] for fams in by_arguments.values() if len(fams) > 1}
-    assert repeated and all(_is_datum_family(f) for f in repeated)
+    assert all(_is_datum_family(f) for f in repeated)
+    assert any(f.startswith("datum.") and f in ids for f in repeated)

@@ -359,6 +359,20 @@ def test_cocycle_check_named_triples_expose_broken_pairings():
         assert "witness" in report.records[0].details
 
 
+def test_cocycle_check_fails_a_broken_pairing_before_it_draws(monkeypatch):
+    from polyvec import sho
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a triple was drawn")
+
+    monkeypatch.setattr(sho, "random_sho_generator", refuse)
+    broken = lambda f, g: sho.c1_pairing(f, g) + sum((f * g).key_values().values(), Fraction(0))
+    report = cocycle_check(broken, trials=40, seed=1, label="broken")
+    [record] = report.records
+    assert record.check_id == "broken.identity" and not record.passed
+    assert set(record.details["witness"]) == {"a", "b", "x", "defect"}
+
+
 def test_sho_basis_and_structure_constants():
     basis = sho_basis(3, 0)
     # degree <= 2 generators modulo constants and the top monomial

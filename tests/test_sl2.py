@@ -19,7 +19,6 @@ from polyvec.sho import (
     verbatim_pairs,
 )
 from polyvec.sl2 import (
-    E_GENERATOR,
     _leibniz_failures,
     act_e,
     act_f,
@@ -31,7 +30,7 @@ from polyvec.sl2 import (
     field_action,
     sl2_relations_check,
 )
-from polyvec.suites import CampaignConfig, suite_sl2
+from polyvec.suites import CampaignConfig, run_campaign, suite_sl2
 from polyvec.superpoly import SuperPoly, random_poly
 
 POT2 = Variant.potential(2)
@@ -202,6 +201,16 @@ def test_f_sign_is_pinned(monkeypatch):
     assert {"sl2.relation.e_f", "sl2.field_equivariance.seeded.f"} <= failed
 
 
+def test_e_generator_coeff_is_read_at_call_time(monkeypatch):
+    # flipped at run time, the coefficient fails the golden campaign where
+    # the same flip made in conventions.py does
+    monkeypatch.setattr(conventions, "E_GENERATOR_COEFF", 1)
+    report = run_campaign(CampaignConfig(d=3, max_degree=3, trials=25, seed=42))
+    assert {r.check_id for r in report.failures()} == {
+        "sl2.relation.e_f", "sl2.cocycle_equivariance.named.e",
+        "sl2.cocycle_equivariance.seeded.e", "sl2.field_equivariance.seeded.e"}
+
+
 def test_sl2_relations_report():
     report = sl2_relations_check(truncation=3, trials=20, seed=9)
     assert report.ok, report.summary_text()
@@ -251,7 +260,7 @@ def test_verbatim_pairs_cover_every_index_combination():
 
 def _act_e_without_e2_term(v):
     """act_e with its e2 -> e1 term dropped (a negative control)."""
-    out = ext_element(pvcalc.schouten(E_GENERATOR, v.gen))
+    out = ext_element(pvcalc.schouten(SuperPoly.top(3, conventions.E_GENERATOR_COEFF), v.gen))
     return ExtElement(out.gen, out.c1, out.c2)
 
 
