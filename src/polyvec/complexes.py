@@ -25,14 +25,13 @@ statement of that rule).  A carrier slot is placed at its home summand
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain
 from typing import NamedTuple
 
 from . import pvcalc
-from .superpoly import SuperPoly, homogeneous, random_poly
+from .superpoly import SuperPoly, homogeneous, random_coefficient, random_poly
 
 FieldKey = tuple
 SlotKey = tuple
@@ -343,7 +342,7 @@ class CarrierModel:
     def random_element(self, slot: SlotKey, max_degree: int, seed: int) -> DescendantField:
         """Seeded slot-homogeneous element in canonical form."""
         if slot == ("c",):
-            value = SuperPoly.top(self.d, random.Random(seed).choice([-3, -2, -1, 1, 2, 3]))
+            value = SuperPoly.top(self.d, random_coefficient(seed))
         else:
             raw = random_poly(self.d, max_degree, xi_degree_filter=self.slot_xi_degree(slot), seed=seed)
             value = self.canonical(slot, raw)

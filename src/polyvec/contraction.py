@@ -6,13 +6,15 @@ as contraction.contraction_K) to build H.  A datum is the carrier, which
 supplies p (CarrierModel.project), plus a homotopy H; a carrier element
 is a field, so iota is the identity, and Q is complexes.differential.
 The relations p iota = id and id - iota p = Q H + H Q are checked
-summand by summand by verify_datum.  The side conditions H^2 = 0,
-H iota = 0, p H = 0 are not required.  A datum states whether it has
-them (side_conditions_hold): build_datum's H has them by construction,
-and normalize_homotopy arranges them; every other datum, hand-built ones
-included, leaves the flag False.  verify_datum reports them from the
-seeded probe side_conditions, which can miss a failure, and is the only
-caller of that probe.
+summand by summand by verify_datum, the second through
+homotopy_relations, which the homotopy suite's negative control runs
+alone.  The side conditions H^2 = 0, H iota = 0, p H = 0 are not
+required.  A datum states whether it has them (side_conditions_hold):
+build_datum's H has them by construction, and normalize_homotopy
+arranges them; every other datum, hand-built ones included, leaves the
+flag False.  verify_datum reports them from the seeded probe
+side_conditions, which can miss a failure, and is the only caller of
+that probe.
 """
 
 from __future__ import annotations
@@ -128,8 +130,9 @@ def verify_datum(datum: HomotopyDatum, sample_budget: int = 50, seed: int = 0,
     """Exact checks of the homotopy relations on every summand and slot.
 
     Required: p iota = id on every carrier slot, and
-    id - iota p = Q H + H Q on every summand of the complex.
-    Side conditions (H^2, H iota, p H) are reported informationally.
+    id - iota p = Q H + H Q on every summand of the complex
+    (homotopy_relations).  Side conditions (H^2, H iota, p H) are
+    reported informationally.
     """
     report = Report()
     carrier = datum.carrier
@@ -141,6 +144,30 @@ def verify_datum(datum: HomotopyDatum, sample_budget: int = 50, seed: int = 0,
         if got != v:
             yield {"slot": list(slot), "element": carrier.to_dict(v), "projected": carrier.to_dict(got)}
 
+    # the sample budget is split evenly over the slots
+    for slot in carrier.slots:
+        report.sampled(f"datum.{variant.label}.d{d}.p_iota.{_key_id(slot)}", seed,
+                       max(1, sample_budget // len(carrier.slots)), partial(p_iota, slot))
+    report.extend(homotopy_relations(datum, sample_budget, seed, max_degree))
+
+    # side conditions, informational only
+    for name, ok in side_conditions(datum, seed, max_degree).items():
+        report.add(f"datum.{variant.label}.d{d}.side.{name}", ok, required=False)
+    return report
+
+
+def homotopy_relations(datum: HomotopyDatum, sample_budget: int, seed: int, max_degree: int) -> Report:
+    """The families id - iota p = Q H + H Q of verify_datum, one per summand.
+
+    They are the only families of a datum that involve H, so a corrupted
+    H is detected by these alone: the homotopy suite's negative control
+    runs only them.  The sample budget is split evenly over the summands.
+    """
+    report = Report()
+    carrier = datum.carrier
+    d, variant = carrier.d, carrier.variant
+    keys = summands(d, variant)
+
     def homotopy(key, draw, t):
         psi = random_field(d, variant, key, max_degree, seed=draw())
         lhs = psi - carrier.project(psi)
@@ -148,15 +175,9 @@ def verify_datum(datum: HomotopyDatum, sample_budget: int = 50, seed: int = 0,
         if lhs != rhs:
             yield {"summand": list(key), "poly": str(psi.part(key))}
 
-    # the sample budget is split evenly over the slots, and over the summands
-    for name, cases, evaluate in (("p_iota", carrier.slots, p_iota), ("homotopy", summands(d, variant), homotopy)):
-        for case in cases:
-            report.sampled(f"datum.{variant.label}.d{d}.{name}.{_key_id(case)}", seed,
-                           max(1, sample_budget // len(cases)), partial(evaluate, case))
-
-    # side conditions, informational only
-    for name, ok in side_conditions(datum, seed, max_degree).items():
-        report.add(f"datum.{variant.label}.d{d}.side.{name}", ok, required=False)
+    for key in keys:
+        report.sampled(f"datum.{variant.label}.d{d}.homotopy.{_key_id(key)}", seed,
+                       max(1, sample_budget // len(keys)), partial(homotopy, key))
     return report
 
 

@@ -834,6 +834,14 @@ def monomial_basis(d: int, max_degree: int, xi_degrees=None) -> tuple[Monomial, 
     return _basis(d, max_degree, _xi_filter(d, max_degree, xi_degrees))
 
 
+def basis_elements(d: int, max_degree: int) -> Iterator[SuperPoly]:
+    """The elements of monomial_basis(d, max_degree), each with coefficient
+    1 and in its order, built from the memoized keys without packing.
+    Each is a fresh SuperPoly: the elements themselves are not memoized."""
+    for key in _basis_keys(d, max_degree, _xi_filter(d, max_degree, None)):
+        yield SuperPoly._trusted(d, {key: 1}, 1)
+
+
 def _xi_filter(d: int, max_degree: int, xi_degrees) -> tuple[int, ...]:
     top = min(d, max_degree)
     if xi_degrees is None:
@@ -873,13 +881,21 @@ def sample_seed(*parts) -> int:
     family, [degree, slot or arity,] trial[, position]), family being a
     label unique within the campaign (the check id where there is one).
     A draw's secondary choice, such as its xi-degree, is sample_seed(seed,
-    "<choice>") % n of the draw's own seed.  Seeds go to random.Random
-    unreduced.  hash() would salt str per process and differ in each run.
+    "<choice>") % n of the draw's own seed.  A draw seeds one Mersenne
+    Twister with its seed unreduced and reads the stream that
+    random.Random(seed) gives (see random_poly).  hash() would salt str
+    per process and differ in each run.
     """
     return int.from_bytes(blake2b(repr(parts).encode(), digest_size=8).digest(), "big")
 
 
+# The C generator under random.Random: an int seeds it as it seeds
+# random.Random, with the same getrandbits stream.  One is built per draw
+# and none is kept.
+_Generator = random.Random.__mro__[1]
 _COEFFICIENTS = (-3, -2, -1, 1, 2, 3)
+_N_COEFFICIENTS = len(_COEFFICIENTS)
+_COEFFICIENT_BITS = _N_COEFFICIENTS.bit_length()
 
 
 def random_poly(d: int, max_total_degree: int, xi_degree_filter=None, seed: int = 0,
@@ -889,15 +905,41 @@ def random_poly(d: int, max_total_degree: int, xi_degree_filter=None, seed: int 
     xi_degree_filter restricts the xi-degrees that may appear; it can be
     an int or an iterable of ints.  The draws index monomial_basis, whose
     keys are memoized beside it.
+
+    The kernel's contract: the draw is random.Random(seed) choosing
+    min(n_terms, len(basis)) times a basis element, then a coefficient.
+    Each choice below n reads getrandbits(n.bit_length()) until the value
+    is below n, as choice does, from one _Generator (a random.Random for
+    a seed that is not an int).  An empty basis gives zero unseeded.
     """
     if max_total_degree < 0:
         raise ValueError("max_total_degree must be >= 0")
     if isinstance(xi_degree_filter, int):
         xi_degree_filter = {xi_degree_filter}
     basis = _basis_keys(d, max_total_degree, _xi_filter(d, max_total_degree, xi_degree_filter))
-    rng = random.Random(seed)
+    n = len(basis)
+    if not n:
+        return SuperPoly.zero(d)
+    bits = (_Generator if type(seed) is int else random.Random)(seed).getrandbits
+    width = n.bit_length()
     terms: dict[int, int] = {}
-    for _ in range(min(n_terms, len(basis))):
-        key = rng.choice(basis)
-        terms[key] = terms.get(key, 0) + rng.choice(_COEFFICIENTS)
+    for _ in range(min(n_terms, n)):
+        i = bits(width)
+        while i >= n:
+            i = bits(width)
+        c = bits(_COEFFICIENT_BITS)
+        while c >= _N_COEFFICIENTS:
+            c = bits(_COEFFICIENT_BITS)
+        key = basis[i]
+        terms[key] = terms.get(key, 0) + _COEFFICIENTS[c]
     return SuperPoly._of(d, terms)
+
+
+def random_coefficient(seed: int) -> int:
+    """The coefficient random.Random(seed).choice((-3, -2, -1, 1, 2, 3))
+    draws, read from random_poly's generator."""
+    bits = (_Generator if type(seed) is int else random.Random)(seed).getrandbits
+    c = bits(_COEFFICIENT_BITS)
+    while c >= _N_COEFFICIENTS:
+        c = bits(_COEFFICIENT_BITS)
+    return _COEFFICIENTS[c]

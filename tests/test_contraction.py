@@ -5,7 +5,7 @@ from operator import add
 
 import pytest
 
-from polyvec import conventions, pvcalc
+from polyvec import contraction, conventions, pvcalc, suites
 from polyvec.complexes import (
     DescendantField,
     Variant,
@@ -19,6 +19,7 @@ from polyvec.complexes import (
 from polyvec.contraction import (
     build_datum,
     contraction_K,
+    homotopy_relations,
     normalize_homotopy,
     perturb_side_conditions,
     scale_homotopy,
@@ -26,6 +27,7 @@ from polyvec.contraction import (
     verify_datum,
 )
 from polyvec.linf import field_structure
+from polyvec.suites import CampaignConfig, suite_homotopy
 from polyvec.superpoly import SuperPoly, monomial_basis, random_poly
 
 
@@ -170,6 +172,43 @@ def test_corrupted_datum_reports_witness():
     failures = report.failures()
     assert failures
     assert any("witness" in r.details for r in failures)
+
+
+NEGATIVE_CONTROL_CONFIGS = [CampaignConfig(d=3, max_degree=3, trials=25, seed=42),
+                            CampaignConfig(d=5, variant=Variant.potential(2), max_degree=3, trials=20, seed=7)]
+
+
+@pytest.mark.parametrize("cfg", NEGATIVE_CONTROL_CONFIGS, ids=["mbcov_d3", "potential_2_d5"])
+def test_negative_control_fails_when_the_homotopy_is_not_corrupted(monkeypatch, cfg):
+    control = f"datum.{cfg.variant.label}.d{cfg.d}.negative_control"
+    records = {r.check_id: r.passed for r in suite_homotopy(cfg).records}
+    assert records[control]
+    # a factor of 1 leaves H intact, so the control finds nothing to reject
+    monkeypatch.setattr(suites, "scale_homotopy", lambda datum, factor: contraction.scale_homotopy(datum, 1))
+    records = {r.check_id: r.passed for r in suite_homotopy(cfg).records}
+    assert records[control] is False
+    assert all(passed for check_id, passed in records.items() if check_id != control)
+
+
+@pytest.mark.parametrize("cfg", NEGATIVE_CONTROL_CONFIGS, ids=["mbcov_d3", "potential_2_d5"])
+def test_the_homotopy_suite_probes_the_side_conditions_once(monkeypatch, cfg):
+    calls = []
+
+    def probe(datum, seed, max_degree):
+        calls.append((datum.side_conditions_hold, seed, max_degree))
+        return side_conditions(datum, seed, max_degree)
+
+    monkeypatch.setattr(contraction, "side_conditions", probe)
+    suite_homotopy(cfg)
+    assert calls == [(True, cfg.seed, cfg.max_degree)]
+
+
+def test_homotopy_relations_are_the_homotopy_records_of_verify_datum():
+    datum = scale_homotopy(build_datum(4, Variant.potential(2)), 2)
+    full = verify_datum(datum, sample_budget=30, seed=3, max_degree=3)
+    alone = homotopy_relations(datum, 30, 3, 3)
+    assert alone.records == [r for r in full.records if ".homotopy." in r.check_id]
+    assert not alone.ok
 
 
 @pytest.mark.parametrize("d,variant", [(3, Variant.mbcov()), (4, Variant.potential(2))])

@@ -16,7 +16,9 @@ homotopy data go through the validating one.  Every import sits at
 module level, and the imports inside the package form an acyclic graph.
 The suites, sho and sl2 seed their families through Report.sampled, so
 their own sample_seed calls are secondary choices named by a string
-literal, and verify_datum and cocycle_check do not call sample_seed.
+literal, and verify_datum, homotopy_relations and cocycle_check do not
+call sample_seed.  Only superpoly builds a random generator: every draw
+goes through its sampler kernel, whose stream the seed rule fixes.
 The modules are read with ast, without importing them.
 """
 
@@ -170,13 +172,36 @@ def test_suites_sho_and_sl2_seed_families_only_through_the_runner():
 def test_datum_and_cocycle_families_draw_only_through_the_runner():
     trees = _trees()
     bodies = {f"{module}:{node.name}": node for module, name in (("contraction.py", "verify_datum"),
+                                                                 ("contraction.py", "homotopy_relations"),
                                                                  ("sho.py", "cocycle_check"))
               for node in ast.walk(trees[module]) if isinstance(node, ast.FunctionDef) and node.name == name}
-    assert len(bodies) == 2
+    assert len(bodies) == 3
     calls = {name: [ast.unparse(node) for node in ast.walk(body)
                     if isinstance(node, ast.Call) and ast.unparse(node.func) == "sample_seed"]
              for name, body in bodies.items()}
-    assert calls == {"contraction.py:verify_datum": [], "sho.py:cocycle_check": []}
+    assert calls == {"contraction.py:verify_datum": [], "contraction.py:homotopy_relations": [],
+                     "sho.py:cocycle_check": []}
     # both record their seeded families through the runner
     assert all(any(isinstance(node, ast.Call) and ast.unparse(node.func) == "report.sampled"
                    for node in ast.walk(body)) for body in bodies.values())
+
+
+RANDOM_MODULES = {"random", "_random", "secrets", "numpy"}
+RANDOM_NAMES = {"Random", "SystemRandom", "getrandbits", "_Generator"}
+
+
+def _random_uses(tree) -> list[str]:
+    """The random modules a tree imports and the generator names it reads."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] in RANDOM_MODULES]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] in RANDOM_MODULES:
+            found.append(node.module)
+    return found + sorted(_names(tree) & RANDOM_NAMES)
+
+
+def test_only_superpoly_builds_a_random_generator():
+    uses = {name: found for name, tree in _trees().items() if (found := _random_uses(tree))}
+    assert set(uses) == {"superpoly.py"}, uses
+    assert {"random", "Random", "getrandbits"} <= set(uses["superpoly.py"])

@@ -8,8 +8,9 @@ side-condition probe, whose families are "H_squared", "p_H" and "Hi".
 Secondary choices (a draw's xi-degree, slot or redraw) are seeded from
 the draw's own seed, so every random_poly draw traces back to one
 family, and no two families draw the same arguments.  Only the datum's
-families, its probe included, draw one set of arguments twice: the
-datum's negative control re-runs them on a corrupted homotopy.
+homotopy families draw one set of arguments twice: the datum's negative
+control re-runs them, and only them, on a corrupted homotopy, with a
+smaller budget, so its draws are among the verified ones.
 """
 
 import inspect
@@ -18,7 +19,7 @@ from collections import defaultdict
 
 import pytest
 
-from polyvec import superpoly
+from polyvec import suites, superpoly
 from polyvec.complexes import Variant
 from polyvec.suites import CampaignConfig, run_campaign
 
@@ -84,3 +85,26 @@ def test_every_family_draws_under_a_check_id(monkeypatch, name):
     repeated = {fams[0] for fams in by_arguments.values() if len(fams) > 1}
     assert all(_is_datum_family(f) for f in repeated)
     assert any(f.startswith("datum.") and f in ids for f in repeated)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_the_negative_control_redraws_only_verified_homotopy_samples(monkeypatch, name):
+    cfg = CONFIGS[name]
+    _, draws = _record_draws(monkeypatch, cfg.seed)
+    phases = {}
+
+    def phase(label, fn):
+        def run(*args, **kwargs):
+            start = len(draws)
+            out = fn(*args, **kwargs)
+            phases[label] = draws[start:]
+            return out
+        return run
+
+    monkeypatch.setattr(suites, "verify_datum", phase("verified", suites.verify_datum))
+    monkeypatch.setattr(suites, "homotopy_relations", phase("control", suites.homotopy_relations))
+    suites.suite_homotopy(cfg)
+    verified, control = phases["verified"], phases["control"]
+    assert control and len(control) < len(verified)
+    assert all(".homotopy." in family for family, _ in control)
+    assert set(control) <= set(verified)
