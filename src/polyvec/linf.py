@@ -195,6 +195,8 @@ def minimal_model_structure(d: int, variant: Variant) -> LInftyStructure:
 
     Inputs and outputs are carrier elements: fields whose parts sit at
     the slots' homes, read once per structure from CarrierModel.home.
+    Every bracket is multilinear, so it returns zero on a zero argument
+    before it builds any content.
     """
     carrier = cohomology_model(d, variant)
     homes = {slot: carrier.home(slot) for slot in carrier.slots}
@@ -203,7 +205,12 @@ def minimal_model_structure(d: int, variant: Variant) -> LInftyStructure:
     # (none on mbcov, which lifts nothing)
     lifted = homes.get(("pot",) if k == d - 1 else ("quot",))
 
+    def zero() -> DescendantField:
+        return DescendantField.zero(d, variant)
+
     def b2(v: DescendantField, w: DescendantField) -> DescendantField:
+        if v.is_zero() or w.is_zero():
+            return zero()
         # the contents are divergence free, so Delta of their product is
         # their symmetric bracket, which needs no product
         cv, cw = _content(v), _content(w)
@@ -222,6 +229,8 @@ def minimal_model_structure(d: int, variant: Variant) -> LInftyStructure:
         def l_top(*vs: DescendantField) -> DescendantField:
             if len(vs) != arity:
                 raise ValueError(f"bracket has arity {arity}")
+            if any(v.is_zero() for v in vs):
+                return zero()
             # only x-constant terms reach the constant top monomial
             prod = SuperPoly.const(d, 1)
             for v in vs:
@@ -231,7 +240,7 @@ def minimal_model_structure(d: int, variant: Variant) -> LInftyStructure:
 
         brackets[arity] = l_top
 
-    return LInftyStructure(zero=lambda: DescendantField.zero(d, variant), brackets=brackets)
+    return LInftyStructure(zero=zero, brackets=brackets)
 
 
 # -- homotopy transfer --------------------------------------------------

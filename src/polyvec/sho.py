@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, permutations
-from math import lcm
 
 from . import conventions, pvcalc
 from ._linalg import independent_indices
@@ -36,98 +35,97 @@ from .reporting import Report
 from .superpoly import (
     SuperPoly,
     field_applications,
+    field_coefficients,
+    field_divergence,
+    field_parities,
+    field_table,
+    hamiltonian_table,
     homogeneous,
-    joint_xi_degrees,
     monomial_basis,
-    partial_terms,
     random_poly,
     sample_seed,
     term_sum,
 )
 
 
-@dataclass
 class SuperVectorField:
-    """sum mu_x[i] d/dx_{i+1} + sum mu_xi[i] d/dxi_{i+1} with SuperPoly coefficients."""
+    """sum mu_x[i] d/dx_{i+1} + sum mu_xi[i] d/dxi_{i+1} with SuperPoly
+    coefficients, stored as one term table over a common denominator
+    (superpoly.field_table): the constructor packs the 2d coefficients,
+    and mu_x and mu_xi are read-only views unpacked from the table."""
 
-    d: int
-    mu_x: tuple[SuperPoly, ...]
-    mu_xi: tuple[SuperPoly, ...]
+    __slots__ = ("d", "_table")
+
+    def __init__(self, d: int, mu_x, mu_xi):
+        self.d = d
+        self._table = field_table(d, (*mu_x, *mu_xi))
+
+    @classmethod
+    def _of(cls, table: SuperPoly) -> "SuperVectorField":
+        """The field of a table that a field kernel built."""
+        field = cls.__new__(cls)
+        field.d, field._table = table.d, table
+        return field
 
     @classmethod
     def zero(cls, d: int) -> "SuperVectorField":
-        z = SuperPoly.zero(d)
-        return cls(d, (z,) * d, (z,) * d)
+        return cls._of(SuperPoly.zero(d))
+
+    @property
+    def mu_x(self) -> tuple[SuperPoly, ...]:
+        return tuple(field_coefficients(self._table)[: self.d])
+
+    @property
+    def mu_xi(self) -> tuple[SuperPoly, ...]:
+        return tuple(field_coefficients(self._table)[self.d :])
 
     def apply(self, g: SuperPoly) -> SuperPoly:
         """sum_i mu_x[i] dg/dx_i + mu_xi[i] dg/dxi_i: one job of the
         field_applications kernel."""
         if g.d != self.d:
             raise ValueError(f"dimension mismatch: {self.d} != {g.d}")
-        return field_applications(self.d, [(*self._coefficient_lists(), [g], 1)])[0]
-
-    def _coefficient_lists(self) -> tuple[list, int]:
-        """The terms of the 2d coefficients, mu_x before mu_xi, over the lcm
-        of their denominators, and that lcm: a field as field_applications
-        takes it."""
-        coeffs = self.mu_x + self.mu_xi
-        den = lcm(*(c._den for c in coeffs))
-        return [c._terms.items() if c._den == den else [(k, den // c._den * n) for k, n in c._terms.items()]
-                for c in coeffs], den
+        return field_applications([(self._table, g, 1)])
 
     def __add__(self, other: "SuperVectorField") -> "SuperVectorField":
-        return SuperVectorField(
-            self.d,
-            tuple(a + b for a, b in zip(self.mu_x, other.mu_x)),
-            tuple(a + b for a, b in zip(self.mu_xi, other.mu_xi)),
-        )
+        return SuperVectorField._of(self._table + other._table)
 
     def scale(self, c) -> "SuperVectorField":
-        return SuperVectorField(self.d, tuple(a.scale(c) for a in self.mu_x),
-                                tuple(a.scale(c) for a in self.mu_xi))
+        return SuperVectorField._of(self._table.scale(c))
 
     def parity(self) -> int:
         """Parity of a parity-homogeneous field (0 for zero): a coefficient
         on d/dx_i contributes its own parity, one on d/dxi_i the opposite."""
-        return homogeneous([k & 1 for k in joint_xi_degrees(self.d, self.mu_x)]
-                           + [~k & 1 for k in joint_xi_degrees(self.d, self.mu_xi)],
-                           "vector field is not parity-homogeneous")
+        return homogeneous(field_parities(self._table), "vector field is not parity-homogeneous")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SuperVectorField) and self._table == other._table
+
+    def __repr__(self) -> str:
+        return f"SuperVectorField(d={self.d}, mu_x={self.mu_x}, mu_xi={self.mu_xi})"
 
 
 def hamiltonian_vf(f: SuperPoly) -> SuperVectorField:
-    """The odd-Hamiltonian field of a parity-homogeneous generator, every
-    coefficient read from one pass over f's first partials."""
-    d = f.d
-    d_xi, d_x = partial_terms(f)
-    sign = -1 if f.parity() else 1
-    den = f._den
-    return SuperVectorField(d, tuple(SuperPoly._of(d, {k: sign * c for k, c in t}, den) for t in d_xi),
-                            tuple(SuperPoly._of(d, dict(t), den) for t in d_x))
+    """The odd-Hamiltonian field of a parity-homogeneous generator, its
+    table built in one pass over f's terms."""
+    return SuperVectorField._of(hamiltonian_table(f, -1 if f.parity() else 1))
 
 
 def super_divergence(mu: SuperVectorField) -> SuperPoly:
     """D(mu) = sum dmu_x_i/dx_i + sum (-1)^{|mu_xi_i|} dmu_xi_i/dxi_i; on a
     parity-homogeneous field every mu_xi_i has the field's opposite parity.
-    The 2d derivative terms are accumulated once."""
-    sign = 1 if mu.parity() else -1
-    return term_sum(mu.d, chain.from_iterable(
-        ((partial_terms(a)[1][i], a._den),
-         (((k, sign * c) for k, c in partial_terms(b)[0][i]), b._den))
-        for i, (a, b) in enumerate(zip(mu.mu_x, mu.mu_xi))))
+    One pass over the field's table."""
+    return field_divergence(mu._table, 1 if mu.parity() else -1)
 
 
 def vf_bracket(a: SuperVectorField, b: SuperVectorField) -> SuperVectorField:
     """Super-commutator [a, b] = a b - (-1)^{|a||b|} b a of parity-homogeneous
     fields.  A field's value on a coordinate is its coefficient there, so
     [a, b]_j = a(b_j) - (-1)^{|a||b|} b(a_j): one field_applications call
-    with two jobs, a on b's coefficients and b on a's."""
-    d = a.d
-    if b.d != d:
-        raise ValueError(f"dimension mismatch: {d} != {b.d}")
+    with two jobs, a on b's table and b on a's."""
+    if b.d != a.d:
+        raise ValueError(f"dimension mismatch: {a.d} != {b.d}")
     sign = -1 if a.parity() & b.parity() else 1
-    out = field_applications(d, [(*a._coefficient_lists(), b.mu_x + b.mu_xi, 1),
-                                 (*b._coefficient_lists(), a.mu_x + a.mu_xi, -sign)])
-    return SuperVectorField(d, tuple(out[:d]), tuple(out[d:]))
+    return SuperVectorField._of(field_applications([(a._table, b._table, 1), (b._table, a._table, -sign)]))
 
 
 def ham_generator(x: SuperVectorField) -> SuperPoly | None:
@@ -156,13 +154,14 @@ def membership(f: SuperPoly) -> str:
     "HO" (symplectic only), "SHO-prime" (super-divergence-free, contains
     the top monomial), "SHO".  Constant parts are disregarded, matching
     the carving of the center; the constant top monomial has no divergence.
+    Delta kills both carved terms, so Delta(f) is Delta of the carved
+    core, and the core is never built.
     """
-    core, top = f.without_constant_and_top(), f.top_constant()
-    if core.is_zero() and top == 0:
+    if f.is_constant():
         return "not-HO-generator"
-    if not pvcalc.divergence(core).is_zero():
+    if not pvcalc.divergence(f).is_zero():
         return "HO"
-    if top != 0:
+    if f.top_constant() != 0:
         return "SHO-prime"
     return "SHO"
 

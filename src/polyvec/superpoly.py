@@ -31,14 +31,22 @@ d + 8(i-1), whose top bit is a guard: an exponent is at most EXP_CAP =
   the Euler contraction are modes of one kernel (_index_operator), beside
   which sit K's weight prescale (_euler_homotopy) and the top pairing.
 
+A vector field stores its 2d coefficients as one table: each term's key
+plus the tag of its component, t << 9d, in the bits above the last
+exponent field (tags 0..d-1 name d/dx_1..d/dx_d, tags d..2d-1
+d/dxi_1..d/dxi_d).  A key sum stays below the tag, so products and
+partials keep it and the guard check reads the same bits.
+
 The kernels run on (key, numerator) terms and build no intermediate
 polynomial: sums (term_sum), products (term_products), the index operator
 with K's prescale, the top pairing and the complement transport, the
-Schouten bracket (bracket_products) and the application of vector fields
-to target elements (field_applications, which also gives the commutator
-of two fields in one call).  First partials come from partial_terms,
-except in the two pairing kernels: bracket_products and field_applications
-both read their second input's first partials from one helper,
+Schouten bracket (bracket_products), and the vector-field kernels: the
+Hamiltonian field (hamiltonian_table), the super-divergence
+(field_divergence) and the application of fields to a polynomial or to
+another field's table (field_applications, which gives the commutator of
+two fields in one call).  First partials come from partial_terms, except
+in the two pairing kernels: bracket_products and field_applications both
+read their second input's first partials from one helper,
 _pairing_partials, which indexes them only at the indices that input
 carries and already in the pairing form, and pair each left term only
 with the list at its index.
@@ -121,6 +129,7 @@ class KeyLayout(NamedTuple):
     ones: tuple[int, ...]  # ones[i] = 1 << shifts[i], exponent one of x_{i+1}
     guard: int  # the top bit of every exponent field
     sign_table: tuple[int, ...]  # S[b]: bit i set when odd-many bits of b lie below bit i
+    tag_shift: int  # 9d, just above the last exponent field: a vector field's component tag
 
 
 @lru_cache(maxsize=None)
@@ -138,7 +147,7 @@ def key_layout(d: int) -> KeyLayout:
             below ^= (b >> i) & 1
         table.append(s)
     return KeyLayout((1 << d) - 1, shifts, tuple(1 << s for s in shifts),
-                     sum(1 << (s + EXP_BITS - 1) for s in shifts), tuple(table))
+                     sum(1 << (s + EXP_BITS - 1) for s in shifts), tuple(table), d + EXP_BITS * d)
 
 
 def pack(d: int, mono: Monomial) -> int:
@@ -284,6 +293,10 @@ class SuperPoly:
 
     def is_zero(self) -> bool:
         return not self._terms
+
+    def is_constant(self) -> bool:
+        """Whether the constant term is the only term (zero included)."""
+        return self._terms.keys() <= {0}
 
     def coefficient(self, mono: Monomial) -> int | Fraction:
         return value_of(self._terms.get(pack(self.d, mono), 0), self._den)
@@ -525,12 +538,6 @@ def homogeneous(values, message: str) -> int:
     return values.pop() if values else 0
 
 
-def joint_xi_degrees(d: int, polys) -> set[int]:
-    """The union of the xi_degrees() of several elements of dimension d, in one pass."""
-    mask = (1 << d) - 1
-    return {(k & mask).bit_count() for p in polys for k in p._terms}
-
-
 def _check_index(d: int, i: int):
     if not 1 <= i <= d:
         raise IndexError(f"index {i} out of range for dimension {d}")
@@ -578,8 +585,10 @@ def _pairing_partials(d: int, layout: KeyLayout, terms):
     """The first partials of the (key, numerator) terms, indexed only at the
     indices they carry and already in term_products' (key, odd, S[odd],
     numerator) pairing form: (by_x, by_xi) map the bit of index i to the
-    terms of d/dx_i and of the left d/dxi_i."""
+    terms of d/dx_i and of the left d/dxi_i.  A key may carry a field
+    table's component tag, which its partials keep."""
     mask, table, ones = layout.odd_mask, layout.sign_table, layout.ones
+    low = (1 << layout.tag_shift) - 1
     by_x: dict[int, list] = {}
     by_xi: dict[int, list] = {}
     for k, c in terms:
@@ -592,7 +601,7 @@ def _pairing_partials(d: int, layout: KeyLayout, terms):
                 rest ^= bit
                 b = odd ^ bit
                 by_xi.setdefault(bit, []).append((k ^ bit, b, table[b], -c if signs & bit else c))
-        xs = k >> d
+        xs = (k & low) >> d
         i = 0
         while xs:
             e = xs & EXP_FIELD
@@ -647,49 +656,172 @@ def bracket_products(d: int, left, right, den: int) -> SuperPoly:
     return SuperPoly._of(d, guard_checked(layout, out), den)
 
 
-def field_applications(d: int, jobs) -> list[SuperPoly]:
-    """Vector fields applied to target elements, in one pass: for each
-    target position t, the sum over the jobs of factor * field(targets[t]).
+# -- vector fields ---------------------------------------------------------
+#
+# A field's table (see the module docstring) is held in a SuperPoly of
+# dimension d whose keys carry the component tag.  Only SuperPoly's
+# operations that read no key (+, -, scale, ==, is_zero and the
+# normalizers) are applied to a table; the kernels below read its keys.
 
-    A job is (term_lists, den, targets, factor): the field's 2d coefficient
-    lists of (key, numerator) terms over the common denominator den, those
-    on d/dx_1..d/dx_d first and those on d/dxi_1..d/dxi_d after; a list of
-    targets, of one length in every job; and an int factor.  field(g) is
-    sum_i mu_x[i] dg/dx_i + mu_xi[i] dg/dxi_i, coefficient first.  Each
-    target's first partials come from _pairing_partials, and each
-    coefficient is paired only with the list at its index.  Each output
-    is accumulated over the lcm of the jobs' denominators and normalized
-    once; no SuperPoly is built on the way.
-    """
+
+def field_table(d: int, coefficients) -> SuperPoly:
+    """The table of the field with the 2d given coefficients, those on
+    d/dx_1..d/dx_d first, over the lcm of their denominators.  Canonical as
+    it stands: a prime power that divides the lcm divides some
+    coefficient's denominator, and that coefficient's numerators share no
+    factor with it."""
+    coefficients = tuple(coefficients)
+    if len(coefficients) != 2 * d or any(c.d != d for c in coefficients):
+        raise ValueError(f"a field of dimension {d} takes 2d coefficients of dimension {d}")
+    shift = key_layout(d).tag_shift
+    den = lcm(*(c._den for c in coefficients))
+    terms: dict[int, int] = {}
+    for t, c in enumerate(coefficients):
+        tag, f = t << shift, den // c._den
+        for k, n in c._terms.items():
+            terms[k + tag] = f * n
+    return SuperPoly._trusted(d, terms, den)
+
+
+def field_coefficients(table: SuperPoly) -> list[SuperPoly]:
+    """The 2d coefficients of a field's table, those on d/dx_1..d/dx_d first."""
+    d = table.d
+    shift = key_layout(d).tag_shift
+    low = (1 << shift) - 1
+    parts: list[dict[int, int]] = [{} for _ in range(2 * d)]
+    for k, c in table._terms.items():
+        parts[k >> shift][k & low] = c
+    return [SuperPoly._reduced(d, part, table._den) for part in parts]
+
+
+def field_parities(table: SuperPoly) -> set[int]:
+    """The parities of a field table's entries: a term of a coefficient on
+    d/dx_i contributes its own parity, one on d/dxi_i the opposite."""
+    d = table.d
     layout = key_layout(d)
-    mask = layout.odd_mask
-    prepared = []
-    for term_lists, den, targets, factor in jobs:
-        # factor times the coefficients on d/dx_i and on d/dxi_i, by the
-        # bit of index i
-        left_x, left_xi = ({1 << i: [(k, k & mask, factor * c) for k, c in terms]
-                            for i, terms in enumerate(half) if terms}
-                           for half in (term_lists[:d], term_lists[d:]))
-        prepared.append((left_x, left_xi, den, targets))
-    dens = ([den * g._den for g in targets] for _, _, den, targets in prepared)
-    out_dens = [lcm(*column) for column in zip(*dens)]
-    outs: list[dict[int, int]] = [{} for _ in out_dens]
-    for left_x, left_xi, den, targets in prepared:
-        for g, out, out_den in zip(targets, outs, out_dens):
-            if not g._terms:
-                continue
-            get = out.get
-            scale = out_den // (den * g._den)
-            terms = g._terms.items() if scale == 1 else [(k, scale * c) for k, c in g._terms.items()]
-            for lefts, partials in zip((left_x, left_xi), _pairing_partials(d, layout, terms)):
-                for bit, right in partials.items():
-                    for ka, a, ca in lefts.get(bit, ()):
-                        for kb, b, sb, cb in right:
-                            if a & b:
-                                continue
-                            key = ka + kb
-                            out[key] = get(key, 0) + (-ca * cb if (a & sb).bit_count() & 1 else ca * cb)
-    return [SuperPoly._of(d, guard_checked(layout, out), out_den) for out, out_den in zip(outs, out_dens)]
+    mask, shift = layout.odd_mask, layout.tag_shift
+    return {((k & mask).bit_count() + (k >> shift >= d)) & 1 for k in table._terms}
+
+
+@lru_cache(maxsize=None)
+def _hamiltonian_deltas(d: int) -> tuple[dict[int, int], tuple[int, ...]]:
+    """The key deltas from a term to its partials in a Hamiltonian field:
+    by the bit of xi_i, to d/dxi_i of it on d/dx_i (the bit cleared, tag
+    i-1 added); per index i, to d/dx_i of it on d/dxi_i (one unit of x_i
+    taken, tag d+i-1 added)."""
+    layout = key_layout(d)
+    shift = layout.tag_shift
+    return ({1 << i: (i << shift) - (1 << i) for i in range(d)},
+            tuple(((d + i) << shift) - one for i, one in enumerate(layout.ones)))
+
+
+def hamiltonian_table(f: SuperPoly, sign: int) -> SuperPoly:
+    """The table of sum_i sign * df/dxi_i d/dx_i + df/dx_i d/dxi_i (left odd
+    derivatives), in one pass over f's terms.  A first partial is injective
+    on the terms it does not kill and each component has its own tag, so no
+    two entries share a key and none is zero: only a common factor of f's
+    denominator with the exponent factors is divided out."""
+    d = f.d
+    layout = key_layout(d)
+    mask, table = layout.odd_mask, layout.sign_table
+    to_x, to_xi = _hamiltonian_deltas(d)
+    out: dict[int, int] = {}
+    for k, c in f._terms.items():
+        odd = k & mask
+        if odd:
+            signs, c_x, rest = table[odd], sign * c, odd
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                out[k + to_x[bit]] = -c_x if signs & bit else c_x
+        xs = k >> d
+        i = 0
+        while xs:
+            e = xs & EXP_FIELD
+            if e:
+                out[k + to_xi[i]] = e * c
+            xs >>= EXP_BITS
+            i += 1
+    return SuperPoly._reduced(d, out, f._den)
+
+
+def field_divergence(table: SuperPoly, xi_sign: int) -> SuperPoly:
+    """sum_i d(mu_x[i])/dx_i + xi_sign * d(mu_xi[i])/dxi_i (left) of a field's
+    table: each entry derives only at its own index, and the terms are
+    accumulated in one pass and normalized once."""
+    d = table.d
+    layout = key_layout(d)
+    mask, signs, shifts, ones, shift = (layout.odd_mask, layout.sign_table, layout.shifts,
+                                        layout.ones, layout.tag_shift)
+    low = (1 << shift) - 1
+    out: dict[int, int] = {}
+    get = out.get
+    for k, c in table._terms.items():
+        t = k >> shift
+        k &= low
+        if t < d:
+            e = (k >> shifts[t]) & EXP_FIELD
+            if e:
+                key = k - ones[t]
+                out[key] = get(key, 0) + e * c
+        else:
+            bit = 1 << (t - d)
+            if k & bit:
+                key = k ^ bit
+                c *= xi_sign
+                out[key] = get(key, 0) + (-c if signs[k & mask] & bit else c)
+    return SuperPoly._of(d, out, table._den)
+
+
+def _field_groups(table: SuperPoly, factor: int) -> tuple[dict[int, list], dict[int, list]]:
+    """factor times the terms of a field table's coefficients, in the
+    pairing form (key, odd, numerator) and grouped by the bit of their
+    index: (those on d/dx_i, those on d/dxi_i)."""
+    d = table.d
+    layout = key_layout(d)
+    mask, shift = layout.odd_mask, layout.tag_shift
+    low = (1 << shift) - 1
+    on_x: dict[int, list] = {}
+    on_xi: dict[int, list] = {}
+    for k, c in table._terms.items():
+        t = k >> shift
+        k &= low
+        group = on_x.setdefault(1 << t, []) if t < d else on_xi.setdefault(1 << (t - d), [])
+        group.append((k, k & mask, factor * c))
+    return on_x, on_xi
+
+
+def field_applications(jobs) -> SuperPoly:
+    """The sum over the jobs of factor * field(right), in one pass.
+
+    A job is (table, right, factor): a field's table, a SuperPoly or
+    another field's table, and an int.  field(g) is sum_i mu_x[i] dg/dx_i +
+    mu_xi[i] dg/dxi_i, coefficient first; on a table each partial keeps its
+    entry's tag, so field(table) is the table of the field's values on the
+    other field's coefficients.  Each job's coefficients are grouped once
+    (_field_groups) and paired with the first partials of the whole right
+    side, read in one _pairing_partials call, each group only with the list
+    at its index.  The sum is accumulated over the lcm of the jobs'
+    table._den * right._den (one value for vf_bracket's two jobs, a on b
+    and b on a), normalized once, and no SuperPoly is built on the way.
+    """
+    d = jobs[0][0].d
+    den = lcm(*(table._den * right._den for table, right, _ in jobs))
+    layout = key_layout(d)
+    out: dict[int, int] = {}
+    get = out.get
+    for table, right, factor in jobs:
+        factor *= den // (table._den * right._den)
+        for groups, partials in zip(_field_groups(table, factor),
+                                    _pairing_partials(d, layout, right._terms.items())):
+            for bit, terms in partials.items():
+                for ka, a, ca in groups.get(bit, ()):
+                    for kb, b, sb, cb in terms:
+                        if a & b:
+                            continue
+                        key = ka + kb
+                        out[key] = get(key, 0) + (-ca * cb if (a & sb).bit_count() & 1 else ca * cb)
+    return SuperPoly._of(d, guard_checked(layout, out), den)
 
 
 def partial_terms(p: SuperPoly):
@@ -853,8 +985,11 @@ def _xi_filter(d: int, max_degree: int, xi_degrees) -> tuple[int, ...]:
 def _basis(d: int, max_degree: int, xi_degrees: tuple[int, ...]) -> tuple[Monomial, ...]:
     out = []
     for k in xi_degrees:
+        # one exponent tuple per vector, shared by every odd set: the memo
+        # of monomial_basis(5, 5) holds 462 of them for 1,683 monomials
+        exponents = list(_exponents_up_to(d, max_degree - k))
         for odd in combinations(range(1, d + 1), k):
-            for exps in _exponents_up_to(d, max_degree - k):
+            for exps in exponents:
                 out.append(Monomial(exps, odd))
     return tuple(sorted(out, key=lambda m: m.sort_key()))
 

@@ -19,8 +19,8 @@ import pytest
 from polyvec import conventions, pvcalc
 from polyvec.contraction import contraction_K
 from polyvec.pvcalc import divergence_free_part
-from polyvec.sho import hamiltonian_vf, super_divergence
-from polyvec.superpoly import Monomial, SuperPoly, koszul_sign, random_poly, term_sum
+from polyvec.sho import SuperVectorField, hamiltonian_vf, super_divergence, vf_bracket
+from polyvec.superpoly import Monomial, SuperPoly, field_applications, koszul_sign, random_poly, term_sum
 
 SEEDS = range(200)
 
@@ -252,6 +252,79 @@ def test_vector_fields_match_the_fraction_reference():
                 want_div = ref_add(want_div, ref_d_even(want_x[i - 1], i))
                 want_div = ref_add(want_div, ref_d_odd(want_xi[i - 1], i), 1 if mixed.parity() else -1)
             assert _agree(super_divergence(mixed), want_div), (seed, str(f))
+
+
+def ref_field_divergence(mu_x, mu_xi, parity, d):
+    """sum_i d(mu_x_i)/dx_i + (-1)^{|mu_xi_i|} d(mu_xi_i)/dxi_i, |mu_xi_i| = parity + 1."""
+    out = {}
+    for i in range(1, d + 1):
+        out = ref_add(out, ref_d_even(mu_x[i - 1], i))
+        out = ref_add(out, ref_d_odd(mu_xi[i - 1], i), 1 if parity else -1)
+    return out
+
+
+def ref_vf_bracket(a, b, d):
+    """[a, b]_j = a(b_j) - (-1)^{|a||b|} b(a_j) of fields given as (mu_x, mu_xi, parity)."""
+    (a_x, a_xi, pa), (b_x, b_xi, pb) = a, b
+    sign = -1 if pa & pb else 1
+
+    def component(b_j, a_j):
+        return ref_add(ref_apply(a_x, a_xi, b_j, d), ref_apply(b_x, b_xi, a_j, d), -sign)
+
+    return ([component(u, v) for u, v in zip(b_x, a_x)], [component(u, v) for u, v in zip(b_xi, a_xi)])
+
+
+def _reference_fields(seed):
+    """Two fields of dimension 2..5 with non-integral coefficients, each as
+    (field, (mu_x, mu_xi, parity) read from the Fraction reference): the
+    Hamiltonian field of a K output, and a field built from 2d coefficients
+    with different denominators."""
+    d = 2 + seed % 4
+    rng = random.Random(seed)
+    g = contraction_K(random_poly(d, 3, xi_degree_filter=rng.randrange(d), seed=seed + 3000, n_terms=4))
+    mu_x, mu_xi = ref_hamiltonian(ref(g), d, g.parity())
+    hamiltonian = (hamiltonian_vf(g), (mu_x, mu_xi, 1 - g.parity()))
+    parity = rng.randrange(2)
+    coefficients = [random_poly(d, 2, xi_degree_filter=range((parity + (t >= d)) & 1, d + 1, 2),
+                                seed=seed + 4000 + t, n_terms=3).scale(Fraction(1 + t % 3, 2 + t))
+                    for t in range(2 * d)]
+    built = (SuperVectorField(d, coefficients[:d], coefficients[d:]),
+             ([ref(c) for c in coefficients[:d]], [ref(c) for c in coefficients[d:]], parity))
+    return d, (hamiltonian, built)
+
+
+def test_super_divergence_and_vf_bracket_match_the_fraction_reference():
+    dims, fractional, nonzero = set(), 0, 0
+    for seed in SEEDS[:80]:
+        d, fields = _reference_fields(seed)
+        dims.add(d)
+        for field, (mu_x, mu_xi, parity) in fields:
+            assert field.parity() == (parity if mu_x + mu_xi != [{}] * 2 * d else 0), (seed, field)
+            assert _canonical(field._table), (seed, field)
+            assert all(_agree(got, want) for got, want in zip(field.mu_x + field.mu_xi, mu_x + mu_xi)), seed
+            assert _agree(super_divergence(field), ref_field_divergence(mu_x, mu_xi, parity, d)), (seed, field)
+        for (a, ra), (b, rb) in ((fields[0], fields[1]), (fields[1], fields[0]), (fields[1], fields[1])):
+            got = vf_bracket(a, b)
+            want_x, want_xi = ref_vf_bracket(ra, rb, d)
+            assert _canonical(got._table), seed
+            assert all(_agree(c, w) for c, w in zip(got.mu_x + got.mu_xi, want_x + want_xi)), (seed, a, b)
+            fractional += got._table._den > 1
+            nonzero += not got._table.is_zero()
+    assert dims == {2, 3, 4, 5}
+    assert fractional >= 150 and nonzero >= 150, (fractional, nonzero)
+
+
+def test_field_applications_sums_jobs_over_different_denominators():
+    # jobs whose table._den * right._den differ are brought over their lcm
+    differing = 0
+    for seed in SEEDS[:40]:
+        d, ((ham, _), (built, _)) = _reference_fields(seed)
+        g = random_poly(d, 3, seed=seed + 5000, n_terms=4).scale(Fraction(1, 3))
+        got = field_applications([(ham._table, g, 1), (built._table, g, -2)])
+        assert _canonical(got), seed
+        assert got == ham.apply(g) - built.apply(g).scale(2), seed
+        differing += ham._table._den != built._table._den
+    assert differing >= 30, differing
 
 
 def test_filters_reduce_a_common_factor_they_leave():

@@ -45,6 +45,8 @@ def test_hamiltonian_field_examples():
     assert hamiltonian_vf(x(1)) == vf(d, mu_xi=[one, z, z])
     assert hamiltonian_vf(xi(1)) == vf(d, mu_x=[-one, z, z])
     assert hamiltonian_vf(x(1) * xi(1)) == vf(d, mu_x=[-x(1), z, z], mu_xi=[xi(1), z, z])
+    # the exponent factor cancels the denominator: x1^2/2 has the field x1 d/dxi_1
+    assert hamiltonian_vf((x(1) * x(1)).scale(Fraction(1, 2))) == vf(d, mu_xi=[x(1), z, z])
 
 
 def test_super_divergence_examples():
@@ -131,6 +133,10 @@ def test_vector_field_layer_rejects_a_dimension_mismatch():
         field.apply(x(1, d=2))
     with pytest.raises(ValueError):
         vf_bracket(field, hamiltonian_vf(x(1, d=2) * x(2, d=2)))
+    z = SuperPoly.zero(3)
+    for mu_x, mu_xi in (((z, z), (z, z, z)), ((z, z, x(1, d=2)), (z, z, z))):
+        with pytest.raises(ValueError):
+            SuperVectorField(3, mu_x, mu_xi)
 
 
 def test_sigma_is_pinned(monkeypatch):
@@ -148,9 +154,10 @@ def test_sigma_is_pinned(monkeypatch):
 
 def _anti_map_failures_with_a_negated_half(monkeypatch, half):
     """The failed checks of a d = 3 sho suite, first with the code as it is
-    and then with one half of every field's coefficient lists negated
-    where sho hands them to the kernel: the d/dx_i half (0) or the
-    d/dxi_i half (1)."""
+    and then with one half of every field's coefficient groups negated
+    where the kernel groups a field's coefficients by index and kind: the
+    d/dx_i half (0) or the d/dxi_i half (1)."""
+    from polyvec import superpoly
     from polyvec.suites import CampaignConfig, suite_sho
 
     cfg = CampaignConfig(d=3, max_degree=3, trials=10, seed=1, checks=("sho",))
@@ -159,13 +166,14 @@ def _anti_map_failures_with_a_negated_half(monkeypatch, half):
         return {r.check_id for r in suite_sho(cfg).failures()}
 
     before = failed()
-    lists = SuperVectorField._coefficient_lists
+    groups = superpoly._field_groups
 
-    def negated(field):
-        terms, den = lists(field)
-        return [[(k, -c) for k, c in t] if i // field.d == half else t for i, t in enumerate(terms)], den
+    def negated(table, factor):
+        halves = list(groups(table, factor))
+        halves[half] = {bit: [(k, odd, -c) for k, odd, c in terms] for bit, terms in halves[half].items()}
+        return tuple(halves)
 
-    monkeypatch.setattr(SuperVectorField, "_coefficient_lists", negated)
+    monkeypatch.setattr(superpoly, "_field_groups", negated)
     return before, failed()
 
 
@@ -239,6 +247,30 @@ def test_membership_against_criterion_on_basis():
         else:
             want = "SHO"
         assert membership(poly) == want
+
+
+def _membership_of_the_carved_core(f):
+    """membership as defined on the carved core: the constant and the
+    constant top monomial removed before the divergence is taken."""
+    core, top = f.without_constant_and_top(), f.top_constant()
+    if core.is_zero() and top == 0:
+        return "not-HO-generator"
+    if not pvcalc.divergence(core).is_zero():
+        return "HO"
+    return "SHO-prime" if top != 0 else "SHO"
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_membership_equals_the_carved_core_definition(d):
+    polys = [SuperPoly(d, {m: 1}) for m in monomial_basis(d, 5)]
+    const, top = SuperPoly.const(d, Fraction(1, 2)), SuperPoly.top(d, 3)
+    polys += [SuperPoly.zero(d), const, top, const + top]
+    for seed in range(40):
+        p = random_poly(d, 3, xi_degree_filter=seed % (d + 1), seed=seed)
+        polys += [p, p + const, p + top, p + const + top]
+    got = [membership(p) for p in polys]
+    assert got == [_membership_of_the_carved_core(p) for p in polys]
+    assert set(got) == {"not-HO-generator", "HO", "SHO-prime", "SHO"}
 
 
 def test_ext_element_carves_center():

@@ -318,6 +318,10 @@ def test_monomial_basis_is_memoized_and_immutable():
         first[0] = Monomial((9, 9, 9), ())
     # 20 x-monomials of degree <= 3, and 3 xi-pairs times 4 of degree <= 1
     assert len(first) == 32 and {m.xi_degree for m in first} == {0, 2}
+    # the memo holds one exponent tuple per xi-degree and vector, shared
+    # by every odd set: 252 + 126 + 56 + 21 + 6 + 1 at d = 5, degree 5
+    basis = monomial_basis(5, 5)
+    assert (len(basis), len({id(m.exps) for m in basis})) == (1683, 462)
     assert list(first) == sorted(first, key=Monomial.sort_key)
 
 
