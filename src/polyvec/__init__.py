@@ -33,7 +33,6 @@ from .linf import (
     field_structure,
     jacobi_defect,
     minimal_model_structure,
-    schouten_structure,
     transfer,
 )
 from .sho import (

@@ -20,7 +20,6 @@ that probe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from typing import Callable
 
@@ -38,7 +37,7 @@ from .complexes import (
 )
 from .pvcalc import contraction_K
 from .reporting import Report
-from .superpoly import SuperPoly, sample_seed
+from .superpoly import sample_seed
 
 
 @dataclass(frozen=True)
@@ -85,25 +84,6 @@ def scale_homotopy(datum: HomotopyDatum, factor) -> HomotopyDatum:
         return datum.homotopy(psi).scale(factor)
 
     return HomotopyDatum(datum.carrier, homotopy)
-
-
-def perturb_side_conditions(datum: HomotopyDatum) -> HomotopyDatum:
-    """A datum with intact homotopy relations but broken side conditions.
-
-    Adds iota . lam . p to H, where lam is an odd carrier map; since
-    Q iota = 0 and p Q = 0 the defining relations survive, while
-    p H iota = lam breaks the side conditions.
-    """
-    carrier = datum.carrier
-
-    def lam(v: DescendantField) -> DescendantField:
-        c = sum((coeff for _, coeff in v.part(carrier.home(("pv", 0))).terms()), Fraction(0))
-        return carrier.element({("pv", 1): SuperPoly.xi(carrier.d, 1).scale(c)})
-
-    def homotopy(psi: DescendantField) -> DescendantField:
-        return datum.homotopy(psi) + lam(carrier.project(psi))
-
-    return HomotopyDatum(carrier, homotopy)
 
 
 def normalize_homotopy(datum: HomotopyDatum) -> HomotopyDatum:

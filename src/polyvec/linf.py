@@ -123,14 +123,6 @@ def jacobi_defect(structure: LInftyStructure, n: int, inputs) -> Any:
 # -- concrete structures ----------------------------------------------
 
 
-def schouten_structure(d: int, with_differential: bool = True) -> LInftyStructure:
-    """The (Delta, Schouten) structure on all polyvectors, symmetric form."""
-    brackets: dict[int, Callable] = {2: pvcalc.symmetric_bracket}
-    if with_differential:
-        brackets[1] = pvcalc.divergence
-    return LInftyStructure(zero=lambda: SuperPoly.zero(d), brackets=brackets)
-
-
 def field_structure(d: int) -> LInftyStructure:
     """(Q = t Delta, t-linear symmetric Schouten) on the minimal complex.
 
@@ -171,15 +163,6 @@ def _content(v: DescendantField) -> SuperPoly:
                           for _, poly in phi_parts(v, pvcalc.divergence)))
 
 
-def _x_constant_content(v: DescendantField) -> SuperPoly:
-    """_content(v).x_constant_part() without a full divergence: Delta
-    lowers the x-degree by one, so only the x-linear terms of the tower
-    head reach the x-constant terms."""
-    parts = (poly.x_constant_part() for _, poly in
-             phi_parts(v, lambda head: pvcalc.divergence(head.x_linear_part())))
-    return term_sum(v.d, ((poly._terms.items(), poly._den) for poly in parts))
-
-
 def minimal_model_structure(d: int, variant: Variant) -> LInftyStructure:
     """The transferred minimal model, in closed form.
 
@@ -191,7 +174,8 @@ def minimal_model_structure(d: int, variant: Variant) -> LInftyStructure:
       reproduces the wedge and wedge-of-divergence bracket families.
     * k < d-1 potentials: b2 as above with xi-degree k output lifted to a
       quotient class, plus the (d-k+1)-ary bracket into the central slot
-      c: the constant top part of the content product.
+      c: the constant top part of the content product, which only the
+      contents' x-constant terms reach, so only those are multiplied.
 
     Inputs and outputs are carrier elements: fields whose parts sit at
     the slots' homes, read once per structure from CarrierModel.home.
@@ -234,7 +218,7 @@ def minimal_model_structure(d: int, variant: Variant) -> LInftyStructure:
             # only x-constant terms reach the constant top monomial
             prod = SuperPoly.const(d, 1)
             for v in vs:
-                prod = prod * _x_constant_content(v)
+                prod = prod * _content(v).x_constant_part()
             central = SuperPoly.top(d, prod.top_constant())
             return DescendantField.single(d, variant, central_home, central)
 

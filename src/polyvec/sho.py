@@ -105,9 +105,10 @@ class SuperVectorField:
 
 
 def hamiltonian_vf(f: SuperPoly) -> SuperVectorField:
-    """The odd-Hamiltonian field of a parity-homogeneous generator, its
-    table built in one pass over f's terms."""
-    return SuperVectorField._of(hamiltonian_table(f, -1 if f.parity() else 1))
+    """The odd-Hamiltonian field of a parity-homogeneous generator (ValueError
+    on a mixed one), its table superpoly.hamiltonian_table(f)."""
+    f.parity()  # the homogeneity check
+    return SuperVectorField._of(hamiltonian_table(f))
 
 
 def super_divergence(mu: SuperVectorField) -> SuperPoly:

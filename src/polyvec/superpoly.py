@@ -44,12 +44,13 @@ Schouten bracket (bracket_products), and the vector-field kernels: the
 Hamiltonian field (hamiltonian_table), the super-divergence
 (field_divergence) and the application of fields to a polynomial or to
 another field's table (field_applications, which gives the commutator of
-two fields in one call).  First partials come from partial_terms, except
-in the two pairing kernels: bracket_products and field_applications both
-read their second input's first partials from one helper,
-_pairing_partials, which indexes them only at the indices that input
-carries and already in the pairing form, and pair each left term only
-with the list at its index.
+two fields in one call).  Every first partial of a whole polynomial comes
+from one walk, _pairing_partials, indexed only at the indices the terms
+carry and already in the pairing form: d_even and d_odd read one of its
+lists, hamiltonian_table re-keys them all with component tags, and the
+pairing kernels pair each left term only with the list at its index.  The
+exception is bracket_products' left side, derived inline only at the
+indices its right input carries, which measured faster.
 
 The table bounds d by MAX_D = 16; key_layout rejects a larger d.
 
@@ -100,10 +101,6 @@ class Monomial(NamedTuple):
     @property
     def xi_degree(self) -> int:
         return len(self.odd)
-
-    @property
-    def parity(self) -> int:
-        return len(self.odd) & 1
 
     def sort_key(self):
         # graded lexicographic; fixes serialization byte order
@@ -399,13 +396,19 @@ class SuperPoly:
 
     def d_even(self, i: int) -> "SuperPoly":
         """Partial derivative with respect to x_i."""
-        _check_index(self.d, i)
-        return SuperPoly._of(self.d, dict(partial_terms(self)[1][i - 1]), self._den)
+        return self._partial(i, 0)
 
     def d_odd(self, i: int) -> "SuperPoly":
         """Left derivative with respect to xi_i."""
-        _check_index(self.d, i)
-        return SuperPoly._of(self.d, dict(partial_terms(self)[0][i - 1]), self._den)
+        return self._partial(i, 1)
+
+    def _partial(self, i: int, kind: int) -> "SuperPoly":
+        """One list of _pairing_partials, of x_i (kind 0) or xi_i (kind 1);
+        a partial leaves no collision and no zero (see hamiltonian_table)."""
+        d = self.d
+        _check_index(d, i)
+        terms = _pairing_partials(d, key_layout(d), self._terms.items())[kind].get(1 << (i - 1), ())
+        return SuperPoly._reduced(d, {k: c for k, _, _, c in terms}, self._den)
 
     # -- decompositions ----------------------------------------------
 
@@ -421,13 +424,6 @@ class SuperPoly:
         """The terms with no x-dependence."""
         mask = (1 << self.d) - 1
         return SuperPoly._reduced(self.d, {m: c for m, c in self._terms.items() if m <= mask}, self._den)
-
-    def x_linear_part(self) -> "SuperPoly":
-        """The terms of x-degree one."""
-        d = self.d
-        ones = set(key_layout(d).ones)
-        return SuperPoly._reduced(d, {m: c for m, c in self._terms.items() if m >> d << d in ones},
-                                  self._den)
 
     def xi_components(self) -> dict[int, "SuperPoly"]:
         return {k: self.xi_component(k) for k in sorted(self.xi_degrees())}
@@ -703,45 +699,26 @@ def field_parities(table: SuperPoly) -> set[int]:
     return {((k & mask).bit_count() + (k >> shift >= d)) & 1 for k in table._terms}
 
 
-@lru_cache(maxsize=None)
-def _hamiltonian_deltas(d: int) -> tuple[dict[int, int], tuple[int, ...]]:
-    """The key deltas from a term to its partials in a Hamiltonian field:
-    by the bit of xi_i, to d/dxi_i of it on d/dx_i (the bit cleared, tag
-    i-1 added); per index i, to d/dx_i of it on d/dxi_i (one unit of x_i
-    taken, tag d+i-1 added)."""
-    layout = key_layout(d)
-    shift = layout.tag_shift
-    return ({1 << i: (i << shift) - (1 << i) for i in range(d)},
-            tuple(((d + i) << shift) - one for i, one in enumerate(layout.ones)))
-
-
-def hamiltonian_table(f: SuperPoly, sign: int) -> SuperPoly:
-    """The table of sum_i sign * df/dxi_i d/dx_i + df/dx_i d/dxi_i (left odd
-    derivatives), in one pass over f's terms.  A first partial is injective
-    on the terms it does not kill and each component has its own tag, so no
-    two entries share a key and none is zero: only a common factor of f's
-    denominator with the exponent factors is divided out."""
+def hamiltonian_table(f: SuperPoly) -> SuperPoly:
+    """The table of sum_i (-1)^|f| df/dxi_i d/dx_i + df/dx_i d/dxi_i (left
+    odd derivatives): f's _pairing_partials re-keyed with the component
+    tags, an entry of d/dxi_i, of odd mask b, negated when |b| = |f| - 1 is
+    even.  A first partial is injective on the terms it does not kill, so
+    no two entries share a key and none is zero: only a common factor of
+    f._den with the exponent factors is divided out."""
     d = f.d
     layout = key_layout(d)
-    mask, table = layout.odd_mask, layout.sign_table
-    to_x, to_xi = _hamiltonian_deltas(d)
+    shift = layout.tag_shift
+    by_x, by_xi = _pairing_partials(d, layout, f._terms.items())
     out: dict[int, int] = {}
-    for k, c in f._terms.items():
-        odd = k & mask
-        if odd:
-            signs, c_x, rest = table[odd], sign * c, odd
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                out[k + to_x[bit]] = -c_x if signs & bit else c_x
-        xs = k >> d
-        i = 0
-        while xs:
-            e = xs & EXP_FIELD
-            if e:
-                out[k + to_xi[i]] = e * c
-            xs >>= EXP_BITS
-            i += 1
+    for bit, terms in by_xi.items():
+        tag = (bit.bit_length() - 1) << shift
+        for k, b, _, c in terms:
+            out[k + tag] = c if b.bit_count() & 1 else -c
+    for bit, terms in by_x.items():
+        tag = (d + bit.bit_length() - 1) << shift
+        for k, _, _, c in terms:
+            out[k + tag] = c
     return SuperPoly._reduced(d, out, f._den)
 
 
@@ -822,39 +799,6 @@ def field_applications(jobs) -> SuperPoly:
                         key = ka + kb
                         out[key] = get(key, 0) + (-ca * cb if (a & sb).bit_count() & 1 else ca * cb)
     return SuperPoly._of(d, guard_checked(layout, out), den)
-
-
-def partial_terms(p: SuperPoly):
-    """Per index i, the (key, numerator) terms of the left derivative
-    d/dxi_i p and of d/dx_i p, in one pass over p: d/dxi_i clears bit i-1
-    and signs by bit i-1 of S[mask].  The numerators stay over p._den;
-    every first partial in the package comes from here, except those that
-    the two pairing kernels read from _pairing_partials."""
-    d = p.d
-    layout = key_layout(d)
-    mask, table, ones = layout.odd_mask, layout.sign_table, layout.ones
-    d_xi = [[] for _ in range(d)]
-    d_x = [[] for _ in range(d)]
-    # each term visits only its own odd bits and its x fields up to the
-    # last nonzero one
-    for k, c in p._terms.items():
-        odd = k & mask
-        if odd:
-            signs = table[odd]
-            rest = odd
-            while rest:
-                bit = rest & -rest
-                d_xi[bit.bit_length() - 1].append((k ^ bit, -c if signs & bit else c))
-                rest ^= bit
-        xs = k >> d
-        i = 0
-        while xs:
-            e = xs & EXP_FIELD
-            if e:
-                d_x[i].append((k - ones[i], e * c))
-            xs >>= EXP_BITS
-            i += 1
-    return d_xi, d_x
 
 
 @lru_cache(maxsize=None)

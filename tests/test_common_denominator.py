@@ -328,16 +328,16 @@ def test_field_applications_sums_jobs_over_different_denominators():
 
 
 def test_filters_reduce_a_common_factor_they_leave():
-    # (xi1 + 2 x2)/2 filtered to its x-linear term is x2, stored over 1
+    # (xi1 + 2 x2)/2 filtered to its xi-degree 0 term is x2, stored over 1
     p = (SuperPoly.xi(2, 1) + SuperPoly.x(2, 2).scale(2)).scale(Fraction(1, 2))
     assert p._den == 2
-    for part in (p.x_linear_part(), p.xi_component(0)):
-        assert part == SuperPoly.x(2, 2) and part._den == 1
+    part = p.xi_component(0)
+    assert part == SuperPoly.x(2, 2) and part._den == 1
     assert p.x_constant_part() == SuperPoly.xi(2, 1).scale(Fraction(1, 2))
     for seed in SEEDS:
         d, inputs = _inputs(seed)
         for p in inputs:
-            parts = [p.x_constant_part(), p.x_linear_part(), p.without_constant_and_top(),
+            parts = [p.x_constant_part(), p.without_constant_and_top(),
                      *p.xi_components().values(), *p.principal_components().values()]
             for part in parts:
                 assert _canonical(part) and part == SuperPoly(d, dict(part.terms())), (seed, str(p))

@@ -17,11 +17,11 @@ from polyvec.complexes import (
     xi_degree_of,
 )
 from polyvec.contraction import (
+    HomotopyDatum,
     build_datum,
     contraction_K,
     homotopy_relations,
     normalize_homotopy,
-    perturb_side_conditions,
     scale_homotopy,
     side_conditions,
     verify_datum,
@@ -29,6 +29,25 @@ from polyvec.contraction import (
 from polyvec.linf import field_structure
 from polyvec.suites import CampaignConfig, suite_homotopy
 from polyvec.superpoly import SuperPoly, monomial_basis, random_poly
+
+
+def perturb_side_conditions(datum: HomotopyDatum) -> HomotopyDatum:
+    """A datum with intact homotopy relations but broken side conditions.
+
+    Adds iota . lam . p to H, where lam is an odd carrier map; since
+    Q iota = 0 and p Q = 0 the defining relations survive, while
+    p H iota = lam breaks the side conditions.
+    """
+    carrier = datum.carrier
+
+    def lam(v: DescendantField) -> DescendantField:
+        c = sum((coeff for _, coeff in v.part(carrier.home(("pv", 0))).terms()), Fraction(0))
+        return carrier.element({("pv", 1): SuperPoly.xi(carrier.d, 1).scale(c)})
+
+    def homotopy(psi: DescendantField) -> DescendantField:
+        return datum.homotopy(psi) + lam(carrier.project(psi))
+
+    return HomotopyDatum(carrier, homotopy)
 
 
 def test_K_of_one_in_d1():

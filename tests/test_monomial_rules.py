@@ -1,7 +1,8 @@
 """The packed-key kernels against references that do not call them.
 
-The product, the Schouten kernel and a vector field's action are single
-passes over packed term keys.  Delta, K, de Rham and the Euler
+The product, the Schouten kernel, a vector field's action, the first
+partials and the Hamiltonian field are single passes over packed term
+keys.  Delta, K, de Rham and the Euler
 contraction are one index-operator kernel, sum_i A_i B_i with A_i either
 xi_i * or d/dxi_i and B_i either x_i * or d/dx_i; the transports through
 Omega are one complement kernel.  The references below build the same
@@ -17,11 +18,20 @@ from fractions import Fraction
 
 import pytest
 
-from polyvec import conventions, pvcalc
+from polyvec import conventions, pvcalc, sho
 from polyvec.contraction import contraction_K
 from polyvec.sho import ExtElement, SuperVectorField, c1_pairing, hamiltonian_vf, vf_bracket
 from polyvec.sl2 import act_h
-from polyvec.superpoly import Monomial, SuperPoly, koszul_sign, monomial_basis, random_poly
+from polyvec.superpoly import (
+    Monomial,
+    SuperPoly,
+    field_coefficients,
+    field_table,
+    hamiltonian_table,
+    koszul_sign,
+    monomial_basis,
+    random_poly,
+)
 
 
 def _mixed(d, seed):
@@ -160,18 +170,65 @@ def test_bracket_kernel_equals_composite_on_every_basis_pair(d, max_degree, pair
     assert (len(brackets), sum(not got.is_zero() for got, _ in brackets)) == (pairs, nontrivial)
 
 
+def _d_even(p, i):
+    # on Monomial tuples: lower the exponent of x_i, times that exponent
+    out = {}
+    for (exps, odd), c in p.terms():
+        e = exps[i - 1]
+        if e:
+            out[Monomial(exps[: i - 1] + (e - 1,) + exps[i:], odd)] = e * c
+    return SuperPoly(p.d, out)
+
+
+def _d_odd(p, i):
+    # on Monomial tuples: move xi_i to the front past the odd factors
+    # before it, one sign each, and strike it
+    out = {}
+    for (exps, odd), c in p.terms():
+        if i in odd:
+            out[Monomial(exps, tuple(j for j in odd if j != i))] = (-1) ** odd.index(i) * c
+    return SuperPoly(p.d, out)
+
+
+def _hamiltonian(f):
+    # sum_i (-1)^{|f|} df/dxi_i d/dx_i + df/dx_i d/dxi_i, built per component
+    sign = -1 if f.parity() else 1
+    indices = range(1, f.d + 1)
+    return SuperVectorField(f.d, tuple(_d_odd(f, i).scale(sign) for i in indices),
+                            tuple(_d_even(f, i) for i in indices))
+
+
 BASIS_SIZES = [(1, 9), (2, 41), (3, 129), (4, 321), (5, 681)]
 
 
 @pytest.mark.parametrize("d, size", BASIS_SIZES)
 def test_divergence_and_K_equal_composites_on_every_basis_monomial(d, size):
-    # both operators are linear, so agreement on every basis monomial
-    # proves the kernels at this truncation
+    # the operators are linear, so agreement on every basis monomial
+    # proves the kernels at this truncation: Delta, K, every first partial
+    # and the Hamiltonian field
     basis = [SuperPoly(d, {m: 1}) for m in monomial_basis(d, 4)]
     assert len(basis) == size
     for p in basis:
         assert pvcalc.divergence(p) == _divergence(p)
         assert contraction_K(p) == _contraction_K(p)
+        for i in range(1, d + 1):
+            assert p.d_even(i) == _d_even(p, i)
+            assert p.d_odd(i) == _d_odd(p, i)
+        assert hamiltonian_vf(p) == _hamiltonian(p)
+
+
+def test_a_hamiltonian_field_without_the_parity_sign_fails_the_basis_certificate(monkeypatch):
+    # negative control: the kernel with (-1)^{|f|} dropped from its d/dx_i
+    # components differs from the reference on exactly the odd monomials
+    def unsigned_table(f):
+        coefficients = field_coefficients(hamiltonian_table(f))
+        sign = -1 if f.parity() else 1
+        return field_table(f.d, [c.scale(sign) for c in coefficients[: f.d]] + coefficients[f.d :])
+
+    monkeypatch.setattr(sho, "hamiltonian_table", unsigned_table)
+    basis = [SuperPoly(3, {m: 1}) for m in monomial_basis(3, 4)]
+    failing = [p for p in basis if hamiltonian_vf(p) != _hamiltonian(p)]
+    assert failing and failing == [p for p in basis if p.parity()]
 
 
 @pytest.mark.parametrize("d, size", BASIS_SIZES)
@@ -189,9 +246,10 @@ def test_de_rham_euler_and_transports_equal_references_on_every_basis_monomial(d
 
 
 def _apply(field, g):
+    # each view unpacks the whole table, so each is read once
     out = SuperPoly.zero(field.d)
-    for i in range(1, field.d + 1):
-        out = out + field.mu_x[i - 1] * g.d_even(i) + field.mu_xi[i - 1] * g.d_odd(i)
+    for i, (a, b) in enumerate(zip(field.mu_x, field.mu_xi), 1):
+        out = out + a * g.d_even(i) + b * g.d_odd(i)
     return out
 
 
