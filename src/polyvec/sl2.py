@@ -218,10 +218,11 @@ PHI1, PHI2, MU = map(cohomology_model(3, FIELD_VARIANT).home, [("pot",), ("pv", 
 def field_action(x: str, psi: DescendantField) -> DescendantField:
     """Infinitesimal action of the generator x in {"e", "h", "f"}: the
     standard representation on the pair (PHI1, PHI2), identified through
-    vee_omega, and zero on the other summands."""
+    vee_omega, and zero on the other summands.  Only x's image is computed."""
     z = SuperPoly.zero(3)
     phi1, phi2 = psi.part(PHI1), psi.part(PHI2)
-    image = {"e": (pvcalc.vee_omega_inv(phi2), z), "h": (phi1, -phi2), "f": (z, pvcalc.vee_omega(phi1))}[x]
+    image = {"e": lambda: (pvcalc.vee_omega_inv(phi2), z), "h": lambda: (phi1, -phi2),
+             "f": lambda: (z, pvcalc.vee_omega(phi1))}[x]()
     return DescendantField(3, FIELD_VARIANT, dict(zip((PHI1, PHI2), image)))
 
 

@@ -243,7 +243,7 @@ def suite_transfer(cfg: CampaignConfig) -> Report:
     structure = field_structure(d)
     transferred = transfer(structure, datum, arity_cap=cfg.arity_cap)
     model = minimal_model_structure(d, variant)
-    carrier = cohomology_model(d, variant)
+    carrier = datum.carrier
     slots = carrier.slots
     per = max(1, cfg.trials // max(1, len(slots) ** 2))
 

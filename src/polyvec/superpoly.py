@@ -5,12 +5,14 @@ coefficients, stored as integer numerators over one common denominator:
 the value of an element is (1/_den) * sum _terms[k] m_k.  In canonical
 form every numerator is a nonzero int, _den >= 1, gcd(_den, numerators)
 = 1 and zero has _den = 1, so equal values have equal storage.  Every
-kernel runs on ints and only multiplies denominators (a division, such as
-a weight of contraction_K, multiplies _den); Fraction appears only at the
-edge, in the values that terms(), coefficient() and str give (an int when
-integral) and in rational inputs.  Values are immutable once built and
-every operation is a pure function, so concurrent use needs no
-synchronization.
+element is built by SuperPoly._of, the one normalizer, which brings its
+terms to that form, so no constructor or kernel argues that its output
+is canonical already.  Every kernel runs on ints and only multiplies
+denominators (a division, such as a weight of contraction_K, multiplies
+_den); Fraction appears only at the edge, in the values that terms(),
+coefficient() and str give (an int when integral) and in rational
+inputs.  Values are immutable once built and every operation is a pure
+function, so concurrent use needs no synchronization.
 
 Key layout.  A term is stored under one int key.  Bit i-1 holds xi_i, so
 the low d bits are the odd part as a bitmask and xi_i^2 = 0 is a
@@ -197,14 +199,14 @@ class SuperPoly:
 
     __slots__ = ("d", "_terms", "_den")
 
-    def __init__(self, d: int, terms: dict[Monomial, int | Fraction] | None = None):
-        p = SuperPoly._rational(d, {pack(d, m): c for m, c in (terms or {}).items()})
-        self.d, self._terms, self._den = d, p._terms, p._den
+    def __new__(cls, d: int, terms: dict[Monomial, int | Fraction] | None = None):
+        return cls._rational(d, {pack(d, m): c for m, c in (terms or {}).items()})
 
     @classmethod
     def _of(cls, d: int, terms: dict[int, int], den: int = 1) -> "SuperPoly":
         """The element (1/den) sum terms[k] m_k, den >= 1: the one normalizer,
         which drops zero numerators and divides out gcd(den, numerators).
+        Every element is built here and nowhere else sets its fields.
 
         It takes ownership of terms: the zeros are deleted from that dict
         in place and the element may keep it, so every caller passes a
@@ -212,27 +214,12 @@ class SuperPoly:
         if 0 in terms.values():
             for k in [k for k, c in terms.items() if not c]:
                 del terms[k]
-        return cls._reduced(d, terms, den)
-
-    @classmethod
-    def _reduced(cls, d: int, terms: dict[int, int], den: int) -> "SuperPoly":
-        """_of for numerators known to be nonzero, as a filter or a nonzero
-        scaling leaves them: only a common factor with den is divided out."""
         if den > 1:
             g = gcd(den, *terms.values())
             if g > 1:
                 den //= g
                 terms = {k: c // g for k, c in terms.items()}
-        p = cls.__new__(cls)
-        p.d = d
-        p._terms = terms
-        p._den = den
-        return p
-
-    @classmethod
-    def _trusted(cls, d: int, terms: dict[int, int], den: int) -> "SuperPoly":
-        """The element with terms and den already in canonical form."""
-        p = cls.__new__(cls)
+        p = object.__new__(cls)
         p.d = d
         p._terms = terms
         p._den = den
@@ -253,7 +240,7 @@ class SuperPoly:
 
     @classmethod
     def zero(cls, d: int) -> "SuperPoly":
-        return cls._trusted(d, {}, 1)
+        return cls._of(d, {})
 
     @classmethod
     def const(cls, d: int, value) -> "SuperPoly":
@@ -262,12 +249,12 @@ class SuperPoly:
     @classmethod
     def x(cls, d: int, i: int) -> "SuperPoly":
         _check_index(d, i)
-        return cls._trusted(d, {key_layout(d).ones[i - 1]: 1}, 1)
+        return cls._of(d, {key_layout(d).ones[i - 1]: 1})
 
     @classmethod
     def xi(cls, d: int, i: int) -> "SuperPoly":
         _check_index(d, i)
-        return cls._trusted(d, {1 << (i - 1): 1}, 1)
+        return cls._of(d, {1 << (i - 1): 1})
 
     @classmethod
     def monomial(cls, d: int, exps: Iterable[int], odd: Iterable[int], coeff=1) -> "SuperPoly":
@@ -313,7 +300,7 @@ class SuperPoly:
     def without_constant_and_top(self) -> "SuperPoly":
         """self without the two terms that constant_term() and top_constant() read."""
         top = (1 << self.d) - 1
-        return SuperPoly._reduced(self.d, {k: c for k, c in self._terms.items() if k and k != top}, self._den)
+        return SuperPoly._of(self.d, {k: c for k, c in self._terms.items() if k and k != top}, self._den)
 
     def xi_degrees(self) -> set[int]:
         mask = (1 << self.d) - 1
@@ -355,15 +342,12 @@ class SuperPoly:
         return SuperPoly._of(self.d, terms, den)
 
     def __neg__(self) -> "SuperPoly":
-        return SuperPoly._trusted(self.d, {k: -c for k, c in self._terms.items()}, self._den)
+        return SuperPoly._of(self.d, {k: -c for k, c in self._terms.items()}, self._den)
 
     def scale(self, value) -> "SuperPoly":
         """value * self for an int or Fraction value."""
-        if not value:
-            return SuperPoly.zero(self.d)
         num = value.numerator
-        return SuperPoly._reduced(self.d, {k: num * c for k, c in self._terms.items()},
-                                  value.denominator * self._den)
+        return SuperPoly._of(self.d, {k: num * c for k, c in self._terms.items()}, value.denominator * self._den)
 
     def __mul__(self, other: "SuperPoly") -> "SuperPoly":
         self._check_same(other)
@@ -403,27 +387,23 @@ class SuperPoly:
         return self._partial(i, 1)
 
     def _partial(self, i: int, kind: int) -> "SuperPoly":
-        """One list of _pairing_partials, of x_i (kind 0) or xi_i (kind 1);
-        a partial leaves no collision and no zero (see hamiltonian_table)."""
+        """One list of _pairing_partials, of x_i (kind 0) or xi_i (kind 1)."""
         d = self.d
         _check_index(d, i)
         terms = _pairing_partials(d, key_layout(d), self._terms.items())[kind].get(1 << (i - 1), ())
-        return SuperPoly._reduced(d, {k: c for k, _, _, c in terms}, self._den)
+        return SuperPoly._of(d, {k: c for k, _, _, c in terms}, self._den)
 
     # -- decompositions ----------------------------------------------
 
-    # A filter keeps nonzero numerators, so it skips the zero filter of
-    # _of; it can leave a common factor with _den, which _reduced divides out.
-
     def xi_component(self, k: int) -> "SuperPoly":
         mask = (1 << self.d) - 1
-        return SuperPoly._reduced(self.d, {m: c for m, c in self._terms.items()
-                                           if (m & mask).bit_count() == k}, self._den)
+        return SuperPoly._of(self.d, {m: c for m, c in self._terms.items()
+                                      if (m & mask).bit_count() == k}, self._den)
 
     def x_constant_part(self) -> "SuperPoly":
         """The terms with no x-dependence."""
         mask = (1 << self.d) - 1
-        return SuperPoly._reduced(self.d, {m: c for m, c in self._terms.items() if m <= mask}, self._den)
+        return SuperPoly._of(self.d, {m: c for m, c in self._terms.items() if m <= mask}, self._den)
 
     def xi_components(self) -> dict[int, "SuperPoly"]:
         return {k: self.xi_component(k) for k in sorted(self.xi_degrees())}
@@ -435,7 +415,7 @@ class SuperPoly:
         out: dict[int, dict] = {}
         for m, c in self._terms.items():
             out.setdefault(_key_degree(self.d, m) - 2, {})[m] = c
-        return {k: SuperPoly._reduced(self.d, v, self._den) for k, v in sorted(out.items())}
+        return {k: SuperPoly._of(self.d, v, self._den) for k, v in sorted(out.items())}
 
     # -- serialization -----------------------------------------------
 
@@ -656,16 +636,13 @@ def bracket_products(d: int, left, right, den: int) -> SuperPoly:
 #
 # A field's table (see the module docstring) is held in a SuperPoly of
 # dimension d whose keys carry the component tag.  Only SuperPoly's
-# operations that read no key (+, -, scale, ==, is_zero and the
-# normalizers) are applied to a table; the kernels below read its keys.
+# operations that read no key (+, -, scale, ==, is_zero and _of) are
+# applied to a table; the kernels below read its keys.
 
 
 def field_table(d: int, coefficients) -> SuperPoly:
     """The table of the field with the 2d given coefficients, those on
-    d/dx_1..d/dx_d first, over the lcm of their denominators.  Canonical as
-    it stands: a prime power that divides the lcm divides some
-    coefficient's denominator, and that coefficient's numerators share no
-    factor with it."""
+    d/dx_1..d/dx_d first, over the lcm of their denominators."""
     coefficients = tuple(coefficients)
     if len(coefficients) != 2 * d or any(c.d != d for c in coefficients):
         raise ValueError(f"a field of dimension {d} takes 2d coefficients of dimension {d}")
@@ -676,7 +653,7 @@ def field_table(d: int, coefficients) -> SuperPoly:
         tag, f = t << shift, den // c._den
         for k, n in c._terms.items():
             terms[k + tag] = f * n
-    return SuperPoly._trusted(d, terms, den)
+    return SuperPoly._of(d, terms, den)
 
 
 def field_coefficients(table: SuperPoly) -> list[SuperPoly]:
@@ -687,7 +664,7 @@ def field_coefficients(table: SuperPoly) -> list[SuperPoly]:
     parts: list[dict[int, int]] = [{} for _ in range(2 * d)]
     for k, c in table._terms.items():
         parts[k >> shift][k & low] = c
-    return [SuperPoly._reduced(d, part, table._den) for part in parts]
+    return [SuperPoly._of(d, part, table._den) for part in parts]
 
 
 def field_parities(table: SuperPoly) -> set[int]:
@@ -703,9 +680,7 @@ def hamiltonian_table(f: SuperPoly) -> SuperPoly:
     """The table of sum_i (-1)^|f| df/dxi_i d/dx_i + df/dx_i d/dxi_i (left
     odd derivatives): f's _pairing_partials re-keyed with the component
     tags, an entry of d/dxi_i, of odd mask b, negated when |b| = |f| - 1 is
-    even.  A first partial is injective on the terms it does not kill, so
-    no two entries share a key and none is zero: only a common factor of
-    f._den with the exponent factors is divided out."""
+    even."""
     d = f.d
     layout = key_layout(d)
     shift = layout.tag_shift
@@ -719,7 +694,7 @@ def hamiltonian_table(f: SuperPoly) -> SuperPoly:
         tag = (d + bit.bit_length() - 1) << shift
         for k, _, _, c in terms:
             out[k + tag] = c
-    return SuperPoly._reduced(d, out, f._den)
+    return SuperPoly._of(d, out, f._den)
 
 
 def field_divergence(table: SuperPoly, xi_sign: int) -> SuperPoly:
@@ -890,8 +865,7 @@ def top_constant_pairing(a: SuperPoly, b: SuperPoly) -> int | Fraction:
 
 def _complement_transport(p: SuperPoly, *, inverse: bool) -> SuperPoly:
     """x^a xi_S -> sign x^a xi_(S^c), the sign that of merging S and S^c
-    (S^c and S when inverse).  Complementing the mask is a bijection of
-    keys, so the result is canonical as it stands."""
+    (S^c and S when inverse)."""
     layout = key_layout(p.d)
     mask, table = layout.odd_mask, layout.sign_table
     out: dict[int, int] = {}
@@ -899,7 +873,7 @@ def _complement_transport(p: SuperPoly, *, inverse: bool) -> SuperPoly:
         odd = k & mask
         first, second = (odd ^ mask, odd) if inverse else (odd, odd ^ mask)
         out[k ^ mask] = -c if (first & table[second]).bit_count() & 1 else c
-    return SuperPoly._trusted(p.d, out, p._den)
+    return SuperPoly._of(p.d, out, p._den)
 
 
 def monomial_basis(d: int, max_degree: int, xi_degrees=None) -> tuple[Monomial, ...]:
@@ -915,7 +889,7 @@ def basis_elements(d: int, max_degree: int) -> Iterator[SuperPoly]:
     1 and in its order, built from the memoized keys without packing.
     Each is a fresh SuperPoly: the elements themselves are not memoized."""
     for key in _basis_keys(d, max_degree, _xi_filter(d, max_degree, None)):
-        yield SuperPoly._trusted(d, {key: 1}, 1)
+        yield SuperPoly._of(d, {key: 1})
 
 
 def _xi_filter(d: int, max_degree: int, xi_degrees) -> tuple[int, ...]:

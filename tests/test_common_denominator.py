@@ -93,6 +93,16 @@ def ref_d_even(a, i):
     return clean(out)
 
 
+def ref_complement(a, d, inverse=False):
+    """x^e xi_S -> sign x^e xi_(S^c), the Koszul sign of S followed by S^c
+    (of S^c followed by S when inverse)."""
+    out = {}
+    for (e, o), c in a.items():
+        rest = tuple(i for i in range(1, d + 1) if i not in o)
+        out[Monomial(e, rest)] = koszul_sign(rest + o if inverse else o + rest) * c
+    return out
+
+
 def ref_divergence(a, d):
     out = {}
     for i in range(1, d + 1):
@@ -200,6 +210,10 @@ def test_binary_operations_match_the_fraction_reference(op):
 
 
 def test_unary_operations_match_the_fraction_reference():
+    # d/dx_1 of x1^2/2 is x1, stored over 1
+    derived = SuperPoly.monomial(2, (2, 0), (), Fraction(1, 2)).d_even(1)
+    assert (derived._terms, derived._den) == (SuperPoly.x(2, 1)._terms, 1)
+    reduced = 0
     for seed in SEEDS:
         d, inputs = _inputs(seed)
         for p in inputs:
@@ -209,6 +223,14 @@ def test_unary_operations_match_the_fraction_reference():
             assert _agree(-p, ref_scale(r, -1)), (seed, str(p))
             assert _agree(pvcalc.divergence(p), ref_divergence(r, d)), (seed, str(p))
             assert _agree(contraction_K(p), ref_K(r, d)), (seed, str(p))
+            for i in range(1, d + 1):
+                assert _agree(p.d_even(i), ref_d_even(r, i)), (seed, str(p), i)
+                assert _agree(p.d_odd(i), ref_d_odd(r, i)), (seed, str(p), i)
+                reduced += 0 < p.d_even(i)._den < p._den
+            assert _agree(pvcalc.vee_omega(p), ref_complement(r, d)), (seed, str(p))
+            assert _agree(pvcalc.vee_omega_inv(p), ref_complement(r, d, inverse=True)), (seed, str(p))
+    # exponents that share a factor with the denominator are divided out
+    assert reduced >= 200, reduced
 
 
 def _x_constants(d):
@@ -366,7 +388,8 @@ def test_an_unreduced_element_is_not_equal_to_its_value():
     # reduction compares unequal, so every kernel must build through _of
     for seed in SEEDS[:20]:
         _, (p, _, _) = _inputs(seed)
-        unreduced = SuperPoly._trusted(p.d, {k: 2 * c for k, c in p._terms.items()}, 2 * p._den)
+        unreduced = object.__new__(SuperPoly)
+        unreduced.d, unreduced._terms, unreduced._den = p.d, {k: 2 * c for k, c in p._terms.items()}, 2 * p._den
         assert list(unreduced.terms()) == list(p.terms())
         assert unreduced != p
         assert SuperPoly._of(p.d, dict(unreduced._terms), unreduced._den) == p

@@ -12,14 +12,16 @@ rule or a carrier home, and by linf's mbcov source; the homotopy data and
 the sl2 field side never name a summand.  Fields are validated at the
 public edge: only complexes and linf's source b2, whose parts are valid
 by construction, build one through the trusted constructor; sl2 and the
-homotopy data go through the validating one.  Every import sits at
-module level, and the imports inside the package form an acyclic graph.
-The suites, sho and sl2 seed their families through Report.sampled, so
-their own sample_seed calls are secondary choices named by a string
-literal, and verify_datum, homotopy_relations and cocycle_check do not
-call sample_seed.  Only superpoly builds a random generator: every draw
-goes through its sampler kernel, whose stream the seed rule fixes.
-The modules are read with ast, without importing them.
+homotopy data go through the validating one.  Every SuperPoly is built
+by SuperPoly._of, the one normalizer: nothing else calls __new__ for it
+or sets its fields.  Every import sits at module level, and the imports
+inside the package form an acyclic graph.  The suites, sho and sl2 seed
+their families through Report.sampled, so their own sample_seed calls
+are secondary choices named by a string literal, and verify_datum,
+homotopy_relations and cocycle_check do not call sample_seed.  Only
+superpoly builds a random generator: every draw goes through its
+sampler kernel, whose stream the seed rule fixes.  The modules are read
+with ast, without importing them.
 """
 
 import ast
@@ -140,17 +142,61 @@ def test_homotopy_data_and_sl2_name_no_summand_key():
 
 
 def test_only_complexes_and_linf_build_trusted_fields():
-    # receivers of ._trusted outside superpoly, whose SuperPoly._trusted
-    # stays its own
+    # the receivers of ._trusted in every module
     trees = _trees()
     callers = {name: sorted({ast.unparse(node.value) for node in ast.walk(tree)
                              if isinstance(node, ast.Attribute) and node.attr == "_trusted"})
-               for name, tree in trees.items() if name != "superpoly.py"}
+               for name, tree in trees.items()}
     assert {name: found for name, found in callers.items() if found} == {
         "complexes.py": ["DescendantField"], "linf.py": ["DescendantField"]}
     # sl2 builds its fields through the validating constructor
     assert any(isinstance(node, ast.Call) and ast.unparse(node.func) == "DescendantField"
                for node in ast.walk(trees["sl2.py"]))
+
+
+def _enclosing(tree, match) -> set[str]:
+    """The qualified names of the innermost functions or classes around
+    the nodes where match holds ("<module>" for module-level code)."""
+    out = set()
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if name == "<module>" else f"{name}.{child.name}")
+            else:
+                if match(child):
+                    out.add(name)
+                visit(child, name)
+
+    visit(tree, "<module>")
+    return out
+
+
+def _calls_new(node) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "__new__"
+
+
+def _builds_superpoly(node) -> bool:
+    """A __new__ call on or of SuperPoly, or a store to a SuperPoly field
+    that no other class of the package names (_terms, _den)."""
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+        return node.attr in ("_terms", "_den")
+    return _calls_new(node) and "SuperPoly" in {ast.unparse(node.func.value),
+                                                *(ast.unparse(arg) for arg in node.args)}
+
+
+def test_only_of_builds_a_superpoly():
+    # every SuperPoly is brought to canonical form by the one normalizer:
+    # in superpoly every __new__ call and field store sits in SuperPoly._of,
+    # and no other module builds one by hand
+    trees = _trees()
+    assert _enclosing(trees["superpoly.py"], _calls_new) == {"SuperPoly._of"}
+    assert _enclosing(trees["superpoly.py"], _builds_superpoly) == {"SuperPoly._of"}
+    others = {name: sorted(found) for name, tree in trees.items()
+              if name != "superpoly.py" and (found := _enclosing(tree, _builds_superpoly))}
+    assert others == {}
+    # the check sees sho's own __new__ call, which builds a field, not a SuperPoly
+    assert _enclosing(trees["sho.py"], _calls_new) == {"SuperVectorField._of"}
 
 
 def test_suites_sho_and_sl2_seed_families_only_through_the_runner():
